@@ -11,12 +11,10 @@ or explicitly truncation-qualified.
 from .errors import (
     AmplitudeMismatch,
     BadElement,
-    BudgetExceeded,
     CenterMismatch,
     DegreeMismatch,
     FactorOutsideGroup,
     IncompatibleBase,
-    InconsistentAssignment,
     NotContained,
     NotIntegral,
     NotRegular,

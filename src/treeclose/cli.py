@@ -189,7 +189,9 @@ def _verb_plusk_generators(model, scenario, budget, seed, cap):
         rng_seed=seed,
     )
     closed = germ_closure(germs, guard=cap)
-    legal = all(check_k_legal(model, g, k) for g in closed)
+    # transporter and stabilizer germs depend only on the model and k
+    cache = {}
+    legal = all(check_k_legal(model, g, k, cache) for g in closed)
     result = {"vertex": v.render(), "k": k, "closure_count": len(closed),
               "closure_all_k_legal": legal}
     result.update(_germ_listing(germs))

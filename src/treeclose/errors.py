@@ -29,10 +29,6 @@ class BadElement(TreecloseError):
     """An element fails the model's membership requirements."""
 
 
-class BudgetExceeded(TreecloseError):
-    """An enumeration ran past its explicit budget."""
-
-
 class DegreeMismatch(TreecloseError):
     """Two models act on trees of different degree."""
 
@@ -47,10 +43,6 @@ class TooLarge(TreecloseError):
 
 class RadiusTooSmall(TreecloseError):
     """Germ radius is too small for the requested legality level."""
-
-
-class InconsistentAssignment(TreecloseError):
-    """An exponent assignment cannot be glued into a single germ."""
 
 
 class AmplitudeMismatch(TreecloseError):

@@ -21,7 +21,7 @@ from .errors import (
     RadiusTooSmall,
     ValidationError,
 )
-from .permgroup import induced_perm_group, mulclose, structure_fingerprint
+from .permgroup import induced_perm_group, mulclose, perm_order, structure_fingerprint
 from .tree_core import (
     ROOT,
     Germ,
@@ -35,6 +35,7 @@ from .tree_core import (
     iterate_ball_germs,
     project_to_path,
     restrict,
+    sorted_germs,
     thicken,
     tree_distance,
 )
@@ -64,10 +65,6 @@ class Verdict:
             "notes": list(self.notes),
             "details": self.details,
         }
-
-
-def sorted_germs(germs):
-    return tuple(sorted(set(germs), key=lambda g: g.sort_key()))
 
 
 def germ_to_json(g):
@@ -642,48 +639,25 @@ def plusk_generator_germs(model, v, k, radius=None, samples=0, rng_seed=0):
     """
     radius = k + 1 if radius is None else radius
     deg = model.degree
-    out = []
-    for color in range(deg):
-        w = v.step(color)
-        region = edge_region(v, w, k, deg)
-        if hasattr(model, "sigma_construction"):
-            base_germ = model.germ_of(model.stab_generator(v), v, radius)
-            order = _germ_order(base_germ)
-            rng = random.Random(rng_seed)
-            twist_targets = [
-                y for y in ball_vertices(v, radius - 1, deg) if y != v
-            ]
-            for c in range(order):
-                g = model.sigma_construction(v, c, {}, radius)
-                if g.fixes(region):
-                    out.append(g)
-                for _ in range(samples):
-                    twists = {
-                        y: rng.randrange(0, 3) for y in twist_targets
-                    }
-                    g2 = model.sigma_construction(v, c, twists, radius)
-                    if g2.fixes(region):
-                        out.append(g2)
-        else:
-            out.extend(model.fixator_germs(v, radius, region))
-    return sorted_germs(out)
-
-
-def _germ_order(germ):
-    ident = Germ.from_mapping(
-        germ.src_center,
-        germ.src_center,
-        germ.radius,
-        {a: a for a, _ in germ.pairs},
+    regions = [edge_region(v, v.step(c), k, deg) for c in range(deg)]
+    if not hasattr(model, "sigma_construction"):
+        return sorted_germs(
+            g for region in regions for g in model.fixator_germs(v, radius, region)
+        )
+    # the candidates do not depend on the edge: build them once and keep
+    # each one that fixes some edge region
+    base = model.sigma_base(v, radius)
+    rng = random.Random(rng_seed)
+    twist_targets = [y for y in ball_vertices(v, radius - 1, deg) if y != v]
+    candidates = []
+    for c in range(perm_order(base[0].perm)):
+        candidates.append(model.sigma_construction(v, c, {}, radius, base))
+        for _ in range(samples):
+            twists = {y: rng.randrange(0, 3) for y in twist_targets}
+            candidates.append(model.sigma_construction(v, c, twists, radius, base))
+    return sorted_germs(
+        g for g in candidates if any(g.fixes(region) for region in regions)
     )
-    cur = germ
-    n = 1
-    while cur != ident:
-        cur = compose(germ, cur)
-        n += 1
-        if n > 10**6:
-            raise ValidationError("germ order exceeds guard")
-    return n
 
 
 # --- commutator solving ----------------------------------------------------------

@@ -13,7 +13,9 @@ import itertools
 
 from ..errors import ValidationError
 from ..tree_core import (
-    ball_vertices,
+    ball_addresses,
+    ball_positions,
+    ball_word_ranks,
     germ_of_map,
     tree_distance,
 )
@@ -83,15 +85,26 @@ class GroupModel(abc.ABC):
         tube = tuple(tube)
         center = pinned[len(pinned) // 2]
         radius = max(tree_distance(center, x) for x in tube)
+        pins = ball_positions(center, pinned, radius, self.degree)
+        spots = ball_positions(center, tube, radius, self.degree)
+        # maps on one tube compare as their image words taken in the word
+        # order of the tube, and the ranks of those words compare the same way
+        by_word = sorted(range(len(tube)), key=lambda p: tube[p].word)
+        by_word = [spots[p] for p in by_word]
+        rank = ball_word_ranks(center.word, radius, self.degree)
         seen = {}
         for g in self.stab_germ_group(center, radius):
-            if not g.fixes(pinned):
+            perm = g.perm
+            if any(perm[i] != i for i in pins):
                 continue
-            m = {x: g.apply(x) for x in tube}
-            key = tuple(sorted((a.word, b.word) for a, b in m.items()))
+            key = tuple([rank[perm[i]] for i in by_word])
             if key not in seen:
-                seen[key] = m
-        return tuple(seen[k] for k in sorted(seen))
+                seen[key] = perm
+        images = ball_addresses(center, radius, self.degree)
+        return tuple(
+            dict(zip(tube, [images[perm[i]] for i in spots]))
+            for _, perm in sorted(seen.items())
+        )
 
     # --- searches ----------------------------------------------------------
 

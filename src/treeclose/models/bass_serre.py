@@ -18,19 +18,17 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..errors import (
-    BadElement,
-    InconsistentAssignment,
-    TooLarge,
-    ValidationError,
-)
+from ..errors import BadElement, TooLarge, ValidationError
+from ..permgroup import cycle_table
 from ..tree_core import (
     Germ,
-    ball_vertices,
+    ball_parents,
+    ball_positions,
     compose,
     geodesic,
     identity_germ,
     require_regular,
+    sorted_germs,
     tree_distance,
 )
 from .base import GroupModel, LazyEmbedding
@@ -207,7 +205,7 @@ class BassSerreModel(GroupModel):
             cur = compose(gen_germ, cur)
             if len(out) > guard:
                 raise TooLarge(f"stabilizer germ group exceeded {guard}")
-        result = tuple(sorted(out, key=lambda g: g.sort_key()))
+        result = sorted_germs(out)
         self._stab_cache[key] = result
         return result
 
@@ -294,45 +292,40 @@ class BassSerreModel(GroupModel):
         )
         return lcm, tuple(residues), per_edge
 
-    def sigma_construction(self, v, base_exponent, twists, radius):
+    def sigma_base(self, v, radius):
+        """The stabilizer generator's germ at (v, radius) and its cycle
+        table; sigma_construction reads both."""
+        germ = self.germ_of(self.stab_generator(v), v, radius)
+        return germ, cycle_table(germ.perm)
+
+    def sigma_construction(self, v, base_exponent, twists, radius, base=None):
         """Germ at (v, radius) twisting each subtree by stabilizer powers.
 
         Vertex y at distance >= 1 maps to gen^{c(parent(y))} applied to y,
         where c(v) is the base exponent and each child may add any
         multiple of its own minimal fixing exponent (the twist). Every
         choice glues to a well-defined germ because the added power fixes
-        the child it is attached at.
+        the child it is attached at. base is sigma_base(v, radius), for
+        callers building many germs at one (v, radius).
         """
-        germ = self.germ_of(self.stab_generator(v), v, radius)
-        exps = {v: base_exponent}
-        mapping = {v: v}
-        for y in ball_vertices(v, radius, self.degree):
-            if y == v:
-                continue
-            parent = geodesic(y, v)[1]
-            l = _cycle_length(germ, y)
-            exps[y] = exps[parent] + l * int(twists.get(y, 0))
-            mapping[y] = _germ_power_apply(germ, exps[parent] % l, y)
-        return Germ.from_mapping(v, v, radius, mapping)
-
-    def exponent_assignment_germ(self, v, exponents, radius):
-        """Same construction from explicit per-vertex exponents; raises
-        InconsistentAssignment when a child exponent is not congruent to
-        its parent's modulo the child's minimal fixing exponent."""
-        germ = self.germ_of(self.stab_generator(v), v, radius)
-        mapping = {v: v}
-        for y in ball_vertices(v, radius, self.degree):
-            if y == v:
-                continue
-            parent = geodesic(y, v)[1]
-            l = _cycle_length(germ, y)
-            cy, cp = exponents[y], exponents[parent]
-            if (cy - cp) % l:
-                raise InconsistentAssignment(
-                    f"exponent {cy} at {y!r} vs {cp} at parent; need a multiple of {l}"
-                )
-            mapping[y] = _germ_power_apply(germ, cp % l, y)
-        return Germ.from_mapping(v, v, radius, mapping)
+        cycles = (base or self.sigma_base(v, radius))[1]
+        twisted = [y for y in twists if tree_distance(v, y) <= radius]
+        added = dict(
+            zip(
+                ball_positions(v, twisted, radius, self.degree),
+                (int(twists[y]) for y in twisted),
+            )
+        )
+        parents = ball_parents(self.degree, radius)
+        exps = [base_exponent] * len(parents)
+        perm = [0] * len(parents)
+        # the canonical order lists every parent before its children
+        for i in range(1, len(parents)):
+            e = exps[parents[i]]
+            cycle, pos = cycles[i]
+            exps[i] = e + len(cycle) * added.get(i, 0)
+            perm[i] = cycle[(pos + e) % len(cycle)]
+        return Germ(v, v, radius, tuple(perm), self.degree)
 
     # --- serialization ----------------------------------------------------------------
 
@@ -353,16 +346,6 @@ class BassSerreModel(GroupModel):
 
 
 def _cycle_length(germ, y):
-    z = germ.apply(y)
-    l = 1
-    while z != y:
-        z = germ.apply(z)
-        l += 1
-    return l
-
-
-def _germ_power_apply(germ, k, y):
-    z = y
-    for _ in range(k):
-        z = germ.apply(z)
-    return z
+    """Length of the cycle of y under a germ fixing its center."""
+    i = ball_positions(germ.src_center, (y,), germ.radius, germ.degree)[0]
+    return len(cycle_table(germ.perm)[i][0])

@@ -29,6 +29,7 @@ from ..tree_core import (
     word_inv,
     word_mul,
     require_regular,
+    sorted_germs,
 )
 from .base import GroupModel
 
@@ -109,7 +110,7 @@ class ConstantLocalModel(GroupModel):
             g = CLElement(word_mul(v.word, word_inv(moved)), p)
             germ = self.germ_of(g, v, k)
             germs[germ] = None
-        out = tuple(sorted(germs, key=lambda g: g.sort_key()))
+        out = sorted_germs(germs)
         self._stab_cache[key] = out
         return out
 

@@ -34,6 +34,7 @@ from ..tree_core import (
     ROOT,
     VertexAddr,
     geodesic,
+    sorted_germs,
 )
 from .base import GroupModel
 
@@ -370,7 +371,7 @@ class CoverModel(GroupModel):
         for auto in autos:
             g = self.lift_at(auto, v, v)
             germs.setdefault(self.germ_of(g, v, k), None)
-        out = tuple(sorted(germs, key=lambda g: g.sort_key()))
+        out = sorted_germs(germs)
         self._stab_cache[key] = out
         return out
 

@@ -35,6 +35,7 @@ from ..tree_core import (
     tree_distance,
     word_mul,
     require_regular,
+    sorted_germs,
 )
 from .base import GroupModel
 
@@ -146,20 +147,15 @@ class FullAutModel(GroupModel):
         return RigidElement(Germ.from_mapping(u, w, 0, {u: w}))
 
     def stab_germ_group(self, v, k):
-        return tuple(
-            sorted(iterate_ball_germs(self.degree, v, v, k), key=lambda g: g.sort_key())
-        )
+        return sorted_germs(iterate_ball_germs(self.degree, v, v, k))
 
     def fixator_germs(self, center, radius, fixed):
         fixed = tuple(fixed)
         if center not in fixed:
             raise ValidationError("the germ center must be among the fixed vertices")
         pins = {x: x for x in fixed}
-        return tuple(
-            sorted(
-                iterate_ball_germs(self.degree, center, center, radius, pins=pins),
-                key=lambda g: g.sort_key(),
-            )
+        return sorted_germs(
+            iterate_ball_germs(self.degree, center, center, radius, pins=pins)
         )
 
     def fixator_maps_on(self, tube, pinned):
@@ -204,8 +200,10 @@ class FullAutModel(GroupModel):
         mapping = {
             VertexAddr.parse(u): VertexAddr.parse(w) for u, w in data["pairs"]
         }
-        germ = Germ.from_mapping(center, mapping.get(center, center), radius, mapping)
         try:
+            germ = Germ.from_mapping(
+                center, mapping.get(center, center), radius, mapping
+            )
             germ.validate(self.degree)
         except ValidationError as exc:
             raise BadElement(str(exc)) from None

@@ -24,7 +24,7 @@ from ..errors import (
     SingularBasis,
     ValidationError,
 )
-from ..tree_core import ROOT, VertexAddr, require_regular
+from ..tree_core import ROOT, VertexAddr, require_regular, sorted_germs
 from .base import GroupModel, LazyEmbedding
 
 INF = float("inf")
@@ -292,7 +292,7 @@ class PSL2Model(GroupModel):
             x = PSL2Element.make(self.p, conj)
             germ = self.germ_of(x, v, k)
             germs.setdefault(germ, None)
-        out = tuple(sorted(germs, key=lambda g: g.sort_key()))
+        out = sorted_germs(germs)
         self._stab_cache[key] = out
         return out
 

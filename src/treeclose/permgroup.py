@@ -51,6 +51,23 @@ def perm_order(p):
     return k
 
 
+def cycle_table(p):
+    """For each point, its cycle under p (starting at the cycle's least
+    point) and the point's position in that cycle."""
+    out = [None] * len(p)
+    for start in range(len(p)):
+        if out[start] is None:
+            cycle = [start]
+            x = p[start]
+            while x != start:
+                cycle.append(x)
+                x = p[x]
+            cycle = tuple(cycle)
+            for pos, x in enumerate(cycle):
+                out[x] = (cycle, pos)
+    return out
+
+
 def mulclose(generators, mul=None, guard=10**6):
     """Closure under the product, breadth-first from the generators.
 

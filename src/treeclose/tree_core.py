@@ -11,13 +11,21 @@ A germ is a finite chunk of automorphism: a bijection between two balls
 of equal radius that preserves adjacency. On a tree that is enough to
 preserve all distances inside the balls, and it forces center to map to
 center (the center is the unique vertex of eccentricity <= radius).
+
+Left multiplication by a word is a color-preserving tree automorphism,
+so c^-1 carries the ball B(c, r) onto B(ROOT, r). Listing B(ROOT, r) as
+ball_vertices(ROOT, r, d) therefore numbers every ball of radius r the
+same way, and a germ is stored as (source center, image center, radius,
+perm): perm[i] is the number of the image of vertex i. Composition and
+inversion are int-tuple indexing; restriction reads index tables keyed by
+(degree, radius, smaller radius, offset word), shared by all centers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     CenterMismatch,
@@ -184,45 +192,168 @@ def thicken(path, radius, degree):
 
 # ---------------------------------------------------------------------------
 # germs
+#
+# The tables below depend on degree, radii and offset words only, so germs
+# at every center share them (see the module docstring for the numbering).
 
 
-@dataclass(frozen=True)
+def _addr(word):
+    """VertexAddr of a word already known to be reduced, unchecked."""
+    v = object.__new__(VertexAddr)
+    object.__setattr__(v, "word", word)
+    return v
+
+
+def _offset(center_word, word):
+    """The word that left multiplication by center_word sends to word."""
+    return word_mul(word_inv(center_word), word) if center_word else word
+
+
+@lru_cache(maxsize=None)
+def _ball_table(degree, radius):
+    """Canonical words of B(ROOT, r), their addresses, and word -> index.
+
+    Degree None stands for a radius-0 ball of unknown degree.
+    """
+    addrs = (ROOT,) if degree is None else ball_vertices(ROOT, radius, degree)
+    words = tuple(v.word for v in addrs)
+    return words, addrs, {w: i for i, w in enumerate(words)}
+
+
+@lru_cache(maxsize=None)
+def _ball_degree(radius, size):
+    """The degree whose radius-r ball has `size` vertices, or None."""
+    degree = 3
+    while ball_size(degree, radius) < size:
+        degree += 1
+    return degree if ball_size(degree, radius) == size else None
+
+
+@lru_cache(maxsize=None)
+def _sub_ball(degree, radius, sub_radius, offset):
+    """Canonical indices in B(ROOT, radius) of B(offset, sub_radius), in
+    that ball's canonical order, and the map back from the former."""
+    index = _ball_table(degree, radius)[2]
+    small = _ball_table(degree, sub_radius)[0]
+    inside = tuple(index[word_mul(offset, w)] for w in small)
+    return inside, {i: j for j, i in enumerate(inside)}
+
+
+@lru_cache(maxsize=None)
+def ball_parents(degree, radius):
+    """Canonical index of the parent (toward the center) of each vertex."""
+    words, _, index = _ball_table(degree, radius)
+    return (0,) + tuple(index[w[:-1]] for w in words[1:])
+
+
+def ball_addresses(center, radius, degree):
+    """B(center, radius) in canonical order."""
+    words, addrs, _ = _ball_table(degree, radius)
+    c = center.word
+    return tuple(_addr(word_mul(c, w)) for w in words) if c else addrs
+
+
+def ball_positions(center, vertices, radius, degree):
+    """Canonical indices of the given vertices in B(center, radius)."""
+    index = _ball_table(degree, radius)[2]
+    c = center.word
+    out = []
+    for v in vertices:
+        i = index.get(_offset(c, v.word))
+        if i is None:
+            raise NotContained(f"{v!r} is outside the domain ball")
+        out.append(i)
+    return out
+
+
 class Germ:
     """Adjacency-preserving bijection between two balls of equal radius.
 
-    pairs is the canonical serialization: (source, image) sorted by the
-    source word. Equality and hashing go through it.
+    perm[i] is the canonical index of the image of the i-th canonical
+    vertex of the source ball. Equality and hashing go through (source
+    word, image word, radius, perm). pairs, the (source, image) list
+    sorted by source word, is built only when it is read.
     """
 
-    src_center: VertexAddr
-    dst_center: VertexAddr
-    radius: int
-    pairs: tuple
+    __slots__ = ("src_center", "dst_center", "radius", "perm", "degree", "_hash")
+
+    def __init__(self, src_center, dst_center, radius, perm, degree):
+        self.src_center = src_center
+        self.dst_center = dst_center
+        self.radius = radius
+        self.perm = perm
+        self.degree = degree
+        self._hash = None
 
     @staticmethod
     def from_mapping(src_center, dst_center, radius, mapping):
-        pairs = tuple(sorted(mapping.items(), key=lambda kv: kv[0].word))
-        return Germ(src_center, dst_center, radius, pairs)
+        """Germ of a vertex dict; raises ValidationError unless its keys
+        are a ball around src_center and its values lie in the ball of
+        the same radius around dst_center."""
+        if not isinstance(radius, int) or radius < 0:
+            raise ValidationError(f"bad radius {radius!r}")
+        degree = _ball_degree(radius, len(mapping)) if radius else None
+        if degree is None and (radius or len(mapping) != 1):
+            raise ValidationError("domain is not the source ball")
+        index = _ball_table(degree, radius)[2]
+        s, t = src_center.word, dst_center.word
+        src = [index.get(_offset(s, u.word)) for u in mapping]
+        if None in src:
+            raise ValidationError("domain is not the source ball")
+        dst = [index.get(_offset(t, w.word)) for w in mapping.values()]
+        if None in dst:
+            raise ValidationError("image is not a bijection onto the target ball")
+        perm = [0] * len(src)
+        for i, j in zip(src, dst):
+            perm[i] = j
+        return Germ(src_center, dst_center, radius, tuple(perm), degree)
 
-    @cached_property
+    def __eq__(self, other):
+        if not isinstance(other, Germ):
+            return NotImplemented
+        return (
+            self.radius == other.radius
+            and self.src_center.word == other.src_center.word
+            and self.dst_center.word == other.dst_center.word
+            and self.perm == other.perm
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(
+                (self.src_center.word, self.dst_center.word, self.radius, self.perm)
+            )
+        return self._hash
+
+    def __repr__(self):
+        return (
+            f"Germ(src_center={self.src_center!r}, dst_center={self.dst_center!r}, "
+            f"radius={self.radius!r}, pairs={self.pairs!r})"
+        )
+
+    @property
+    def pairs(self):
+        dom = ball_addresses(self.src_center, self.radius, self.degree)
+        img = ball_addresses(self.dst_center, self.radius, self.degree)
+        perm = self.perm
+        order = sorted(range(len(dom)), key=lambda i: dom[i].word)
+        return tuple((dom[i], img[perm[i]]) for i in order)
+
+    @property
     def mapping(self):
         return dict(self.pairs)
 
-    @cached_property
-    def inverse_mapping(self):
-        return {w: u for u, w in self.pairs}
-
     def apply(self, v):
-        try:
-            return self.mapping[v]
-        except KeyError:
-            raise NotContained(f"{v!r} is outside the domain ball") from None
+        words, addrs, index = _ball_table(self.degree, self.radius)
+        i = index.get(_offset(self.src_center.word, v.word))
+        if i is None:
+            raise NotContained(f"{v!r} is outside the domain ball")
+        j = self.perm[i]
+        t = self.dst_center.word
+        return _addr(word_mul(t, words[j])) if t else addrs[j]
 
     def domain(self):
         return tuple(u for u, _ in self.pairs)
-
-    def image(self):
-        return tuple(w for _, w in self.pairs)
 
     def fixes(self, vertices):
         return all(self.apply(v) == v for v in vertices)
@@ -232,7 +363,10 @@ class Germ:
 
     @property
     def is_identity_map(self):
-        return self.src_center == self.dst_center and not self.moved_points()
+        return (
+            self.src_center.word == self.dst_center.word
+            and self.perm == tuple(range(len(self.perm)))
+        )
 
     def sort_key(self):
         return (
@@ -245,28 +379,62 @@ class Germ:
     def validate(self, degree):
         if not isinstance(self.radius, int) or self.radius < 0:
             raise ValidationError(f"bad radius {self.radius!r}")
-        dom = ball_vertices(self.src_center, self.radius, degree)
-        if set(self.domain()) != set(dom) or len(self.pairs) != len(dom):
+        require_regular(degree)
+        if self.radius and self.degree != degree:
             raise ValidationError("domain is not the source ball")
-        img = ball_vertices(self.dst_center, self.radius, degree)
-        if set(self.image()) != set(img) or len(set(self.image())) != len(img):
+        if len(set(self.perm)) != len(self.perm):
             raise ValidationError("image is not a bijection onto the target ball")
-        if self.mapping[self.src_center] != self.dst_center:
+        if self.perm[0] != 0:
             raise ValidationError("center does not map to center")
-        for u in dom:
+        for u in ball_vertices(self.src_center, self.radius, degree):
             if tree_distance(self.src_center, u) >= self.radius:
                 continue
             for c in range(degree):
                 v = u.step(c)
-                if not are_adjacent(self.mapping[u], self.mapping[v]):
+                if not are_adjacent(self.apply(u), self.apply(v)):
                     raise ValidationError(f"adjacency broken at ({u!r}, {v!r})")
         return self
 
 
+def ball_word_ranks(center_word, radius, degree):
+    """Rank in word order of each vertex of B(center, radius), listed in
+    canonical order."""
+    moved = [word_mul(center_word, w) for w in _ball_table(degree, radius)[0]]
+    ranks = [0] * len(moved)
+    for r, i in enumerate(sorted(range(len(moved)), key=moved.__getitem__)):
+        ranks[i] = r
+    return ranks
+
+
+def sorted_germs(germs):
+    """Distinct germs in sort_key order, without building the keys.
+
+    Germs sharing source, image and radius share their source words, so
+    sort_key compares their image words in source-word order; ranks of
+    those words, computed once per group, compare the same way.
+    """
+    groups = {}
+    for g in set(germs):
+        key = (g.src_center.word, g.dst_center.word, g.radius)
+        groups.setdefault(key, []).append(g)
+    out = []
+    for (s, t, r), members in sorted(groups.items(), key=lambda kv: kv[0]):
+        degree = members[0].degree
+        src_rank = ball_word_ranks(s, r, degree)
+        order = sorted(range(len(src_rank)), key=src_rank.__getitem__)
+        img_rank = src_rank if s == t else ball_word_ranks(t, r, degree)
+        members.sort(
+            key=lambda g: tuple(
+                map(img_rank.__getitem__, map(g.perm.__getitem__, order))
+            )
+        )
+        out.extend(members)
+    return tuple(out)
+
+
 def identity_germ(center, radius, degree):
-    return Germ.from_mapping(
-        center, center, radius, {v: v for v in ball_vertices(center, radius, degree)}
-    )
+    size = len(ball_vertices(ROOT, radius, degree))
+    return Germ(center, center, radius, tuple(range(size)), degree)
 
 
 def compose(outer, inner):
@@ -277,18 +445,23 @@ def compose(outer, inner):
         raise CenterMismatch(
             f"outer source center {outer.src_center!r} != inner image center {inner.dst_center!r}"
         )
-    om = outer.mapping
-    return Germ.from_mapping(
+    return Germ(
         inner.src_center,
-        om[inner.dst_center],
+        outer.dst_center,
         inner.radius,
-        {u: om[w] for u, w in inner.pairs},
+        tuple(map(outer.perm.__getitem__, inner.perm)),
+        inner.degree,
     )
 
 
 def invert(germ):
-    return Germ.from_mapping(
-        germ.dst_center, germ.src_center, germ.radius, {w: u for u, w in germ.pairs}
+    perm = germ.perm
+    return Germ(
+        germ.dst_center,
+        germ.src_center,
+        germ.radius,
+        tuple(sorted(range(len(perm)), key=perm.__getitem__)),
+        germ.degree,
     )
 
 
@@ -298,9 +471,18 @@ def restrict(germ, center, radius, degree):
         raise NotContained(
             f"ball of radius {radius} at {center!r} is not inside the domain"
         )
-    m = germ.mapping
-    sub = {v: m[v] for v in ball_vertices(center, radius, degree)}
-    return Germ.from_mapping(center, m[center], radius, sub)
+    perm = germ.perm
+    offset = _offset(germ.src_center.word, center.word)
+    inside = _sub_ball(degree, germ.radius, radius, offset)[0]
+    target = _ball_table(degree, germ.radius)[0][perm[inside[0]]]
+    back = _sub_ball(degree, germ.radius, radius, target)[1]
+    return Germ(
+        center,
+        _addr(word_mul(germ.dst_center.word, target)),
+        radius,
+        tuple([back[perm[i]] for i in inside]),
+        degree,
+    )
 
 
 def germ_of_map(func, center, radius, degree):
@@ -392,7 +574,11 @@ def iterate_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root,
 
 
 def iterate_ball_germs(degree, src_center, dst_center, radius, pins=None, guard=None):
-    """All germs between the two balls; d! * ((d-1)!)^k of them unpinned."""
+    """All germs between the two balls.
+
+    Unpinned there are d! * ((d-1)!)^(|B(r-1)| - 1) of them: d! choices at
+    the center, (d-1)! at every other vertex of the radius r-1 ball.
+    """
     src = ball_vertices(src_center, radius, degree)
     dst = ball_vertices(dst_center, radius, degree)
     for m in iterate_subtree_isos(degree, src, src_center, dst, dst_center, pins=pins, guard=guard):

@@ -170,9 +170,12 @@ def test_germ_of_map_round_trip():
 
 
 def test_ball_germ_counts():
-    # center-fixing ball automorphisms: 3! at radius 1, 3!*2^3 at radius 2
+    # center-fixing ball automorphisms: d! * ((d-1)!)^(|B(r-1)| - 1)
     assert len(list(iterate_ball_germs(3, ROOT, ROOT, 1))) == 6
     assert len(list(iterate_ball_germs(3, ROOT, ROOT, 2))) == 48
+    assert len(list(iterate_ball_germs(4, ROOT, ROOT, 1))) == 24
+    # |B(2)| = 10 on the 3-regular tree: 3! * 2^9
+    assert len(list(iterate_ball_germs(3, ROOT, ROOT, 3))) == 3072
 
 
 def test_ball_germs_between_centers():
