@@ -53,12 +53,23 @@ _OUTCOME_EXIT = {"holds": EXIT_OK, "fails": EXIT_FAILS, "inconclusive": EXIT_INC
 GERM_LIST_CAP = 200
 
 
-def _vertex(scenario, key="vertex", default=None):
+def _address(model, text):
+    """A vertex of the model's tree: every color is below its degree."""
+    v = VertexAddr.parse(text)
+    if any(c >= model.degree for c in v.word):
+        raise ValidationError(
+            f"vertex {text!r} is not on the {model.degree}-regular tree: "
+            f"colors run from 0 to {model.degree - 1}"
+        )
+    return v
+
+
+def _vertex(model, scenario, key="vertex", default=None):
     if key not in scenario:
         if default is not None:
             return default
         raise ValidationError(f"scenario is missing {key!r}")
-    return VertexAddr.parse(scenario[key])
+    return _address(model, scenario[key])
 
 
 def _int(scenario, key, default=None):
@@ -83,7 +94,7 @@ def _germ_listing(germs):
 
 
 def _verb_stab_germs(model, scenario, budget, seed, cap):
-    v = _vertex(scenario, default=ROOT)
+    v = _vertex(model, scenario, default=ROOT)
     k = _int(scenario, "k")
     germs = model.stab_germ_group(v, k)
     result = {"vertex": v.render(), "k": k}
@@ -92,7 +103,7 @@ def _verb_stab_germs(model, scenario, budget, seed, cap):
 
 
 def _verb_local_action(model, scenario, budget, seed, cap):
-    v = _vertex(scenario, default=ROOT)
+    v = _vertex(model, scenario, default=ROOT)
     fp = local_action(model, v)
     fp["element_orders"] = list(fp["element_orders"])
     fp["vertex"] = v.render()
@@ -147,15 +158,15 @@ def _verb_kclosure_compare(model, scenario, budget, seed, cap):
     return result, _OUTCOME_EXIT[verdict.outcome], witnesses, verdict.budget_used
 
 
-def _edge(scenario):
+def _edge(model, scenario):
     edge = scenario.get("edge")
     if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
         raise ValidationError("scenario needs 'edge': [v, w]")
-    return VertexAddr.parse(edge[0]), VertexAddr.parse(edge[1])
+    return _address(model, edge[0]), _address(model, edge[1])
 
 
 def _verb_ipk(model, scenario, budget, seed, cap):
-    v, w = _edge(scenario)
+    v, w = _edge(model, scenario)
     k = _int(scenario, "k")
     radius = _int(scenario, "R")
     verdict = ipk_check(model, v, w, k, radius)
@@ -167,7 +178,7 @@ def _verb_pk(model, scenario, budget, seed, cap):
     path = scenario.get("path")
     if not (isinstance(path, list) and len(path) >= 2):
         raise ValidationError("scenario needs 'path': [v0, v1, ...]")
-    path = [VertexAddr.parse(x) for x in path]
+    path = [_address(model, x) for x in path]
     k = _int(scenario, "k")
     radius = _int(scenario, "R")
     verdict = pk_check(model, path, k, radius)
@@ -176,7 +187,7 @@ def _verb_pk(model, scenario, budget, seed, cap):
 
 
 def _verb_plusk_generators(model, scenario, budget, seed, cap):
-    v = _vertex(scenario, default=ROOT)
+    v = _vertex(model, scenario, default=ROOT)
     k = _int(scenario, "k")
     radius = scenario.get("radius")
     samples = _int(scenario, "samples", 0)

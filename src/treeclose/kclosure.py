@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     AmplitudeMismatch,
@@ -291,18 +292,8 @@ def discreteness_certificate(model, k):
 # --- independence properties -------------------------------------------------
 
 
-def _side_vertices(window, near, far):
-    return tuple(
-        x for x in window if tree_distance(x, far) < tree_distance(x, near)
-    )
-
-
-def _map_key(m):
-    return tuple(sorted((a.word, b.word) for a, b in m.items()))
-
-
 def _map_trivial_on(m, side):
-    return all(m[x] == x for x in side)
+    return all(m[p] == p for p in side)
 
 
 def ipk_check(model, v, w, k, R):
@@ -326,22 +317,21 @@ def ipk_check(model, v, w, k, R):
     region = edge_region(v, w, k, deg)
     tube = thicken([v, w], R, deg)
     maps = model.fixator_maps_on(tube, region)
-    w_side = _side_vertices(tube, v, w)
-    v_side = _side_vertices(tube, w, v)
+    # maps are int tuples over tube positions (see fixator_maps_on)
+    dist = [(tree_distance(x, v), tree_distance(x, w)) for x in tube]
+    w_side = [p for p, (dv, dw) in enumerate(dist) if dw < dv]
+    v_side = [p for p, (dv, dw) in enumerate(dist) if dv < dw]
     left_window = [m for m in maps if _map_trivial_on(m, w_side)]
     right_window = [m for m in maps if _map_trivial_on(m, v_side)]
     certified = bool(model.one_sided_fixators_trivial((v, w)))
     if certified:
-        ident = {x: x for x in tube}
+        ident = tuple(range(len(tube)))
         left, right = [ident], [ident]
     else:
         left, right = left_window, right_window
-    product = {
-        _map_key({x: a[b[x]] for x in tube}) for a in left for b in right
-    }
-    missing = sorted(
-        (m for m in maps if _map_key(m) not in product), key=_map_key
-    )
+    product = {tuple(map(a.__getitem__, b)) for a in left for b in right}
+    # maps come sorted, so the missing ones do too
+    missing = [m for m in maps if m not in product]
     details = {
         "fixator_count": len(maps),
         "fixing_w_side_count": len(left),
@@ -365,17 +355,19 @@ def ipk_check(model, v, w, k, R):
     if certified:
         # the witness germ is serialized on B(v,R) only, so prefer a map
         # whose two-sided movement is visible inside that ball
-        ball = set(ball_vertices(v, R, deg))
+        near_w = [p for p in w_side if dist[p][0] <= R]
+        near_v = [p for p in v_side if dist[p][0] <= R]
         pick = next(
             (
                 m
                 for m in missing
-                if not _map_trivial_on(m, [x for x in w_side if x in ball])
-                and not _map_trivial_on(m, [x for x in v_side if x in ball])
+                if not _map_trivial_on(m, near_w)
+                and not _map_trivial_on(m, near_v)
             ),
             missing[0],
         )
-        witness = germ_of_map(lambda x: pick[x], v, R, deg)
+        pos = {x: p for p, x in enumerate(tube)}
+        witness = germ_of_map(lambda x: tube[pick[pos[x]]], v, R, deg)
         return Verdict(
             FAILS,
             witness={"germ": germ_to_json(witness)},
@@ -419,24 +411,19 @@ def pk_check(model, path, k, R):
     tube = thicken(path, R, deg)
     maps = model.fixator_maps_on(tube, region)
     fibers = {x: [] for x in path}
-    for y in tube:
-        fibers[project_to_path(y, path)].append(y)
-    marginals = {}
-    realized = set()
-    for m in maps:
-        combo = []
-        for x in path:
-            key = tuple(sorted((y.word, m[y].word) for y in fibers[x]))
-            marginals.setdefault(x, set()).add(key)
-            combo.append(key)
-        realized.add(tuple(combo))
+    for p, y in enumerate(tube):
+        fibers[project_to_path(y, path)].append(p)
+    # a fiber's marginal of a map is the images of the fiber's positions
+    marginal_of = [itemgetter(*fibers[x]) for x in path]
+    realized = {tuple([get(m) for get in marginal_of]) for m in maps}
+    marginals = [{combo[i] for combo in realized} for i in range(len(path))]
     product_count = 1
-    for x in path:
-        product_count *= len(marginals[x])
+    for seen in marginals:
+        product_count *= len(seen)
     reconstructed = product_count == len(realized) == len(maps)
     details = {
         "fixator_count": len(maps),
-        "fiber_counts": {x.render(): len(marginals[x]) for x in path},
+        "fiber_counts": {x.render(): len(seen) for x, seen in zip(path, marginals)},
         "product_count": product_count,
         "window_radius": R,
         "k": k,
@@ -444,9 +431,7 @@ def pk_check(model, path, k, R):
     }
     if reconstructed:
         if product_count <= 10**4:
-            combos = set(
-                itertools.product(*(sorted(marginals[x]) for x in path))
-            )
+            combos = set(itertools.product(*marginals))
             if combos != realized:
                 raise ValidationError("fiber reconstruction inconsistency")
             details["reconstruction"] = "exhaustive"
@@ -654,7 +639,7 @@ def plusk_generator_germs(model, v, k, radius=None, samples=0, rng_seed=0):
         candidates.append(model.sigma_construction(v, c, {}, radius, base))
         for _ in range(samples):
             twists = {y: rng.randrange(0, 3) for y in twist_targets}
-            candidates.append(model.sigma_construction(v, c, twists, radius, base))
+            candidates.append(model.sigma_construction(v, c, twists, radius, base, k))
     return sorted_germs(
         g for g in candidates if any(g.fixes(region) for region in regions)
     )

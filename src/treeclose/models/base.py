@@ -13,7 +13,6 @@ import itertools
 
 from ..errors import ValidationError
 from ..tree_core import (
-    ball_addresses,
     ball_positions,
     ball_word_ranks,
     germ_of_map,
@@ -76,10 +75,12 @@ class GroupModel(abc.ABC):
     def fixator_maps_on(self, tube, pinned):
         """Restrictions to the tube of all elements fixing `pinned` pointwise.
 
-        Returned as dicts, deduplicated, sorted canonically. The default
-        reads them off the stabilizer germs at the middle pinned vertex
-        with a radius that covers the tube; backends with cheaper exact
-        enumerations override this.
+        Each map is an int tuple over tube positions: entry p is the
+        position of the image of tube[p]. They are deduplicated and sorted
+        by the image words taken in the word order of the tube. The
+        default reads them off the stabilizer germs at the middle pinned
+        vertex with a radius that covers the tube; backends with cheaper
+        exact enumerations override this.
         """
         pinned = tuple(pinned)
         tube = tuple(tube)
@@ -100,10 +101,10 @@ class GroupModel(abc.ABC):
             key = tuple([rank[perm[i]] for i in by_word])
             if key not in seen:
                 seen[key] = perm
-        images = ball_addresses(center, radius, self.degree)
+        # tubes thicken a pinned path, so every map keeps the tube in place
+        back = dict(zip(spots, range(len(tube))))
         return tuple(
-            dict(zip(tube, [images[perm[i]] for i in spots]))
-            for _, perm in sorted(seen.items())
+            tuple([back[perm[i]] for i in spots]) for _, perm in sorted(seen.items())
         )
 
     # --- searches ----------------------------------------------------------

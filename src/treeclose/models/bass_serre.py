@@ -24,6 +24,7 @@ from ..tree_core import (
     Germ,
     ball_parents,
     ball_positions,
+    ball_vertices,
     compose,
     geodesic,
     identity_germ,
@@ -298,24 +299,26 @@ class BassSerreModel(GroupModel):
         germ = self.germ_of(self.stab_generator(v), v, radius)
         return germ, cycle_table(germ.perm)
 
-    def sigma_construction(self, v, base_exponent, twists, radius, base=None):
+    def sigma_construction(self, v, base_exponent, twists, radius, base=None, k=1):
         """Germ at (v, radius) twisting each subtree by stabilizer powers.
 
         Vertex y at distance >= 1 maps to gen^{c(parent(y))} applied to y,
         where c(v) is the base exponent and each child may add any
-        multiple of its own minimal fixing exponent (the twist). Every
-        choice glues to a well-defined germ because the added power fixes
-        the child it is attached at. base is sigma_base(v, radius), for
+        multiple of its twist step (the twist). The step at y is the lcm
+        of the cycle lengths over B(y, k-1) and the vertices of B(y, k)
+        off y's subtree, inside the ball: the added power fixes all of
+        them, so every k-ball that meets y's subtree still sees a single
+        stabilizer power, and the germ stays k-legal. At k = 1 the step
+        is y's own cycle length. base is sigma_base(v, radius), for
         callers building many germs at one (v, radius).
         """
         cycles = (base or self.sigma_base(v, radius))[1]
         twisted = [y for y in twists if tree_distance(v, y) <= radius]
-        added = dict(
-            zip(
-                ball_positions(v, twisted, radius, self.degree),
-                (int(twists[y]) for y in twisted),
-            )
-        )
+        added = {
+            i: int(twists[y]) * self._twist_step(v, y, radius, k, cycles)
+            for i, y in zip(ball_positions(v, twisted, radius, self.degree), twisted)
+            if int(twists[y])
+        }
         parents = ball_parents(self.degree, radius)
         exps = [base_exponent] * len(parents)
         perm = [0] * len(parents)
@@ -323,9 +326,27 @@ class BassSerreModel(GroupModel):
         for i in range(1, len(parents)):
             e = exps[parents[i]]
             cycle, pos = cycles[i]
-            exps[i] = e + len(cycle) * added.get(i, 0)
+            exps[i] = e + added.get(i, 0)
             perm[i] = cycle[(pos + e) % len(cycle)]
         return Germ(v, v, radius, tuple(perm), self.degree)
+
+    def _twist_step(self, v, y, radius, k, cycles):
+        """Least power step at y that fixes B(y, k-1) and the vertices of
+        B(y, k) off y's subtree, within B(v, radius)."""
+        depth = tree_distance(v, y)
+        kept = [
+            x
+            for x in ball_vertices(y, k, self.degree)
+            if tree_distance(v, x) <= radius
+            and (
+                tree_distance(y, x) < k
+                or tree_distance(v, x) != depth + tree_distance(y, x)
+            )
+        ]
+        step = 1
+        for i in ball_positions(v, kept, radius, self.degree):
+            step = math.lcm(step, len(cycles[i][0]))
+        return step
 
     # --- serialization ----------------------------------------------------------------
 

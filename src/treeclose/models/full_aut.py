@@ -165,11 +165,13 @@ class FullAutModel(GroupModel):
         tube = tuple(tube)
         root = pinned[0]
         pins = {x: x for x in pinned}
-        maps = list(
-            iterate_subtree_isos(self.degree, tube, root, tube, root, pins=pins)
-        )
-        maps.sort(key=lambda m: tuple(sorted((a.word, b.word) for a, b in m.items())))
-        return tuple(maps)
+        maps = iterate_subtree_isos(self.degree, tube, root, tube, root, pins=pins)
+        # the default's order: image words taken in the word order of the tube
+        by_word = sorted(range(len(tube)), key=lambda p: tube[p].word)
+        rank = [0] * len(tube)
+        for r, p in enumerate(by_word):
+            rank[p] = r
+        return tuple(sorted(maps, key=lambda m: [rank[m[p]] for p in by_word]))
 
     def iter_elements(self):
         for radius in itertools.count(0):

@@ -19,6 +19,12 @@ same way, and a germ is stored as (source center, image center, radius,
 perm): perm[i] is the number of the image of vertex i. Composition and
 inversion are int-tuple indexing; restriction reads index tables keyed by
 (degree, radius, smaller radius, offset word), shared by all centers.
+
+Maps between finite subtrees use the same idea with the caller's own
+vertex lists: iterate_subtree_isos yields int tuples whose entry i is the
+position in the target list of the image of the i-th source vertex. On
+canonical ball lists such a tuple is a germ's perm, and the fixator maps
+on a tube (GroupModel.fixator_maps_on) are tuples over tube positions.
 """
 
 from __future__ import annotations
@@ -380,6 +386,9 @@ class Germ:
         if not isinstance(self.radius, int) or self.radius < 0:
             raise ValidationError(f"bad radius {self.radius!r}")
         require_regular(degree)
+        for center in (self.src_center, self.dst_center):
+            if any(c >= degree for c in center.word):
+                raise ValidationError(f"center {center.render()} is not on the {degree}-regular tree")
         if self.radius and self.degree != degree:
             raise ValidationError("domain is not the source ball")
         if len(set(self.perm)) != len(self.perm):
@@ -495,82 +504,88 @@ def germ_of_map(func, center, radius, degree):
 # enumeration of tree isomorphisms on finite pieces
 
 
-def _parent_toward(v, root):
-    return geodesic(v, root)[1]
+def _subtree_layout(degree, pos, root):
+    """Positions of a rooted subtree's vertices (the keys of pos) by
+    (distance, word), and each position's children positions by word."""
+    depth = {v: tree_distance(v, root) for v in pos}
+    order = sorted(pos, key=lambda v: (depth[v], v.word))
+    children = {}
+    for v in order:
+        if v != root and geodesic(v, root)[1] not in pos:
+            raise ValidationError(f"{v!r} is disconnected from the root")
+        kids = [w for w in v.neighbors(degree) if depth.get(w) == depth[v] + 1]
+        kids.sort(key=lambda x: x.word)
+        children[pos[v]] = tuple(pos[w] for w in kids)
+    return [pos[v] for v in order], children
 
 
 def iterate_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root, pins=None, guard=None):
     """All graph isomorphisms between two finite subtrees, root to root.
 
-    pins maps source vertices to forced images; inconsistent branches are
-    pruned. Yields plain dicts. Every yielded map extends to a full tree
-    automorphism: matching subtree degrees leave matching ambient degrees
-    free on both sides.
+    Each map is an int tuple: entry i is the position in dst_vertices of
+    the image of src_vertices[i]. pins maps source vertices to forced
+    images; inconsistent branches are pruned. Maps come in a fixed order:
+    source vertices taken by (distance, word), the children of each
+    matched to the image's children (both sorted by word) in
+    itertools.permutations order. Every yielded map extends to a full
+    tree automorphism: matching subtree degrees leave matching ambient
+    degrees free on both sides.
     """
     require_regular(degree)
-    src_set = frozenset(src_vertices)
-    dst_set = frozenset(dst_vertices)
-    if src_root not in src_set or dst_root not in dst_set:
+    src_pos = {v: i for i, v in enumerate(src_vertices)}
+    dst_pos = {v: i for i, v in enumerate(dst_vertices)}
+    if src_root not in src_pos or dst_root not in dst_pos:
         raise ValidationError("root not contained in its vertex set")
-    pins = dict(pins or {})
-    for k in pins:
-        if k not in src_set:
-            raise ValidationError(f"pin source {k!r} outside the domain")
-    if len(src_set) != len(dst_set):
+    wanted = {}
+    for a, b in dict(pins or {}).items():
+        if a not in src_pos:
+            raise ValidationError(f"pin source {a!r} outside the domain")
+        wanted[src_pos[a]] = dst_pos.get(b, -1)
+    root, image_root = src_pos[src_root], dst_pos[dst_root]
+    if len(src_pos) != len(dst_pos) or wanted.get(root, image_root) != image_root:
         return
-    if pins.get(src_root, dst_root) != dst_root:
-        return
+    src_order, src_children = _subtree_layout(degree, src_pos, src_root)
+    dst_children = _subtree_layout(degree, dst_pos, dst_root)[1]
 
-    def layout(vertices, root):
-        depth = {v: tree_distance(v, root) for v in vertices}
-        order = sorted(vertices, key=lambda v: (depth[v], v.word))
-        children = {}
-        for v in order:
-            if v != root and _parent_toward(v, root) not in vertices:
-                raise ValidationError(f"{v!r} is disconnected from the root")
-            kids = [
-                v.step(c)
-                for c in range(degree)
-                if v.step(c) in vertices and depth[v.step(c)] == depth[v] + 1
-            ]
-            children[v] = sorted(kids, key=lambda x: x.word)
-        return order, children
-
-    src_order, src_children = layout(src_set, src_root)
-    _, dst_children = layout(dst_set, dst_root)
-
-    mapping = {src_root: dst_root}
+    # A complete map is a bijection, so it sends leaves to leaves: only
+    # the root and the internal vertices need a choice. Each step is
+    # (vertex, children, pinned (child index, forced image) pairs).
+    steps = []
+    for v in src_order:
+        kids = src_children[v]
+        if kids or v == root:
+            pinned = tuple((j, wanted[a]) for j, a in enumerate(kids) if a in wanted)
+            steps.append((v, kids, pinned))
+    image = [-1] * len(src_pos)
+    image[root] = image_root
+    last = len(steps) - 1
     count = 0
 
-    def rec(i):
-        nonlocal count
-        if i == len(src_order):
-            count += 1
-            if guard is not None and count > guard:
-                raise TooLarge(f"more than {guard} isomorphisms")
-            yield dict(mapping)
-            return
-        v = src_order[i]
-        cs = src_children[v]
-        ct = dst_children[mapping[v]]
-        if len(cs) != len(ct):
-            return
-        for perm in itertools.permutations(ct):
-            ok = True
-            for a, b in zip(cs, perm):
-                want = pins.get(a)
-                if want is not None and want != b:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for a, b in zip(cs, perm):
-                mapping[a] = b
-            yield from rec(i + 1)
-            for a in cs:
-                del mapping[a]
+    def choices(step):
+        v, kids, _ = step
+        targets = dst_children[image[v]]
+        return itertools.permutations(targets) if len(targets) == len(kids) else iter(())
 
-    yield from rec(0)
+    # one permutations iterator per step on the current branch
+    stack = [choices(steps[0])]
+    while stack:
+        i = len(stack) - 1
+        _, kids, pinned = steps[i]
+        for choice in stack[i]:
+            if not pinned or all(choice[j] == b for j, b in pinned):
+                break
+        else:
+            stack.pop()
+            continue
+        for a, b in zip(kids, choice):
+            image[a] = b
+        if i < last:
+            stack.append(choices(steps[i + 1]))
+            continue
+        count += 1
+        if guard is not None and count > guard:
+            raise TooLarge(f"more than {guard} isomorphisms")
+        yield tuple(image)
 
 
 def iterate_ball_germs(degree, src_center, dst_center, radius, pins=None, guard=None):
@@ -579,7 +594,7 @@ def iterate_ball_germs(degree, src_center, dst_center, radius, pins=None, guard=
     Unpinned there are d! * ((d-1)!)^(|B(r-1)| - 1) of them: d! choices at
     the center, (d-1)! at every other vertex of the radius r-1 ball.
     """
-    src = ball_vertices(src_center, radius, degree)
-    dst = ball_vertices(dst_center, radius, degree)
-    for m in iterate_subtree_isos(degree, src, src_center, dst, dst_center, pins=pins, guard=guard):
-        yield Germ.from_mapping(src_center, dst_center, radius, m)
+    src = ball_addresses(src_center, radius, degree)
+    dst = ball_addresses(dst_center, radius, degree)
+    for perm in iterate_subtree_isos(degree, src, src_center, dst, dst_center, pins=pins, guard=guard):
+        yield Germ(src_center, dst_center, radius, perm, degree)

@@ -175,6 +175,56 @@ def test_wrong_schema_tag_is_rejected(capsys, tmp_path):
     assert "schema" in json.loads(out)["error"]["message"]
 
 
+def _run_scenario(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out = run_cli(["run", str(path), "--format", "json"], capsys)
+    return code, json.loads(out)
+
+
+def test_vertex_colors_beyond_the_degree_are_rejected(capsys, tmp_path):
+    # the 3-regular tree has colors 0, 1 and 2 only, so "7" is no vertex
+    code, report = _run_scenario(
+        tmp_path, capsys,
+        {"model": {"model": "full_aut", "d": 3}, "verb": "stab-germs",
+         "vertex": "7", "k": 1},
+    )
+    assert code == 2
+    assert report["error"]["type"] == "ValidationError"
+    assert "'7'" in report["error"]["message"]
+
+
+def test_edge_path_and_germ_colors_beyond_the_degree_are_rejected(capsys, tmp_path):
+    aut3 = {"model": "full_aut", "d": 3}
+    cl3 = {"model": "constant_local", "d": 3, "F": "sym"}
+    # a germ's pairs are read relative to its center, so only the center
+    # can carry a color the tree does not have
+    swap = [["7", "7"], ["7.0", "7.1"], ["7.1", "7.0"], ["7.2", "7.2"]]
+    for scenario in (
+        {"model": aut3, "verb": "ipk", "edge": ["ε", "5"], "k": 1, "R": 2},
+        {"model": aut3, "verb": "pk", "path": ["ε", "0", "0.3"], "k": 1, "R": 2},
+        {"model": cl3, "verb": "legality", "k": 1,
+         "germ": {"src": "7", "dst": "7", "radius": 1, "pairs": swap}},
+    ):
+        code, report = _run_scenario(tmp_path, capsys, scenario)
+        assert code == 2
+        message = report["error"]["message"]
+        assert "3-regular" in message
+        assert "edge region identity" not in message
+
+
+def test_twisted_plusk_generators_at_k2_are_legal(capsys, tmp_path):
+    # twists at k >= 2 step by the lcm of the cycle lengths the k-balls
+    # across the twisted subtree see, so the closure stays 2-legal
+    code, report = _run_scenario(
+        tmp_path, capsys,
+        {"model": {"model": "bs", "m": 2, "n": 3}, "verb": "plusk-generators",
+         "vertex": "1.2", "k": 2, "radius": 2, "samples": 1, "seed": 7},
+    )
+    assert code == 0
+    assert report["result"]["closure_all_k_legal"] is True
+
+
 def test_module_entry_point_subprocess():
     path = str(SCENARIO_DIR / "bs23-normal-form.json")
     proc = subprocess.run(

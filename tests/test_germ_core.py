@@ -4,9 +4,13 @@ RefGerm keeps a germ as its (source, image) pairs sorted by source word,
 which is how germs, their sort order and their JSON were defined before
 germs became permutations of canonical ball indices. Every germ operation
 must agree with it exactly, on random germs between non-root centers.
+ref_subtree_isos is the recursive dict enumerator that iterate_subtree_isos
+replaced; the int-tuple maps must be the same maps in the same order.
 """
 
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -18,17 +22,22 @@ from treeclose.errors import (
     CenterMismatch,
     NotContained,
     RadiusMismatch,
+    TooLarge,
     ValidationError,
 )
 from treeclose.kclosure import edge_region, germ_to_json
-from treeclose.models import BassSerreModel
+from treeclose.models import BassSerreModel, FullAutModel
 from treeclose.tree_core import (
     ROOT,
     Germ,
     VertexAddr,
+    ball_addresses,
+    ball_size,
     ball_vertices,
     compose,
+    geodesic,
     invert,
+    iterate_subtree_isos,
     restrict,
     sorted_germs,
     thicken,
@@ -161,19 +170,156 @@ def test_sorted_germs_order_agrees(degree, radius, seed):
     assert [g.sort_key() for g in got] == want
 
 
-@pytest.mark.parametrize("edge", [("ε", "0"), ("3", "3.2")])
-def test_fixator_maps_on_matches_the_dict_reference(edge):
-    bs = BassSerreModel(2, 3)
+@pytest.mark.parametrize(
+    "model, edge",
+    [
+        (BassSerreModel(2, 3), ("ε", "0")),
+        (BassSerreModel(2, 3), ("3", "3.2")),
+        (FullAutModel(3), ("1", "1.0")),
+    ],
+    ids=["edge0", "edge1", "full_aut"],
+)
+def test_fixator_maps_on_matches_the_dict_reference(model, edge):
+    degree = model.degree
     v, w = (VertexAddr.parse(x) for x in edge)
-    tube, pinned = thicken([v, w], 2, 5), edge_region(v, w, 1, 5)
+    tube, pinned = thicken([v, w], 2, degree), edge_region(v, w, 1, degree)
     center = pinned[len(pinned) // 2]
     radius = max(tree_distance(center, x) for x in tube)
     seen = {}
-    for g in bs.stab_germ_group(center, radius):
+    for g in model.stab_germ_group(center, radius):
         if all(g.apply(x) == x for x in pinned):
             m = {x: g.apply(x) for x in tube}
             seen.setdefault(tuple(sorted((a.word, b.word) for a, b in m.items())), m)
-    assert list(bs.fixator_maps_on(tube, pinned)) == [seen[k] for k in sorted(seen)]
+    # a map is an int tuple: entry p is the tube position of the image of tube[p]
+    maps = model.fixator_maps_on(tube, pinned)
+    got = [{x: tube[m[p]] for p, x in enumerate(tube)} for m in maps]
+    assert got == [seen[k] for k in sorted(seen)]
+
+
+# --- subtree isomorphism enumeration ------------------------------------------
+
+
+def ref_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root, pins=None, guard=None):
+    """The recursive dict enumerator that iterate_subtree_isos replaced."""
+    src_set, dst_set = frozenset(src_vertices), frozenset(dst_vertices)
+    pins = dict(pins or {})
+    if len(src_set) != len(dst_set) or pins.get(src_root, dst_root) != dst_root:
+        return
+
+    def layout(vertices, root):
+        depth = {v: tree_distance(v, root) for v in vertices}
+        order = sorted(vertices, key=lambda v: (depth[v], v.word))
+        children = {}
+        for v in order:
+            kids = [x for x in v.neighbors(degree) if x in vertices and depth[x] == depth[v] + 1]
+            children[v] = sorted(kids, key=lambda x: x.word)
+        return order, children
+
+    src_order, src_children = layout(src_set, src_root)
+    _, dst_children = layout(dst_set, dst_root)
+    mapping = {src_root: dst_root}
+    count = 0
+
+    def rec(i):
+        nonlocal count
+        if i == len(src_order):
+            count += 1
+            if guard is not None and count > guard:
+                raise TooLarge(f"more than {guard} isomorphisms")
+            yield dict(mapping)
+            return
+        cs = src_children[src_order[i]]
+        ct = dst_children[mapping[src_order[i]]]
+        if len(cs) != len(ct):
+            return
+        for perm in itertools.permutations(ct):
+            if any(pins.get(a, b) != b for a, b in zip(cs, perm)):
+                continue
+            mapping.update(zip(cs, perm))
+            yield from rec(i + 1)
+            for a in cs:
+                del mapping[a]
+
+    yield from rec(0)
+
+
+def _first_isos(enumerate_isos, degree, src, dst, pins, limit=300):
+    """The first maps, as dicts, from roots src[0] to dst[0]."""
+    out = []
+    for m in enumerate_isos(degree, src, src[0], dst, dst[0], pins=pins):
+        if not isinstance(m, dict):
+            m = {x: dst[j] for x, j in zip(src, m)}
+        out.append(m)
+        if len(out) == limit:
+            break
+    return out
+
+
+def _ball_pins(rng, degree, a, b, radius):
+    """Pins that a real map satisfies, and sometimes one more that no map
+    does. A pin is checked only once its parent is matched, so each pin
+    comes with the pins of its ancestors: a dead branch is then cut at
+    the step that chose it, not after a search of everything before."""
+    real = random_mapping(degree, a, b, radius, rng)
+    src, pins = ball_vertices(a, radius, degree), {}
+    for x in rng.sample(src, min(len(src), rng.randint(0, 2))):
+        pins.update((y, real[y]) for y in geodesic(a, x))
+    if radius and rng.random() < 0.25:
+        pins[a.step(rng.randrange(degree))] = b
+    return pins or None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_subtree_isos_match_the_dict_reference_on_balls(degree, radius, seed):
+    rng = random.Random(seed)
+    a, b = random_vertex(degree, rng), random_vertex(degree, rng)
+    src, dst = ball_addresses(a, radius, degree), ball_addresses(b, radius, degree)
+    pins = _ball_pins(rng, degree, a, b, radius)
+    want = _first_isos(ref_subtree_isos, degree, src, dst, pins)
+    assert _first_isos(iterate_subtree_isos, degree, src, dst, pins) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_subtree_isos_match_the_dict_reference_on_pinned_tubes(degree, k, seed):
+    rng = random.Random(seed)
+    path = [random_vertex(degree, rng, 0, 2)]
+    for _ in range(rng.randint(1, 2)):
+        path.append(rng.choice([x for x in path[-1].neighbors(degree) if x not in path]))
+    tube = thicken(path, k + rng.randint(0, 1), degree)
+    region = thicken(path, k - 1, degree)
+    pins = {x: x for x in region}
+    # swapping two children of a region vertex off the region is realized
+    # by some map; moving the root is realized by none
+    parent = rng.choice(region)
+    kids = [x for x in parent.neighbors(degree) if x in tube and x not in region]
+    if len(kids) >= 2:
+        x, y = rng.sample(kids, 2)
+        pins[x] = y
+    if rng.random() < 0.2:
+        pins[path[0]] = path[1]
+    # rooted at a path end, as fixator_maps_on roots them
+    src = (path[0],) + tuple(x for x in tube if x != path[0])
+    want = _first_isos(ref_subtree_isos, degree, src, src, pins)
+    assert _first_isos(iterate_subtree_isos, degree, src, src, pins) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 5), st.integers(1, 3), st.integers(0, 20), st.integers(0, 2**32 - 1))
+def test_subtree_isos_raise_too_large_at_guard_plus_one(degree, radius, guard, seed):
+    rng = random.Random(seed)
+    a, b = random_vertex(degree, rng), random_vertex(degree, rng)
+    src, dst = ball_addresses(a, radius, degree), ball_addresses(b, radius, degree)
+    total = math.factorial(degree) * math.factorial(degree - 1) ** (ball_size(degree, radius - 1) - 1)
+    for enumerate_isos in (ref_subtree_isos, iterate_subtree_isos):
+        isos = enumerate_isos(degree, src, a, dst, b, guard=guard)
+        assert len(list(itertools.islice(isos, guard))) == min(guard, total)
+        if guard < total:
+            with pytest.raises(TooLarge):
+                next(isos)
+        else:
+            assert next(isos, None) is None
 
 
 def _ball_map(center, radius, degree):

@@ -164,6 +164,18 @@ def test_ipk_full_aut_holds_saturated(fa):
     assert any("saturated" in n for n in verdict.notes)
 
 
+def test_ipk_full_aut_holds_at_window_three(fa):
+    # a map fixing one side swaps children or not at 7 vertices of the
+    # other: at v (its two other neighbors), at those two, and at their
+    # four children; the window ends one level further out
+    verdict = ipk_check(fa, *EDGE, 1, 3)
+    assert verdict.outcome == "holds"
+    assert verdict.details["fixator_count"] == 16384
+    assert verdict.details["fixing_w_side_count"] == 128
+    assert verdict.details["fixing_v_side_count"] == 128
+    assert verdict.details["missing_count"] == 0
+
+
 def test_ipk_bs_fails_with_certificate(bs23):
     verdict = ipk_check(bs23, *EDGE, 1, 4)
     assert verdict.outcome == "fails"
@@ -256,6 +268,15 @@ def test_pk_full_aut_short_paths(fa):
         assert verdict.outcome == "holds"
         assert verdict.details["fixator_count"] == count
         assert verdict.details["reconstruction"] == "exhaustive"
+
+
+def test_pk_full_aut_holds_at_k2_window_three(fa):
+    path = [VertexAddr.parse("1"), ROOT, VertexAddr.parse("0")]
+    verdict = pk_check(fa, path, 2, 3)
+    assert verdict.outcome == "holds"
+    assert verdict.details["fixator_count"] == 32768
+    assert verdict.details["fiber_counts"] == {"1": 64, "ε": 8, "0": 64}
+    assert verdict.details["product_count"] == 32768
 
 
 def test_pk_bs_single_edge_fails(bs23):
@@ -356,6 +377,19 @@ def test_plusk_bs_closure_is_closed(bs23):
         for b in closed:
             assert compose(a, b) in pool
     assert all(check_k_legal(bs23, g, 1) for g in closed)
+
+
+@pytest.mark.parametrize("vertex", ["ε", "1.2"])
+def test_plusk_bs_twisted_generators_are_legal_at_k2(bs23, vertex):
+    # the closure of these generators exceeds the germ guard, so the
+    # generators themselves are checked
+    germs = plusk_generator_germs(
+        bs23, VertexAddr.parse(vertex), 2, 3, samples=2, rng_seed=0
+    )
+    untwisted = plusk_generator_germs(bs23, VertexAddr.parse(vertex), 2, 3)
+    assert len(germs) > len(untwisted)
+    cache = {}
+    assert all(check_k_legal(bs23, g, 2, cache) for g in germs)
 
 
 def test_plusk_cl_is_trivial(cl):
