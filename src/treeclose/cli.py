@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import TreecloseError, ValidationError
+from .errors import TreecloseError, ValidationError, as_int, read_int
 from .kclosure import (
     axis_fibers,
     check_k_legal,
@@ -72,17 +72,6 @@ def _vertex(model, scenario, key="vertex", default=None):
     return _address(model, scenario[key])
 
 
-def _int(scenario, key, default=None):
-    if key not in scenario:
-        if default is None:
-            raise ValidationError(f"scenario is missing {key!r}")
-        return default
-    try:
-        return int(scenario[key])
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key!r} must be an integer") from None
-
-
 def _germ_listing(germs):
     out = {"count": len(germs)}
     if len(germs) <= GERM_LIST_CAP:
@@ -95,7 +84,7 @@ def _germ_listing(germs):
 
 def _verb_stab_germs(model, scenario, budget, seed, cap):
     v = _vertex(model, scenario, default=ROOT)
-    k = _int(scenario, "k")
+    k = read_int(scenario, "k")
     germs = model.stab_germ_group(v, k)
     result = {"vertex": v.render(), "k": k}
     result.update(_germ_listing(germs))
@@ -115,7 +104,7 @@ def _verb_legality(model, scenario, budget, seed, cap):
         raise ValidationError("scenario is missing 'germ'")
     germ = germ_from_json(scenario["germ"])
     germ.validate(model.degree)
-    k = _int(scenario, "k")
+    k = read_int(scenario, "k")
     ok, bad = check_k_legal(model, germ, k, explain=True)
     result = {
         "legal": ok,
@@ -126,7 +115,7 @@ def _verb_legality(model, scenario, budget, seed, cap):
 
 
 def _verb_discreteness(model, scenario, budget, seed, cap):
-    k = _int(scenario, "k")
+    k = read_int(scenario, "k")
     nd = nondiscreteness_certificate(model, k, budget)
     dc = discreteness_certificate(model, k)
     result = {
@@ -142,13 +131,15 @@ def _verb_kclosure_compare(model, scenario, budget, seed, cap):
     if "other" not in scenario:
         raise ValidationError("scenario is missing 'other' model descriptor")
     other = build_model(scenario["other"])
-    k = _int(scenario, "k")
+    k = read_int(scenario, "k")
     probe = scenario.get("probe_radius")
-    verdict = kclosure_equal(model, other, k, None if probe is None else int(probe))
+    if probe is not None:
+        probe = read_int(scenario, "probe_radius")
+    verdict = kclosure_equal(model, other, k, probe)
     result = {"k": k, "comparison": verdict.to_json()}
-    kmax = scenario.get("first_difference_kmax")
-    if kmax is not None:
-        found = first_stab_germ_difference(model, other, ROOT, int(kmax))
+    if scenario.get("first_difference_kmax") is not None:
+        kmax = read_int(scenario, "first_difference_kmax")
+        found = first_stab_germ_difference(model, other, ROOT, kmax)
         result["first_stab_germ_difference"] = (
             None
             if found is None
@@ -167,8 +158,8 @@ def _edge(model, scenario):
 
 def _verb_ipk(model, scenario, budget, seed, cap):
     v, w = _edge(model, scenario)
-    k = _int(scenario, "k")
-    radius = _int(scenario, "R")
+    k = read_int(scenario, "k")
+    radius = read_int(scenario, "R")
     verdict = ipk_check(model, v, w, k, radius)
     witnesses = [verdict.witness] if verdict.witness is not None else []
     return verdict.to_json(), _OUTCOME_EXIT[verdict.outcome], witnesses, 0
@@ -179,8 +170,8 @@ def _verb_pk(model, scenario, budget, seed, cap):
     if not (isinstance(path, list) and len(path) >= 2):
         raise ValidationError("scenario needs 'path': [v0, v1, ...]")
     path = [_address(model, x) for x in path]
-    k = _int(scenario, "k")
-    radius = _int(scenario, "R")
+    k = read_int(scenario, "k")
+    radius = read_int(scenario, "R")
     verdict = pk_check(model, path, k, radius)
     witnesses = [verdict.witness] if verdict.witness is not None else []
     return verdict.to_json(), _OUTCOME_EXIT[verdict.outcome], witnesses, 0
@@ -188,16 +179,13 @@ def _verb_pk(model, scenario, budget, seed, cap):
 
 def _verb_plusk_generators(model, scenario, budget, seed, cap):
     v = _vertex(model, scenario, default=ROOT)
-    k = _int(scenario, "k")
+    k = read_int(scenario, "k")
     radius = scenario.get("radius")
-    samples = _int(scenario, "samples", 0)
+    if radius is not None:
+        radius = read_int(scenario, "radius")
+    samples = read_int(scenario, "samples", 0)
     germs = plusk_generator_germs(
-        model,
-        v,
-        k,
-        None if radius is None else int(radius),
-        samples=samples,
-        rng_seed=seed,
+        model, v, k, radius, samples=samples, rng_seed=seed
     )
     closed = germ_closure(germs, guard=cap)
     # transporter and stabilizer germs depend only on the model and k
@@ -212,17 +200,19 @@ def _verb_plusk_generators(model, scenario, budget, seed, cap):
 def _verb_commutator(model, scenario, budget, seed, cap):
     if model.name != "full_aut":
         raise ValidationError("the commutator verb runs on the full_aut model")
-    amplitude = _int(scenario, "amplitude")
-    radius = _int(scenario, "R", 2)
-    z_lo = _int(scenario, "z_lo", -4)
-    z_hi = _int(scenario, "z_hi", 4)
+    amplitude = read_int(scenario, "amplitude")
+    radius = read_int(scenario, "R", 2)
+    z_lo = read_int(scenario, "z_lo", -4)
+    z_hi = read_int(scenario, "z_hi", 4)
     if "f" in scenario:
+        f = scenario["f"]
+        if not (isinstance(f, dict) and all(isinstance(m, dict) for m in f.values())):
+            raise ValidationError("scenario needs 'f': {fiber: {vertex: vertex}}")
         f_maps = {
-            int(z): {
-                VertexAddr.parse(a): VertexAddr.parse(b)
-                for a, b in mapping.items()
+            as_int(z, f"'f' key {z!r}"): {
+                _address(model, a): _address(model, b) for a, b in mapping.items()
             }
-            for z, mapping in scenario["f"].items()
+            for z, mapping in f.items()
         }
     else:
         rng = random.Random(seed)
@@ -249,15 +239,15 @@ def _verb_commutator(model, scenario, budget, seed, cap):
 
 
 def _parse_matrix_entry(raw, p):
-    if isinstance(raw, str):
-        return Fraction(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        unit, power = raw
-        if not (isinstance(power, str) and power.startswith("p^")):
-            raise ValidationError(f"bad matrix entry {raw!r}")
-        return Fraction(unit) * Fraction(p) ** int(power[2:])
-    if isinstance(raw, int):
-        return Fraction(raw)
+    try:
+        if isinstance(raw, (str, int)):
+            return Fraction(raw)
+        if isinstance(raw, (list, tuple)) and len(raw) == 2:
+            unit, power = raw
+            if isinstance(power, str) and power.startswith("p^"):
+                return Fraction(unit) * Fraction(p) ** int(power[2:])
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
     raise ValidationError(f"bad matrix entry {raw!r}")
 
 
@@ -265,13 +255,17 @@ def _verb_lattice(model, scenario, budget, seed, cap):
     if model.name != "psl2":
         raise ValidationError("the lattice verb runs on the psl2 model")
     matrix = scenario.get("matrix")
-    if not (isinstance(matrix, list) and len(matrix) == 2):
+    if not (
+        isinstance(matrix, list)
+        and len(matrix) == 2
+        and all(isinstance(row, list) and len(row) == 2 for row in matrix)
+    ):
         raise ValidationError("scenario needs 'matrix': 2x2 entries")
     (a, b), (c, d) = (
         (_parse_matrix_entry(e, model.p) for e in row) for row in matrix
     )
     el = model.element(a, b, c, d)
-    r = _int(scenario, "r")
+    r = read_int(scenario, "r")
     fixes = model.fix_ball_test(el, r)
     germ_fixes = model.germ_of(el, ROOT, r).is_identity_map
     if fixes != germ_fixes:
@@ -341,11 +335,11 @@ def parse_scenario(text):
 def run_scenario(scenario, budget_override=None, seed_override=None):
     model = build_model(scenario["model"])
     cap = int(os.environ.get("TREECLOSE_MAX_ELEMENTS", "1000000"))
-    budget = _int(scenario, "budget", 2000)
+    budget = read_int(scenario, "budget", 2000)
     if budget_override is not None:
         budget = budget_override
     budget = min(budget, cap)
-    seed = seed_override if seed_override is not None else _int(scenario, "seed", 0)
+    seed = seed_override if seed_override is not None else read_int(scenario, "seed", 0)
     result, exit_code, witnesses, budget_used = VERBS[scenario["verb"]](
         model, scenario, budget, seed, cap
     )

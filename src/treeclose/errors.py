@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer reader
+that scenario and model-descriptor parsing share.
 
 Everything user-triggerable raises one of these; internal invariant
 violations use plain AssertionError.
@@ -67,3 +68,19 @@ class SingularBasis(TreecloseError):
 
 class NotIntegral(TreecloseError):
     """Matrix expected to have p-integral entries does not."""
+
+
+def as_int(value, what):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be an integer") from None
+
+
+def read_int(data, key, default=None, where="scenario"):
+    """data[key] as an integer; default when absent, required when None."""
+    if key not in data:
+        if default is None:
+            raise ValidationError(f"{where} is missing {key!r}")
+        return default
+    return as_int(data[key], repr(key))

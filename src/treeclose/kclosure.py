@@ -21,7 +21,9 @@ from .errors import (
     FactorOutsideGroup,
     RadiusTooSmall,
     ValidationError,
+    read_int,
 )
+from .models.base import STAB_GUARD
 from .permgroup import induced_perm_group, mulclose, perm_order, structure_fingerprint
 from .tree_core import (
     ROOT,
@@ -78,15 +80,18 @@ def germ_to_json(g):
 
 
 def germ_from_json(data):
-    mapping = {
-        VertexAddr.parse(a): VertexAddr.parse(b) for a, b in data["pairs"]
-    }
-    return Germ.from_mapping(
-        VertexAddr.parse(data["src"]),
-        VertexAddr.parse(data["dst"]),
-        int(data["radius"]),
-        mapping,
-    )
+    if not isinstance(data, dict):
+        raise ValidationError("a germ must be an object")
+    try:
+        mapping = {
+            VertexAddr.parse(a): VertexAddr.parse(b) for a, b in data["pairs"]
+        }
+        src, dst = VertexAddr.parse(data["src"]), VertexAddr.parse(data["dst"])
+    except KeyError as exc:
+        raise ValidationError(f"germ is missing {exc.args[0]!r}") from None
+    except (TypeError, ValueError):
+        raise ValidationError("germ 'pairs' must be [vertex, vertex] pairs") from None
+    return Germ.from_mapping(src, dst, read_int(data, "radius", where="germ"), mapping)
 
 
 def edge_region(v, w, k, degree):
@@ -813,10 +818,9 @@ class KClosureOracleModel:
     k-legal germs of the base model, enumerated independently. Lets the
     legality check run against the closure itself."""
 
-    def __init__(self, base, k, guard=10**6):
+    def __init__(self, base, k):
         self.base = base
         self.k = k
-        self.guard = guard
         self.degree = base.degree
         self.name = f"closure-of-{base.name}"
         self._cache = {}
@@ -843,7 +847,7 @@ class KClosureOracleModel:
                 full = sorted_germs(
                     g
                     for g in iterate_ball_germs(
-                        self.degree, v, v, self.k, guard=self.guard
+                        self.degree, v, v, self.k, guard=STAB_GUARD
                     )
                     if check_k_legal(self.base, g, self.k)
                 )

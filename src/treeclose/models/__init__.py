@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import ValidationError
+from ..errors import ValidationError, read_int
 from .base import GroupModel, LazyEmbedding
 from .bass_serre import BassSerreModel, BSElement, parse_britton, render_britton
 from .constant_local import ConstantLocalModel, CLElement
@@ -17,7 +17,6 @@ from .cover import (
     fiber_auto,
     is_graph_automorphism,
     iterate_graph_autos,
-    reflection_auto,
     rotation_auto,
 )
 from .full_aut import FullAutModel, RigidElement
@@ -42,7 +41,6 @@ __all__ = [
     "iterate_graph_autos",
     "is_graph_automorphism",
     "rotation_auto",
-    "reflection_auto",
     "fiber_auto",
     "FullAutModel",
     "RigidElement",
@@ -68,21 +66,21 @@ def build_model(descriptor):
     if not isinstance(descriptor, dict):
         raise ValidationError("model descriptor must be an object")
     kind = descriptor.get("model")
+
+    def field(key):
+        return read_int(descriptor, key, where="model descriptor")
+
     if kind == "constant_local":
-        return ConstantLocalModel(
-            int(descriptor["d"]), descriptor.get("F", "sym")
-        )
+        return ConstantLocalModel(field("d"), descriptor.get("F", "sym"))
     if kind == "full_aut":
-        return FullAutModel(int(descriptor["d"]))
+        return FullAutModel(field("d"))
     if kind == "bs":
-        return BassSerreModel(int(descriptor["m"]), int(descriptor["n"]))
+        return BassSerreModel(field("m"), field("n"))
     if kind == "psl2":
-        return PSL2Model(int(descriptor["p"]))
+        return PSL2Model(field("p"))
     if kind == "cover":
-        graph = descriptor.get("graph", "C")
-        p = int(descriptor["p"])
-        r = descriptor.get("r")
-        if graph == "strip" or r == "inf":
+        p = field("p")
+        if descriptor.get("graph", "C") == "strip" or descriptor.get("r") == "inf":
             return CoverModel(StripGraph(p))
-        return CoverModel(CycleGraph(p, int(r)))
+        return CoverModel(CycleGraph(p, field("r")))
     raise ValidationError(f"unknown model kind: {kind!r}")

@@ -11,13 +11,17 @@ from __future__ import annotations
 import abc
 import itertools
 
-from ..errors import ValidationError
+from ..errors import TooLarge, ValidationError
 from ..tree_core import (
     ball_positions,
     ball_word_ranks,
     germ_of_map,
+    sorted_germs,
     tree_distance,
 )
+
+# most distinct germs one stabilizer germ group may hold
+STAB_GUARD = 10**6
 
 
 class GroupModel(abc.ABC):
@@ -59,9 +63,26 @@ class GroupModel(abc.ABC):
 
     # --- germ data ---------------------------------------------------------
 
-    @abc.abstractmethod
     def stab_germ_group(self, v, k):
-        """Sorted tuple of all radius-k germs of elements fixing v. Exact."""
+        """Sorted tuple of all radius-k germs of elements fixing v. Exact.
+
+        Cached per (v, k); TooLarge past STAB_GUARD distinct germs.
+        """
+        # created here because families do not call super().__init__
+        cache = self.__dict__.setdefault("_stab_cache", {})
+        got = cache.get((v, k))
+        if got is None:
+            germs = set()
+            for germ in self._stab_germs(v, k):
+                germs.add(germ)
+                if len(germs) > STAB_GUARD:
+                    raise TooLarge(f"stabilizer germ group exceeded {STAB_GUARD}")
+            got = cache[(v, k)] = sorted_germs(germs)
+        return got
+
+    @abc.abstractmethod
+    def _stab_germs(self, v, k):
+        """Radius-k germs at v of elements fixing v, repeats allowed."""
 
     def fixator_germs(self, center, radius, fixed):
         """Germs at (center, radius) of elements fixing the given set pointwise."""

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..errors import BadElement, TooLarge, ValidationError
+from ..errors import BadElement, ValidationError
 from ..permgroup import cycle_table
 from ..tree_core import (
     Germ,
@@ -29,7 +29,6 @@ from ..tree_core import (
     geodesic,
     identity_germ,
     require_regular,
-    sorted_germs,
     tree_distance,
 )
 from .base import GroupModel, LazyEmbedding
@@ -129,7 +128,6 @@ class BassSerreModel(GroupModel):
         self.embedding = LazyEmbedding(
             self.degree, (), self._coset_neighbors, lambda segs: segs[:-1]
         )
-        self._stab_cache = {}
 
     # --- group arithmetic ---------------------------------------------------
 
@@ -192,23 +190,14 @@ class BassSerreModel(GroupModel):
         u = BSElement(self.embedding.obj_of(v), 0)
         return self.mul(self.mul(u, self.a_power(1)), self.inv(u))
 
-    def stab_germ_group(self, v, k, guard=10**6):
-        key = (v, k)
-        got = self._stab_cache.get(key)
-        if got is not None:
-            return got
+    def _stab_germs(self, v, k):
         gen_germ = self.germ_of(self.stab_generator(v), v, k)
         ident = identity_germ(v, k, self.degree)
-        out = [ident]
+        yield ident
         cur = gen_germ
         while cur != ident:
-            out.append(cur)
+            yield cur
             cur = compose(gen_germ, cur)
-            if len(out) > guard:
-                raise TooLarge(f"stabilizer germ group exceeded {guard}")
-        result = sorted_germs(out)
-        self._stab_cache[key] = result
-        return result
 
     def edge_label(self, x, y):
         """+1 for a t-type edge out of x, -1 for a t^-1-type one."""

@@ -29,7 +29,6 @@ from ..tree_core import (
     word_inv,
     word_mul,
     require_regular,
-    sorted_germs,
 )
 from .base import GroupModel
 
@@ -69,7 +68,6 @@ class ConstantLocalModel(GroupModel):
             perms = closure_group([check_perm(tuple(p), degree) for p in local_action], degree)
             self.local_action_name = "custom"
         self.F = tuple(sorted(perms))
-        self._stab_cache = {}
 
     # --- elements ---------------------------------------------------------
 
@@ -99,20 +97,10 @@ class ConstantLocalModel(GroupModel):
     def transporter(self, u, w):
         return CLElement(word_mul(w.word, word_inv(u.word)), identity_perm(self.degree))
 
-    def stab_germ_group(self, v, k):
-        key = (v, k)
-        got = self._stab_cache.get(key)
-        if got is not None:
-            return got
-        germs = {}
+    def _stab_germs(self, v, k):
         for p in self.F:
             moved = tuple(p[c] for c in v.word)
-            g = CLElement(word_mul(v.word, word_inv(moved)), p)
-            germ = self.germ_of(g, v, k)
-            germs[germ] = None
-        out = sorted_germs(germs)
-        self._stab_cache[key] = out
-        return out
+            yield self.germ_of(CLElement(word_mul(v.word, word_inv(moved)), p), v, k)
 
     def iter_elements(self):
         for radius in itertools.count(0):

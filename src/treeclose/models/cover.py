@@ -30,12 +30,7 @@ from functools import cached_property
 
 from ..errors import IncompatibleBase, TooLarge, ValidationError
 from ..permgroup import check_perm, identity_perm, invert_perm
-from ..tree_core import (
-    ROOT,
-    VertexAddr,
-    geodesic,
-    sorted_germs,
-)
+from ..tree_core import ROOT, VertexAddr, geodesic
 from .base import GroupModel
 
 
@@ -195,12 +190,6 @@ def rotation_auto(graph, delta):
     )
 
 
-def reflection_auto(graph):
-    return FiniteAuto.from_mapping(
-        {(i, j): ((-i) % graph.r, j) for (i, j) in graph.vertices()}
-    )
-
-
 def fiber_auto(graph, level, perm):
     check_perm(tuple(perm), graph.p)
     return FiniteAuto.from_mapping(
@@ -220,17 +209,15 @@ class CoverElement:
 class CoverModel(GroupModel):
     name = "cover"
 
-    def __init__(self, base, auto_guard=10**6):
+    def __init__(self, base):
         self.base = base
         self.p = base.p
         self.degree = 2 * base.p
         if self.degree < 3:
             raise ValidationError("cover degree below 3; need p >= 2")
         self.is_finite = isinstance(base, CycleGraph)
-        self.auto_guard = auto_guard
         self._charts = {ROOT: (base.root, dict(enumerate(base.ordered_neighbors(base.root))))}
         self._auto_cache = None
-        self._stab_cache = {}
 
     # --- the covering map ---------------------------------------------------
 
@@ -302,7 +289,7 @@ class CoverModel(GroupModel):
         if not self.is_finite:
             raise TooLarge("the strip automorphism group is infinite")
         if self._auto_cache is None:
-            self._auto_cache = aut_graph(self.base, self.auto_guard)
+            self._auto_cache = aut_graph(self.base)
         return self._auto_cache
 
     # --- lifting -------------------------------------------------------------------
@@ -357,23 +344,14 @@ class CoverModel(GroupModel):
             for combo in itertools.product(*choices):
                 yield StripAuto.of(eps, shift, dict(zip(levels, combo)))
 
-    def stab_germ_group(self, v, k):
-        key = (v, k)
-        got = self._stab_cache.get(key)
-        if got is not None:
-            return got
+    def _stab_germs(self, v, k):
         bv = self.base_of(v)
         if self.is_finite:
             autos = [a for a in self.all_autos() if self.apply_auto(a, bv) == bv]
         else:
             autos = self._strip_window_stabs(bv, k)
-        germs = {}
         for auto in autos:
-            g = self.lift_at(auto, v, v)
-            germs.setdefault(self.germ_of(g, v, k), None)
-        out = sorted_germs(germs)
-        self._stab_cache[key] = out
-        return out
+            yield self.germ_of(self.lift_at(auto, v, v), v, k)
 
     # --- structure ---------------------------------------------------------------------------
 

@@ -146,8 +146,8 @@ class FullAutModel(GroupModel):
     def transporter(self, u, w):
         return RigidElement(Germ.from_mapping(u, w, 0, {u: w}))
 
-    def stab_germ_group(self, v, k):
-        return sorted_germs(iterate_ball_germs(self.degree, v, v, k))
+    def _stab_germs(self, v, k):
+        return iterate_ball_germs(self.degree, v, v, k)
 
     def fixator_germs(self, center, radius, fixed):
         fixed = tuple(fixed)

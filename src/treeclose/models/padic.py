@@ -24,7 +24,7 @@ from ..errors import (
     SingularBasis,
     ValidationError,
 )
-from ..tree_core import ROOT, VertexAddr, require_regular, sorted_germs
+from ..tree_core import ROOT, VertexAddr, require_regular
 from .base import GroupModel, LazyEmbedding
 
 INF = float("inf")
@@ -148,7 +148,6 @@ class PSL2Model(GroupModel):
         self.embedding = LazyEmbedding(
             self.degree, self.root_class, self.ordered_neighbors, self.parent_of
         )
-        self._stab_cache = {}
 
     # --- lattice classes ------------------------------------------------------
 
@@ -278,23 +277,13 @@ class PSL2Model(GroupModel):
 
     # --- stabilizer germs --------------------------------------------------------------
 
-    def stab_germ_group(self, v, k):
-        key = (v, k)
-        got = self._stab_cache.get(key)
-        if got is not None:
-            return got
+    def _stab_germs(self, v, k):
         basis = self.class_of_vertex(v).basis()
         basis_inv = basis.inv()
-        germs = {}
         for a, b, c, d in _sl2_mod(self.p, k):
             lifted = _lift_det1(a, b, c, d, self.p**k)
             conj = basis.mul(lifted).mul(basis_inv)
-            x = PSL2Element.make(self.p, conj)
-            germ = self.germ_of(x, v, k)
-            germs.setdefault(germ, None)
-        out = sorted_germs(germs)
-        self._stab_cache[key] = out
-        return out
+            yield self.germ_of(PSL2Element.make(self.p, conj), v, k)
 
     # --- orbits -----------------------------------------------------------------------
 

@@ -205,12 +205,58 @@ def test_edge_path_and_germ_colors_beyond_the_degree_are_rejected(capsys, tmp_pa
         {"model": aut3, "verb": "pk", "path": ["ε", "0", "0.3"], "k": 1, "R": 2},
         {"model": cl3, "verb": "legality", "k": 1,
          "germ": {"src": "7", "dst": "7", "radius": 1, "pairs": swap}},
+        {"model": aut3, "verb": "commutator", "amplitude": 1,
+         "f": {"0": {"7": "7"}}},
     ):
         code, report = _run_scenario(tmp_path, capsys, scenario)
         assert code == 2
         message = report["error"]["message"]
         assert "3-regular" in message
         assert "edge region identity" not in message
+
+
+_CL3 = {"model": "constant_local", "d": 3, "F": "sym"}
+MALFORMED = {
+    "bs-without-n": {"model": {"model": "bs", "m": 2}, "verb": "local-action"},
+    "full-aut-d-not-int": {"model": {"model": "full_aut", "d": "x"},
+                           "verb": "local-action"},
+    "cover-r-not-int": {"model": {"model": "cover", "p": 2, "r": "five"},
+                        "verb": "local-action"},
+    "plusk-radius-not-int": {"model": _CL3, "verb": "plusk-generators",
+                             "k": 1, "radius": "x"},
+    "compare-probe-not-int": {"model": _CL3, "verb": "kclosure-compare",
+                              "other": _CL3, "k": 1, "probe_radius": "x"},
+    "compare-kmax-not-int": {"model": _CL3, "verb": "kclosure-compare",
+                             "other": _CL3, "k": 1,
+                             "first_difference_kmax": "x"},
+    "commutator-f-key-not-int": {"model": {"model": "full_aut", "d": 3},
+                                 "verb": "commutator", "amplitude": 1,
+                                 "f": {"x": {}}},
+    "legality-germ-without-pairs": {"model": _CL3, "verb": "legality", "k": 1,
+                                    "germ": {"src": "ε", "dst": "ε",
+                                             "radius": 1}},
+    "lattice-ragged-matrix": {"model": {"model": "psl2", "p": 2},
+                              "verb": "lattice", "r": 1,
+                              "matrix": [[1], [0, 1]]},
+    "cover-without-r": {"model": {"model": "cover", "p": 2},
+                        "verb": "local-action"},
+    "legality-germ-pairs-not-pairs": {"model": _CL3, "verb": "legality",
+                                      "k": 1,
+                                      "germ": {"src": "ε", "dst": "ε",
+                                               "radius": 1, "pairs": [["ε"]]}},
+    "lattice-entry-not-a-number": {"model": {"model": "psl2", "p": 2},
+                                   "verb": "lattice", "r": 1,
+                                   "matrix": [["x", 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_scenario_values_exit_2(name, capsys, tmp_path):
+    code, report = _run_scenario(tmp_path, capsys, MALFORMED[name])
+    assert code == 2
+    assert report["exit_code"] == 2
+    assert report["error"]["type"] == "ValidationError"
+    assert report["error"]["message"]
 
 
 def test_twisted_plusk_generators_at_k2_are_legal(capsys, tmp_path):

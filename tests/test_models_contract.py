@@ -4,10 +4,16 @@ import random
 
 import pytest
 
-from treeclose.errors import ValidationError
-from treeclose.models import build_model
+from treeclose.errors import TooLarge, ValidationError
+from treeclose.models import base, build_model
 from treeclose.models.base import take
-from treeclose.tree_core import ROOT, ball_vertices, identity_germ, tree_distance
+from treeclose.tree_core import (
+    ROOT,
+    ball_vertices,
+    identity_germ,
+    sorted_germs,
+    tree_distance,
+)
 
 DESCRIPTORS = [
     {"model": "constant_local", "d": 3, "F": "sym"},
@@ -15,10 +21,17 @@ DESCRIPTORS = [
     {"model": "bs", "m": 2, "n": 3},
     {"model": "psl2", "p": 2},
     {"model": "cover", "graph": "C", "p": 2, "r": 5},
+    {"model": "cover", "graph": "strip", "p": 2},
 ]
+# distinct radius-1 stabilizer germs at the root, in DESCRIPTORS order
+RADIUS1_COUNTS = [6, 6, 6, 6, 8, 8]
 
 
-@pytest.fixture(params=DESCRIPTORS, ids=lambda d: d["model"])
+def _descriptor_id(descriptor):
+    return "strip" if descriptor.get("graph") == "strip" else descriptor["model"]
+
+
+@pytest.fixture(params=DESCRIPTORS, ids=_descriptor_id)
 def model(request):
     return build_model(request.param)
 
@@ -120,3 +133,22 @@ def test_element_json_round_trip(model):
         back = model.element_from_json(data)
         for v in ball_vertices(ROOT, 2, model.degree):
             assert model.act(back, v) == model.act(g, v)
+
+
+def test_stab_germ_group_is_cached_and_sorted(model):
+    germs = model.stab_germ_group(ROOT, 1)
+    assert model.stab_germ_group(ROOT, 1) is germs
+    assert germs == sorted_germs(germs)
+
+
+@pytest.mark.parametrize(
+    "descriptor, count",
+    zip(DESCRIPTORS, RADIUS1_COUNTS),
+    ids=[_descriptor_id(d) for d in DESCRIPTORS],
+)
+def test_stab_germ_group_guard(descriptor, count, monkeypatch):
+    monkeypatch.setattr(base, "STAB_GUARD", count - 1)
+    with pytest.raises(TooLarge, match=f"^stabilizer germ group exceeded {count - 1}$"):
+        build_model(descriptor).stab_germ_group(ROOT, 1)
+    monkeypatch.setattr(base, "STAB_GUARD", count)
+    assert len(build_model(descriptor).stab_germ_group(ROOT, 1)) == count
