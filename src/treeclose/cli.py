@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
 from fractions import Fraction
 
-from .errors import TreecloseError, ValidationError, as_int, read_int
+from .errors import TreecloseError, ValidationError, as_int, max_elements, read_int
 from .kclosure import (
     axis_fibers,
     check_k_legal,
@@ -82,7 +81,7 @@ def _germ_listing(germs):
     return out
 
 
-def _verb_stab_germs(model, scenario, budget, seed, cap):
+def _verb_stab_germs(model, scenario, budget, seed):
     v = _vertex(model, scenario, default=ROOT)
     k = read_int(scenario, "k")
     germs = model.stab_germ_group(v, k)
@@ -91,7 +90,7 @@ def _verb_stab_germs(model, scenario, budget, seed, cap):
     return result, EXIT_OK, [], 0
 
 
-def _verb_local_action(model, scenario, budget, seed, cap):
+def _verb_local_action(model, scenario, budget, seed):
     v = _vertex(model, scenario, default=ROOT)
     fp = local_action(model, v)
     fp["element_orders"] = list(fp["element_orders"])
@@ -99,7 +98,7 @@ def _verb_local_action(model, scenario, budget, seed, cap):
     return fp, EXIT_OK, [], 0
 
 
-def _verb_legality(model, scenario, budget, seed, cap):
+def _verb_legality(model, scenario, budget, seed):
     if "germ" not in scenario:
         raise ValidationError("scenario is missing 'germ'")
     germ = germ_from_json(scenario["germ"])
@@ -114,7 +113,7 @@ def _verb_legality(model, scenario, budget, seed, cap):
     return result, EXIT_OK if ok else EXIT_FAILS, [], 0
 
 
-def _verb_discreteness(model, scenario, budget, seed, cap):
+def _verb_discreteness(model, scenario, budget, seed):
     k = read_int(scenario, "k")
     nd = nondiscreteness_certificate(model, k, budget)
     dc = discreteness_certificate(model, k)
@@ -127,7 +126,7 @@ def _verb_discreteness(model, scenario, budget, seed, cap):
     return result, _OUTCOME_EXIT[nd.outcome], witnesses, nd.budget_used
 
 
-def _verb_kclosure_compare(model, scenario, budget, seed, cap):
+def _verb_kclosure_compare(model, scenario, budget, seed):
     if "other" not in scenario:
         raise ValidationError("scenario is missing 'other' model descriptor")
     other = build_model(scenario["other"])
@@ -156,7 +155,7 @@ def _edge(model, scenario):
     return _address(model, edge[0]), _address(model, edge[1])
 
 
-def _verb_ipk(model, scenario, budget, seed, cap):
+def _verb_ipk(model, scenario, budget, seed):
     v, w = _edge(model, scenario)
     k = read_int(scenario, "k")
     radius = read_int(scenario, "R")
@@ -165,7 +164,7 @@ def _verb_ipk(model, scenario, budget, seed, cap):
     return verdict.to_json(), _OUTCOME_EXIT[verdict.outcome], witnesses, 0
 
 
-def _verb_pk(model, scenario, budget, seed, cap):
+def _verb_pk(model, scenario, budget, seed):
     path = scenario.get("path")
     if not (isinstance(path, list) and len(path) >= 2):
         raise ValidationError("scenario needs 'path': [v0, v1, ...]")
@@ -177,7 +176,7 @@ def _verb_pk(model, scenario, budget, seed, cap):
     return verdict.to_json(), _OUTCOME_EXIT[verdict.outcome], witnesses, 0
 
 
-def _verb_plusk_generators(model, scenario, budget, seed, cap):
+def _verb_plusk_generators(model, scenario, budget, seed):
     v = _vertex(model, scenario, default=ROOT)
     k = read_int(scenario, "k")
     radius = scenario.get("radius")
@@ -187,7 +186,7 @@ def _verb_plusk_generators(model, scenario, budget, seed, cap):
     germs = plusk_generator_germs(
         model, v, k, radius, samples=samples, rng_seed=seed
     )
-    closed = germ_closure(germs, guard=cap)
+    closed = germ_closure(germs)
     # transporter and stabilizer germs depend only on the model and k
     cache = {}
     legal = all(check_k_legal(model, g, k, cache) for g in closed)
@@ -197,7 +196,7 @@ def _verb_plusk_generators(model, scenario, budget, seed, cap):
     return result, EXIT_OK if legal else EXIT_FAILS, [], 0
 
 
-def _verb_commutator(model, scenario, budget, seed, cap):
+def _verb_commutator(model, scenario, budget, seed):
     if model.name != "full_aut":
         raise ValidationError("the commutator verb runs on the full_aut model")
     amplitude = read_int(scenario, "amplitude")
@@ -251,7 +250,7 @@ def _parse_matrix_entry(raw, p):
     raise ValidationError(f"bad matrix entry {raw!r}")
 
 
-def _verb_lattice(model, scenario, budget, seed, cap):
+def _verb_lattice(model, scenario, budget, seed):
     if model.name != "psl2":
         raise ValidationError("the lattice verb runs on the psl2 model")
     matrix = scenario.get("matrix")
@@ -278,7 +277,7 @@ def _verb_lattice(model, scenario, budget, seed, cap):
     return result, EXIT_OK if fixes else EXIT_FAILS, [], 0
 
 
-def _verb_normal_form(model, scenario, budget, seed, cap):
+def _verb_normal_form(model, scenario, budget, seed):
     if model.name != "bs":
         raise ValidationError("the normal-form verb runs on the bs model")
     word = scenario.get("word")
@@ -334,15 +333,13 @@ def parse_scenario(text):
 
 def run_scenario(scenario, budget_override=None, seed_override=None):
     model = build_model(scenario["model"])
-    cap = int(os.environ.get("TREECLOSE_MAX_ELEMENTS", "1000000"))
     budget = read_int(scenario, "budget", 2000)
     if budget_override is not None:
         budget = budget_override
-    budget = min(budget, cap)
+    budget = min(budget, max_elements())
     seed = seed_override if seed_override is not None else read_int(scenario, "seed", 0)
-    result, exit_code, witnesses, budget_used = VERBS[scenario["verb"]](
-        model, scenario, budget, seed, cap
-    )
+    verb = VERBS[scenario["verb"]]
+    result, exit_code, witnesses, budget_used = verb(model, scenario, budget, seed)
     report = {
         "schema": REPORT_SCHEMA,
         "scenario": scenario,

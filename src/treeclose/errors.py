@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the integer reader
-that scenario and model-descriptor parsing share.
+"""Exception types shared across the package, the integer reader that
+scenario and model-descriptor parsing share, and the element limit.
 
 Everything user-triggerable raises one of these; internal invariant
 violations use plain AssertionError.
 """
+
+import os
 
 
 class TreecloseError(Exception):
@@ -39,7 +41,7 @@ class NotStabilized(TreecloseError):
 
 
 class TooLarge(TreecloseError):
-    """A materialization guard tripped."""
+    """An enumeration passed the element limit (see max_elements)."""
 
 
 class RadiusTooSmall(TreecloseError):
@@ -84,3 +86,8 @@ def read_int(data, key, default=None, where="scenario"):
             raise ValidationError(f"{where} is missing {key!r}")
         return default
     return as_int(data[key], repr(key))
+
+
+def max_elements():
+    """The most elements one enumeration may hold: TREECLOSE_MAX_ELEMENTS."""
+    return as_int(os.environ.get("TREECLOSE_MAX_ELEMENTS", 10**6), "TREECLOSE_MAX_ELEMENTS")

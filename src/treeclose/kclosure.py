@@ -23,7 +23,6 @@ from .errors import (
     ValidationError,
     read_int,
 )
-from .models.base import STAB_GUARD
 from .permgroup import induced_perm_group, mulclose, perm_order, structure_fingerprint
 from .tree_core import (
     ROOT,
@@ -163,7 +162,7 @@ def element_germs_at(model, center, radius, target):
     )
 
 
-def closure_germs_at_targets(model, center, radius, k, targets=None, guard=None):
+def closure_germs_at_targets(model, center, radius, k, targets=None):
     """All k-legal germs at the given radius from center to each target."""
     if targets is None:
         targets = (center,) + tuple(
@@ -172,17 +171,15 @@ def closure_germs_at_targets(model, center, radius, k, targets=None, guard=None)
     cache = {}
     out = []
     for w in targets:
-        for germ in iterate_ball_germs(
-            model.degree, center, w, radius, guard=guard
-        ):
+        for germ in iterate_ball_germs(model.degree, center, w, radius):
             if check_k_legal(model, germ, k, cache):
                 out.append(germ)
     return sorted_germs(out)
 
 
-def germ_closure(germs, guard=10**5):
+def germ_closure(germs):
     """Composition closure of germs sharing one center and radius."""
-    return sorted_germs(mulclose(germs, mul=compose, guard=guard))
+    return sorted_germs(mulclose(germs, mul=compose))
 
 
 def local_action(model, v):
@@ -846,9 +843,7 @@ class KClosureOracleModel:
             if full is None:
                 full = sorted_germs(
                     g
-                    for g in iterate_ball_germs(
-                        self.degree, v, v, self.k, guard=STAB_GUARD
-                    )
+                    for g in iterate_ball_germs(self.degree, v, v, self.k)
                     if check_k_legal(self.base, g, self.k)
                 )
                 self._cache[(v, self.k)] = full

@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 import itertools
 
-from ..errors import TooLarge, ValidationError
+from ..errors import TooLarge, ValidationError, max_elements
 from ..tree_core import (
     ball_positions,
     ball_word_ranks,
@@ -19,9 +19,6 @@ from ..tree_core import (
     sorted_germs,
     tree_distance,
 )
-
-# most distinct germs one stabilizer germ group may hold
-STAB_GUARD = 10**6
 
 
 class GroupModel(abc.ABC):
@@ -66,17 +63,18 @@ class GroupModel(abc.ABC):
     def stab_germ_group(self, v, k):
         """Sorted tuple of all radius-k germs of elements fixing v. Exact.
 
-        Cached per (v, k); TooLarge past STAB_GUARD distinct germs.
+        Cached per (v, k); TooLarge past the element limit of distinct germs.
         """
         # created here because families do not call super().__init__
         cache = self.__dict__.setdefault("_stab_cache", {})
         got = cache.get((v, k))
         if got is None:
+            limit = max_elements()
             germs = set()
             for germ in self._stab_germs(v, k):
                 germs.add(germ)
-                if len(germs) > STAB_GUARD:
-                    raise TooLarge(f"stabilizer germ group exceeded {STAB_GUARD}")
+                if len(germs) > limit:
+                    raise TooLarge(f"stabilizer germ group exceeded {limit}")
             got = cache[(v, k)] = sorted_germs(germs)
         return got
 

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..errors import IncompatibleBase, TooLarge, ValidationError
+from ..errors import IncompatibleBase, TooLarge, ValidationError, max_elements
 from ..permgroup import check_perm, identity_perm, invert_perm
 from ..tree_core import ROOT, VertexAddr, geodesic
 from .base import GroupModel
@@ -174,14 +174,13 @@ def iterate_graph_autos(graph):
     yield from rec(0)
 
 
-def aut_graph(graph, guard=10**6):
-    """Materialized automorphism list; TooLarge past the guard."""
-    out = []
-    for a in iterate_graph_autos(graph):
-        out.append(a)
-        if len(out) > guard:
-            raise TooLarge(f"automorphism group exceeds {guard}")
-    return tuple(out)
+def aut_graph(graph):
+    """Materialized automorphism list; TooLarge past the element limit."""
+    limit = max_elements()
+    out = tuple(itertools.islice(iterate_graph_autos(graph), limit + 1))
+    if len(out) > limit:
+        raise TooLarge(f"automorphism group exceeds {limit}")
+    return out
 
 
 def rotation_auto(graph, delta):

@@ -6,7 +6,7 @@ isomorphism type; structure_fingerprint returns invariants only.
 
 from __future__ import annotations
 
-from .errors import NotStabilized, TooLarge, ValidationError
+from .errors import NotStabilized, TooLarge, ValidationError, max_elements
 
 
 def identity_perm(n):
@@ -68,14 +68,13 @@ def cycle_table(p):
     return out
 
 
-def mulclose(generators, mul=None, guard=10**6):
+def mulclose(generators, mul=compose_perm):
     """Closure under the product, breadth-first from the generators.
 
     Works for any hashable elements. In a finite setting the semigroup
-    generated this way is the full group.
+    generated this way is the full group. TooLarge past the element limit.
     """
-    if mul is None:
-        mul = compose_perm
+    limit = max_elements()
     gens = list(dict.fromkeys(generators))
     els = dict.fromkeys(gens)
     frontier = gens
@@ -87,17 +86,16 @@ def mulclose(generators, mul=None, guard=10**6):
                 if c not in els:
                     els[c] = None
                     new.append(c)
-                    if guard is not None and len(els) > guard:
-                        raise TooLarge(f"closure exceeded {guard} elements")
+                    if len(els) > limit:
+                        raise TooLarge(f"closure exceeded {limit} elements")
         frontier = new
     return tuple(els)
 
 
-def closure_group(generators, n, guard=10**6):
+def closure_group(generators, n):
     for p in generators:
         check_perm(p, n)
-    els = mulclose(list(generators) + [identity_perm(n)], compose_perm, guard)
-    return tuple(sorted(els))
+    return tuple(sorted(mulclose(list(generators) + [identity_perm(n)])))
 
 
 def is_closed(perms):

@@ -40,6 +40,7 @@ from .errors import (
     RadiusMismatch,
     TooLarge,
     ValidationError,
+    max_elements,
 )
 
 
@@ -160,6 +161,9 @@ def ball_vertices(center, radius, degree):
     require_regular(degree)
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
+    limit = max_elements()
+    if ball_size(degree, min(radius, limit.bit_length())) > limit:  # |B(r)| >= 2**r
+        raise TooLarge(f"ball of radius {radius} has more than {limit} vertices")
     out = [center]
     seen = {center}
     layer = [center]
@@ -519,7 +523,7 @@ def _subtree_layout(degree, pos, root):
     return [pos[v] for v in order], children
 
 
-def iterate_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root, pins=None, guard=None):
+def iterate_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root, pins=None):
     """All graph isomorphisms between two finite subtrees, root to root.
 
     Each map is an int tuple: entry i is the position in dst_vertices of
@@ -529,9 +533,10 @@ def iterate_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root,
     matched to the image's children (both sorted by word) in
     itertools.permutations order. Every yielded map extends to a full
     tree automorphism: matching subtree degrees leave matching ambient
-    degrees free on both sides.
+    degrees free on both sides. TooLarge past the element limit.
     """
     require_regular(degree)
+    limit = max_elements()
     src_pos = {v: i for i, v in enumerate(src_vertices)}
     dst_pos = {v: i for i, v in enumerate(dst_vertices)}
     if src_root not in src_pos or dst_root not in dst_pos:
@@ -583,12 +588,12 @@ def iterate_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root,
             stack.append(choices(steps[i + 1]))
             continue
         count += 1
-        if guard is not None and count > guard:
-            raise TooLarge(f"more than {guard} isomorphisms")
+        if count > limit:
+            raise TooLarge(f"more than {limit} isomorphisms")
         yield tuple(image)
 
 
-def iterate_ball_germs(degree, src_center, dst_center, radius, pins=None, guard=None):
+def iterate_ball_germs(degree, src_center, dst_center, radius, pins=None):
     """All germs between the two balls.
 
     Unpinned there are d! * ((d-1)!)^(|B(r-1)| - 1) of them: d! choices at
@@ -596,5 +601,5 @@ def iterate_ball_germs(degree, src_center, dst_center, radius, pins=None, guard=
     """
     src = ball_addresses(src_center, radius, degree)
     dst = ball_addresses(dst_center, radius, degree)
-    for perm in iterate_subtree_isos(degree, src, src_center, dst, dst_center, pins=pins, guard=guard):
+    for perm in iterate_subtree_isos(degree, src, src_center, dst, dst_center, pins=pins):
         yield Germ(src_center, dst_center, radius, perm, degree)

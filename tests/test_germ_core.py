@@ -11,7 +11,9 @@ replaced; the int-tuple maps must be the same maps in the same order.
 import itertools
 import json
 import math
+import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -312,14 +314,19 @@ def test_subtree_isos_raise_too_large_at_guard_plus_one(degree, radius, guard, s
     a, b = random_vertex(degree, rng), random_vertex(degree, rng)
     src, dst = ball_addresses(a, radius, degree), ball_addresses(b, radius, degree)
     total = math.factorial(degree) * math.factorial(degree - 1) ** (ball_size(degree, radius - 1) - 1)
-    for enumerate_isos in (ref_subtree_isos, iterate_subtree_isos):
-        isos = enumerate_isos(degree, src, a, dst, b, guard=guard)
-        assert len(list(itertools.islice(isos, guard))) == min(guard, total)
-        if guard < total:
-            with pytest.raises(TooLarge):
-                next(isos)
-        else:
-            assert next(isos, None) is None
+    # iterate_subtree_isos reads the element limit; the balls are built first
+    # (@given rejects the function-scoped monkeypatch fixture)
+    with mock.patch.dict(os.environ, {"TREECLOSE_MAX_ELEMENTS": str(guard)}):
+        for isos in (
+            ref_subtree_isos(degree, src, a, dst, b, guard=guard),
+            iterate_subtree_isos(degree, src, a, dst, b),
+        ):
+            assert len(list(itertools.islice(isos, guard))) == min(guard, total)
+            if guard < total:
+                with pytest.raises(TooLarge):
+                    next(isos)
+            else:
+                assert next(isos, None) is None
 
 
 def _ball_map(center, radius, degree):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from treeclose.errors import TooLarge, ValidationError
-from treeclose.models import base, build_model
+from treeclose.models import build_model
 from treeclose.models.base import take
 from treeclose.tree_core import (
     ROOT,
@@ -147,8 +147,17 @@ def test_stab_germ_group_is_cached_and_sorted(model):
     ids=[_descriptor_id(d) for d in DESCRIPTORS],
 )
 def test_stab_germ_group_guard(descriptor, count, monkeypatch):
-    monkeypatch.setattr(base, "STAB_GUARD", count - 1)
-    with pytest.raises(TooLarge, match=f"^stabilizer germ group exceeded {count - 1}$"):
-        build_model(descriptor).stab_germ_group(ROOT, 1)
-    monkeypatch.setattr(base, "STAB_GUARD", count)
-    assert len(build_model(descriptor).stab_germ_group(ROOT, 1)) == count
+    # the element limit also bounds model set-up (closure_group, aut_graph)
+    # and balls, so those are built before it is lowered
+    model = build_model(descriptor)
+    ball_vertices(ROOT, 1, model.degree)
+    if getattr(model, "is_finite", False):
+        model.all_autos()
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", str(count - 1))
+    message = f"^stabilizer germ group exceeded {count - 1}$"
+    if model.name == "full_aut":
+        message = f"^more than {count - 1} isomorphisms$"
+    with pytest.raises(TooLarge, match=message):
+        model.stab_germ_group(ROOT, 1)
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", str(count))
+    assert len(model.stab_germ_group(ROOT, 1)) == count
