@@ -90,4 +90,7 @@ def read_int(data, key, default=None, where="scenario"):
 
 def max_elements():
     """The most elements one enumeration may hold: TREECLOSE_MAX_ELEMENTS."""
-    return as_int(os.environ.get("TREECLOSE_MAX_ELEMENTS", 10**6), "TREECLOSE_MAX_ELEMENTS")
+    limit = as_int(os.environ.get("TREECLOSE_MAX_ELEMENTS", 10**6), "TREECLOSE_MAX_ELEMENTS")
+    if limit < 0:
+        raise ValidationError("TREECLOSE_MAX_ELEMENTS must not be negative")
+    return limit

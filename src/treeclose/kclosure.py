@@ -20,7 +20,9 @@ from .errors import (
     DegreeMismatch,
     FactorOutsideGroup,
     RadiusTooSmall,
+    TooLarge,
     ValidationError,
+    max_elements,
     read_int,
 )
 from .permgroup import induced_perm_group, mulclose, perm_order, structure_fingerprint
@@ -622,7 +624,8 @@ def plusk_generator_germs(model, v, k, radius=None, samples=0, rng_seed=0):
     The union runs over all edges at the anchor. Models with a stabilizer
     power construction contribute one germ per base exponent that fixes
     the region (plus optional twisted samples); other models contribute
-    their fixator germs directly.
+    their fixator germs directly. TooLarge when the candidates would pass
+    the element limit.
     """
     radius = k + 1 if radius is None else radius
     deg = model.degree
@@ -636,8 +639,11 @@ def plusk_generator_germs(model, v, k, radius=None, samples=0, rng_seed=0):
     base = model.sigma_base(v, radius)
     rng = random.Random(rng_seed)
     twist_targets = [y for y in ball_vertices(v, radius - 1, deg) if y != v]
+    order, limit = perm_order(base[0].perm), max_elements()
+    if order * (1 + samples) > limit:
+        raise TooLarge(f"more than {limit} generator candidates")
     candidates = []
-    for c in range(perm_order(base[0].perm)):
+    for c in range(order):
         candidates.append(model.sigma_construction(v, c, {}, radius, base))
         for _ in range(samples):
             twists = {y: rng.randrange(0, 3) for y in twist_targets}

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..errors import BadElement, ValidationError
+from ..errors import BadElement, TooLarge, ValidationError, max_elements
 from ..permgroup import cycle_table
 from ..tree_core import (
     Germ,
@@ -84,7 +84,11 @@ class _Normalizer:
 
 
 def parse_britton(text):
-    """Parse words like "a^2 t a t^-1 a^-3"; "1" is the identity."""
+    """Parse words like "a^2 t a t^-1 a^-3"; "1" is the identity.
+
+    Normal forms take one step per t letter, so TooLarge when the word has
+    more t letters than the element limit.
+    """
     letters = []
     t = text.strip()
     if t in ("", "1"):
@@ -101,6 +105,9 @@ def parse_britton(text):
         if base not in ("a", "t"):
             raise ValidationError(f"unknown generator {base!r}")
         letters.append((base, k))
+    limit = max_elements()
+    if sum(abs(k) for base, k in letters if base == "t") > limit:
+        raise TooLarge(f"word has more than {limit} t letters")
     return letters
 
 

@@ -61,12 +61,12 @@ class ConstantLocalModel(GroupModel):
     def __init__(self, degree, local_action="sym"):
         require_regular(degree)
         self.degree = degree
-        if isinstance(local_action, str):
+        if isinstance(local_action, (list, tuple)):
+            perms = closure_group([check_perm(p, degree) for p in local_action], degree)
+            self.local_action_name = "custom"
+        else:
             perms = _named_perm_group(degree, local_action)
             self.local_action_name = local_action
-        else:
-            perms = closure_group([check_perm(tuple(p), degree) for p in local_action], degree)
-            self.local_action_name = "custom"
         self.F = tuple(sorted(perms))
 
     # --- elements ---------------------------------------------------------

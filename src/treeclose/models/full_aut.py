@@ -19,12 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..errors import BadElement, ValidationError
+from ..errors import BadElement, TooLarge, ValidationError, max_elements
 from ..permgroup import identity_perm, perm_from_cycles
 from ..tree_core import (
     ROOT,
     Germ,
     VertexAddr,
+    ball_size,
     ball_vertices,
     edge_color,
     geodesic,
@@ -38,6 +39,25 @@ from ..tree_core import (
     sorted_germs,
 )
 from .base import GroupModel
+
+
+def _stab_germ_count_exceeds(degree, k, limit):
+    """Whether the radius-k germs fixing a vertex, d! * ((d-1)!)^(|B(k-1)| - 1)
+    of them, pass the limit; no number much larger than the limit is built."""
+    count = 1
+    for f in range(2, degree + 1):
+        count *= f
+        if count > limit:
+            return True
+    # each factor (d-1)! is at least 2, so a radius past the limit's bit
+    # length gives more factors than it takes to pass the limit
+    inner = ball_size(degree, min(k - 1, limit.bit_length())) - 1
+    step = count // degree
+    for _ in range(inner):
+        count *= step
+        if count > limit:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -147,6 +167,9 @@ class FullAutModel(GroupModel):
         return RigidElement(Germ.from_mapping(u, w, 0, {u: w}))
 
     def _stab_germs(self, v, k):
+        limit = max_elements()
+        if k > 0 and _stab_germ_count_exceeds(self.degree, k, limit):
+            raise TooLarge(f"stabilizer germ group exceeded {limit}")
         return iterate_ball_germs(self.degree, v, v, k)
 
     def fixator_germs(self, center, radius, fixed):

@@ -36,9 +36,14 @@ def perm_from_cycles(n, cycles):
 
 
 def check_perm(p, n):
-    if len(p) != n or sorted(p) != list(range(n)):
+    """p as a tuple, when it lists the integers 0..n-1 in some order."""
+    if not (
+        isinstance(p, (list, tuple))
+        and all(isinstance(x, int) for x in p)
+        and sorted(p) == list(range(n))
+    ):
         raise ValidationError(f"not a permutation of 0..{n - 1}: {p!r}")
-    return p
+    return tuple(p)
 
 
 def perm_order(p):

@@ -4,6 +4,7 @@ Every scenario file is executed through the real argument parser; the
 expected exit codes below are part of the corpus contract.
 """
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -13,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from treeclose.cli import main
+from treeclose.tree_core import ball_vertices
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT_DIR = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT_DIR / "scenarios"
 
 # 0 = property holds / computation succeeded, 10 = property fails with a
 # certificate, 20 = inconclusive at the configured budget
@@ -48,6 +51,21 @@ EXPECTED_EXIT = {
 }
 
 
+# SHA-256 of each `--format json` report: the benchmark's golden digests,
+# plus the two R=4 files the benchmark does not run
+REPORT_SHA256 = {
+    name: entry["sha256"]
+    for name, entry in json.loads(
+        (ROOT_DIR / "perfbench" / "golden.json").read_text(encoding="utf-8")
+    ).items()
+    if name in EXPECTED_EXIT
+}
+REPORT_SHA256.update({
+    "bs23-ipk-k1-r4.json": "2a7fcb40e2d8ede68b4f5a047d31b8e23bc8ce2c320168c63c53db3567552352",
+    "bs23-pk-edge.json": "c351c9823b279b0be21c918d15a46f63050a95a896b5709dd6ee3dc8fc72ce60",
+})
+
+
 def run_cli(args, capsys):
     code = main(args)
     return code, capsys.readouterr().out
@@ -55,7 +73,7 @@ def run_cli(args, capsys):
 
 def test_corpus_matches_expectation_table():
     found = {p.name for p in SCENARIO_DIR.glob("*.json")}
-    assert found == set(EXPECTED_EXIT)
+    assert found == set(EXPECTED_EXIT) == set(REPORT_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_EXIT))
@@ -63,6 +81,7 @@ def test_scenario_runs_with_expected_exit(name, capsys):
     path = SCENARIO_DIR / name
     code, out = run_cli(["run", str(path), "--format", "json"], capsys)
     assert code == EXPECTED_EXIT[name]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256[name]
     report = json.loads(out)
     assert report["schema"] == "treeclose.report/v1"
     assert report["exit_code"] == code
@@ -126,6 +145,101 @@ def test_element_cap_env_var(capsys, monkeypatch):
     assert code == 2
     report = json.loads(out)
     assert report["error"]["type"] == "TooLarge"
+
+
+_AUT3 = {"model": "full_aut", "d": 3}
+_BS23 = {"model": "bs", "m": 2, "n": 3}
+_C25 = {"model": "cover", "graph": "C", "p": 2, "r": 5}
+
+
+def _corpus(name):
+    return json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+
+
+# one scenario per enumeration that reads TREECLOSE_MAX_ELEMENTS, with a
+# limit that this enumeration passes first: (scenario, limit, message)
+LIMIT_SITES = {
+    "iterate_subtree_isos": (_corpus("full-aut-ipk-k1.json"), 10,
+                             "more than 10 isomorphisms"),
+    "stab_germ_group": (_corpus("psl2-stab-germs-k1.json"), 5,
+                        "stabilizer germ group exceeded 5"),
+    # 216 generator powers and one twisted sample each; they close to 648
+    "mulclose": ({"model": _BS23, "verb": "plusk-generators", "k": 2,
+                  "radius": 3, "samples": 1}, 500,
+                 "closure exceeded 500 elements"),
+    # C(2,5) has 320 automorphisms
+    "aut_graph": (_corpus("cover-c25-local-action.json"), 100,
+                  "automorphism group exceeds 100"),
+    "ball_vertices": (_corpus("bs23-ipk-k1-r3.json"), 100,
+                      "ball of radius 3 has more than 100 vertices"),
+    # 3! * 2**3 = 48 germs, on a 10-vertex ball
+    "full_aut_stab_preflight": ({"model": _AUT3, "verb": "stab-germs", "k": 2}, 40,
+                                "stabilizer germ group exceeded 40"),
+    # 36 generator powers, each with 20 twisted samples
+    "plusk_preflight": ({"model": _BS23, "verb": "plusk-generators", "k": 1,
+                         "radius": 2, "samples": 20}, 100,
+                        "more than 100 generator candidates"),
+    "britton_preflight": ({"model": _BS23, "verb": "normal-form",
+                           "word": "t^60 a t^-41"}, 100,
+                          "word has more than 100 t letters"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LIMIT_SITES))
+def test_element_limit_trips_each_enumeration(site, capsys, tmp_path, monkeypatch):
+    scenario, limit, message = LIMIT_SITES[site]
+    # balls are checked on a cache miss only, and earlier tests built some
+    ball_vertices.cache_clear()
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", str(limit))
+    code, report = _run_scenario(tmp_path, capsys, scenario)
+    assert code == 2
+    assert report["error"] == {"type": "TooLarge", "message": message}
+    # and the limit is what stopped it
+    monkeypatch.delenv("TREECLOSE_MAX_ELEMENTS")
+    code, report = _run_scenario(tmp_path, capsys, scenario)
+    assert "error" not in report
+
+
+@pytest.mark.parametrize("value", ["x", "1e6", "", "-3"])
+def test_element_limit_must_be_a_non_negative_integer(value, capsys, monkeypatch):
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", value)
+    path = str(SCENARIO_DIR / "bs23-normal-form.json")
+    code, out = run_cli(["run", path, "--format", "json"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert "TREECLOSE_MAX_ELEMENTS" in error["message"]
+
+
+# inputs past the default limit of 10**6, each stopped before it builds
+# what it counts
+OVERSIZED = {
+    "constant-local-stab-germs-k30": {
+        "model": {"model": "constant_local", "d": 3, "F": "sym"},
+        "verb": "stab-germs", "k": 30},
+    "full-aut-ipk-r30": {"model": _AUT3, "verb": "ipk", "edge": ["ε", "0"],
+                         "k": 1, "R": 30},
+    "cover-vs-strip-probe-radius-30": {
+        "model": _C25, "verb": "kclosure-compare", "k": 1, "probe_radius": 30,
+        "other": {"model": "cover", "graph": "strip", "p": 2}},
+    # 3! * 2**21 = 12,582,912 germs
+    "full-aut-d3-stab-germs-k4": {"model": _AUT3, "verb": "stab-germs", "k": 4},
+    "full-aut-d400-stab-germs-k1": {"model": {"model": "full_aut", "d": 400},
+                                    "verb": "stab-germs", "k": 1},
+    "bs-plusk-ten-million-samples": {"model": _BS23, "verb": "plusk-generators",
+                                     "k": 1, "radius": 2, "samples": 10000000},
+    "bs-normal-form-t-to-the-billion": {"model": _BS23, "verb": "normal-form",
+                                        "word": "t^1000000000"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_inputs_exit_2_at_the_default_limit(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("TREECLOSE_MAX_ELEMENTS", raising=False)
+    code, report = _run_scenario(tmp_path, capsys, OVERSIZED[name])
+    assert code == 2
+    assert report["error"]["type"] == "TooLarge"
+    assert "1000000" in report["error"]["message"]
 
 
 def test_greek_letters_are_escaped_in_json(capsys):
@@ -247,6 +361,16 @@ MALFORMED = {
     "lattice-entry-not-a-number": {"model": {"model": "psl2", "p": 2},
                                    "verb": "lattice", "r": 1,
                                    "matrix": [["x", 0], [0, 1]]},
+    "constant-local-F-int": {"model": {"model": "constant_local", "d": 3, "F": 5},
+                             "verb": "local-action"},
+    "constant-local-F-list-of-int": {"model": {"model": "constant_local", "d": 3,
+                                               "F": [5]},
+                                     "verb": "local-action"},
+    "constant-local-F-entry-not-int": {"model": {"model": "constant_local", "d": 3,
+                                                 "F": [[0, 1, "a"]]},
+                                       "verb": "local-action"},
+    "constant-local-F-null": {"model": {"model": "constant_local", "d": 3, "F": None},
+                              "verb": "local-action"},
 }
 
 
