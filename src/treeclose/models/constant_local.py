@@ -62,7 +62,7 @@ class ConstantLocalModel(GroupModel):
         require_regular(degree)
         self.degree = degree
         if isinstance(local_action, (list, tuple)):
-            perms = closure_group([check_perm(p, degree) for p in local_action], degree)
+            perms = closure_group(local_action, degree)
             self.local_action_name = "custom"
         else:
             perms = _named_perm_group(degree, local_action)
@@ -131,7 +131,7 @@ class ConstantLocalModel(GroupModel):
 
     def element_from_json(self, data):
         word = VertexAddr.parse(data["word"]).word
-        perm = check_perm(tuple(data["perm"]), self.degree)
+        perm = check_perm(data["perm"], self.degree)
         g = CLElement(word, perm)
         return self._check(g)
 

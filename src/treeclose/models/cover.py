@@ -190,7 +190,7 @@ def rotation_auto(graph, delta):
 
 
 def fiber_auto(graph, level, perm):
-    check_perm(tuple(perm), graph.p)
+    check_perm(perm, graph.p)
     return FiniteAuto.from_mapping(
         {
             (i, j): ((i, perm[j - 1] + 1) if i == level else (i, j))

@@ -30,9 +30,7 @@ def perm_from_cycles(n, cycles):
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             images[a] = b
-    p = tuple(images)
-    check_perm(p, n)
-    return p
+    return check_perm(images, n)
 
 
 def check_perm(p, n):
@@ -98,9 +96,8 @@ def mulclose(generators, mul=compose_perm):
 
 
 def closure_group(generators, n):
-    for p in generators:
-        check_perm(p, n)
-    return tuple(sorted(mulclose(list(generators) + [identity_perm(n)])))
+    gens = [check_perm(p, n) for p in generators]
+    return tuple(sorted(mulclose(gens + [identity_perm(n)])))
 
 
 def is_closed(perms):
