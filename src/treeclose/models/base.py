@@ -4,6 +4,14 @@ A model owns a d-regular tree addressed by VertexAddr words plus a group
 acting on it with exact arithmetic. Everything the closure laboratory
 consumes goes through this interface, so certificates never depend on
 how a particular group stores its elements.
+
+Germs come from one builder, GroupModel.germ_of. It takes the image of
+the center from act, then walks the canonical ball shell by shell,
+parents before children, and asks image_step for the image of each child
+y = x.step(c) given the image gx of its parent x. The default image_step
+is act(g, y); a family whose local action is cheap to read off (a cover
+through its charts, a constant local action through its permutation)
+overrides image_step to step from gx instead, and never germ_of itself.
 """
 
 from __future__ import annotations
@@ -13,9 +21,12 @@ import itertools
 
 from ..errors import TooLarge, ValidationError, max_elements
 from ..tree_core import (
+    ROOT,
+    ball_addresses,
+    ball_parents,
     ball_positions,
     ball_word_ranks,
-    germ_of_map,
+    germ_from_images,
     sorted_germs,
     tree_distance,
 )
@@ -44,8 +55,22 @@ class GroupModel(abc.ABC):
     def act(self, g, v):
         """Image of the vertex v under g."""
 
+    def image_step(self, g, x, gx, y, c):
+        """Image of y = x.step(c) under g, given gx = g(x)."""
+        return self.act(g, y)
+
     def germ_of(self, g, center, radius):
-        return germ_of_map(lambda u: self.act(g, u), center, radius, self.degree)
+        """Germ of g on B(center, radius), built shell by shell."""
+        degree = self.degree
+        src = ball_addresses(center, radius, degree)
+        # the last letter of a canonical word colors the edge to its parent
+        canon = ball_addresses(ROOT, radius, degree)
+        images = [self.act(g, center)]
+        for i, p in enumerate(ball_parents(degree, radius)[1:], 1):
+            images.append(
+                self.image_step(g, src[p], images[p], src[i], canon[i].word[-1])
+            )
+        return germ_from_images(center, radius, degree, images)
 
     # --- orbit structure --------------------------------------------------
 
@@ -54,8 +79,6 @@ class GroupModel(abc.ABC):
         """Some element sending u to w, or None if they sit in different orbits."""
 
     def orbit_reps(self):
-        from ..tree_core import ROOT
-
         return (ROOT,)
 
     # --- germ data ---------------------------------------------------------
@@ -187,14 +210,12 @@ class LazyEmbedding:
         self.root_obj = root_obj
         self._ordered_neighbors = ordered_neighbors
         self._parent_of = parent_of
-        from ..tree_core import ROOT
-
         self._addr_of = {root_obj: ROOT}
         self._obj_of = {ROOT: root_obj}
         self._charts = {}
 
     def chart(self, obj):
-        """color -> neighbor object, built lazily."""
+        """(color -> neighbor object, neighbor object -> color), built lazily."""
         got = self._charts.get(obj)
         if got is not None:
             return got
@@ -215,8 +236,8 @@ class LazyEmbedding:
             rest = [x for x in nbrs if x != parent]
             free = [c for c in range(self.degree) if c != inward]
             chart.update(zip(free, rest))
-        self._charts[obj] = chart
-        return chart
+        entry = self._charts[obj] = (chart, {nb: c for c, nb in chart.items()})
+        return entry
 
     def addr_of(self, obj):
         got = self._addr_of.get(obj)
@@ -229,9 +250,7 @@ class LazyEmbedding:
             chain.append(cur)
         # descend from the first known ancestor, assigning colors
         for parent, child in zip(reversed(chain), list(reversed(chain))[1:]):
-            chart = self.chart(parent)
-            color = next(c for c, nb in chart.items() if nb == child)
-            addr = self._addr_of[parent].step(color)
+            addr = self._addr_of[parent].step(self.chart(parent)[1][child])
             self._addr_of[child] = addr
             self._obj_of[addr] = child
         return self._addr_of[obj]
@@ -251,7 +270,7 @@ class LazyEmbedding:
                 cur_addr, cur_obj = prefix, self._obj_of[prefix]
                 break
         for color in addr.word[len(cur_addr.word) :]:
-            cur_obj = self.chart(cur_obj)[color]
+            cur_obj = self.chart(cur_obj)[0][color]
             cur_addr = cur_addr.step(color)
             self._addr_of[cur_obj] = cur_addr
             self._obj_of[cur_addr] = cur_obj

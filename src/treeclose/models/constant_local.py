@@ -92,6 +92,9 @@ class ConstantLocalModel(GroupModel):
         p = g.perm
         return VertexAddr(word_mul(g.word, tuple(p[c] for c in v.word)))
 
+    def image_step(self, g, x, gx, y, c):
+        return gx.step(g.perm[c])
+
     # --- structure ----------------------------------------------------------
 
     def transporter(self, u, w):

@@ -199,6 +199,10 @@ def fiber_auto(graph, level, perm):
     )
 
 
+def _reverse(chart):
+    return {bv: c for c, bv in chart.items()}
+
+
 @dataclass(frozen=True)
 class CoverElement:
     auto: object
@@ -215,18 +219,20 @@ class CoverModel(GroupModel):
         if self.degree < 3:
             raise ValidationError("cover degree below 3; need p >= 2")
         self.is_finite = isinstance(base, CycleGraph)
-        self._charts = {ROOT: (base.root, dict(enumerate(base.ordered_neighbors(base.root))))}
+        root_chart = dict(enumerate(base.ordered_neighbors(base.root)))
+        self._charts = {(): (base.root, root_chart, _reverse(root_chart))}
         self._auto_cache = None
 
     # --- the covering map ---------------------------------------------------
 
-    def _chart(self, addr):
-        got = self._charts.get(addr)
+    def _chart(self, word):
+        """(base vertex, color -> base neighbor, base neighbor -> color) at
+        the vertex with this word."""
+        got = self._charts.get(word)
         if got is not None:
             return got
-        parent = VertexAddr(addr.word[:-1])
-        parent_base, parent_chart = self._chart(parent)
-        inward = addr.word[-1]
+        parent_base, parent_chart, _ = self._chart(word[:-1])
+        inward = word[-1]
         my_base = parent_chart[inward]
         nbrs = self.base.ordered_neighbors(my_base)
         if len(set(nbrs)) != self.degree or nbrs.count(parent_base) != 1:
@@ -235,13 +241,13 @@ class CoverModel(GroupModel):
         free = [c for c in range(self.degree) if c != inward]
         rest = [x for x in nbrs if x != parent_base]
         chart.update(zip(free, rest))
-        entry = (my_base, chart)
-        self._charts[addr] = entry
+        entry = (my_base, chart, _reverse(chart))
+        self._charts[word] = entry
         return entry
 
     def base_of(self, addr):
         """The covering projection."""
-        return self._chart(addr)[0]
+        return self._chart(addr.word)[0]
 
     # --- base automorphism plumbing ---------------------------------------------
 
@@ -300,9 +306,7 @@ class CoverModel(GroupModel):
         cur = anchor_dst
         for nxt in path[1:]:
             target = self.apply_auto(auto, self.base_of(nxt))
-            _, chart = self._chart(cur)
-            color = next(c for c, bv in chart.items() if bv == target)
-            cur = cur.step(color)
+            cur = cur.step(self._chart(cur.word)[2][target])
         return cur
 
     def lift_at(self, auto, anchor_src, anchor_dst):
@@ -315,6 +319,12 @@ class CoverModel(GroupModel):
 
     def act(self, g, v):
         return self.lift_apply(g.auto, ROOT, g.anchor_image, v)
+
+    def image_step(self, g, x, gx, y, c):
+        # the lift sends the c-neighbor of x to the neighbor of gx over
+        # the image of its base vertex
+        target = self.apply_auto(g.auto, self._chart(x.word)[1][c])
+        return gx.step(self._chart(gx.word)[2][target])
 
     def mul(self, a, b):
         return CoverElement(

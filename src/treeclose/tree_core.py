@@ -80,9 +80,13 @@ class VertexAddr:
                 raise ValidationError(f"bad edge color {x!r}")
 
     def step(self, color):
-        if self.word and self.word[-1] == color:
-            return VertexAddr(self.word[:-1])
-        return VertexAddr(self.word + (color,))
+        # a reduced word stays reduced, so only the new color is checked
+        word = self.word
+        if word and word[-1] == color:
+            return _addr(word[:-1])
+        if not isinstance(color, int) or color < 0:
+            raise ValidationError(f"bad edge color {color!r}")
+        return _addr(word + (color,))
 
     def neighbors(self, degree):
         return [self.step(c) for c in range(degree)]
@@ -498,6 +502,17 @@ def restrict(germ, center, radius, degree):
     )
 
 
+def germ_from_images(center, radius, degree, images):
+    """Germ sending the i-th vertex of B(center, radius), in canonical
+    order, to images[i]; caller vouches it is an automorphism."""
+    index = _ball_table(degree, radius)[2]
+    t = images[0].word
+    perm = tuple([index.get(_offset(t, w.word)) for w in images])
+    if None in perm:
+        raise ValidationError("image is not a bijection onto the target ball")
+    return Germ(center, images[0], radius, perm, degree)
+
+
 def germ_of_map(func, center, radius, degree):
     """Germ of an arbitrary vertex map; caller vouches it is an automorphism."""
     mapping = {v: func(v) for v in ball_vertices(center, radius, degree)}
@@ -528,10 +543,11 @@ def iterate_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root,
 
     Each map is an int tuple: entry i is the position in dst_vertices of
     the image of src_vertices[i]. pins maps source vertices to forced
-    images; inconsistent branches are pruned. Maps come in a fixed order:
-    source vertices taken by (distance, word), the children of each
-    matched to the image's children (both sorted by word) in
-    itertools.permutations order. Every yielded map extends to a full
+    images; each pin also pins the ancestors of its source to those of its
+    image, so inconsistent branches are pruned where they start. Maps come
+    in a fixed order: source vertices taken by (distance, word), the
+    children of each matched to the image's children (both sorted by word)
+    in itertools.permutations order. Every yielded map extends to a full
     tree automorphism: matching subtree degrees leave matching ambient
     degrees free on both sides. TooLarge past the element limit.
     """
@@ -551,6 +567,22 @@ def iterate_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root,
         return
     src_order, src_children = _subtree_layout(degree, src_pos, src_root)
     dst_children = _subtree_layout(degree, dst_pos, dst_root)[1]
+    # a pin x -> y sends the geodesic from the root to x onto the one to
+    # y, so each ancestor of x is pinned to the ancestor of y at the same
+    # depth (-1 when there is none); pins no map meets clash on the way or
+    # pin the root away from image_root
+    src_up = {a: v for v, kids in src_children.items() for a in kids}
+    dst_up = {b: w for w, kids in dst_children.items() for b in kids}
+    for a, b in list(wanted.items()):
+        while a != root:
+            a, b = src_up[a], dst_up.get(b, -1)
+            if a in wanted:
+                if wanted[a] != b:
+                    return
+                break  # its own walk covers the rest
+            wanted[a] = b
+    if wanted.get(root, image_root) != image_root:
+        return
 
     # A complete map is a bijection, so it sends leaves to leaves: only
     # the root and the internal vertices need a choice. Each step is

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import signal
 from unittest import mock
 
 import pytest
@@ -42,6 +43,7 @@ from treeclose.tree_core import (
     iterate_subtree_isos,
     restrict,
     sorted_germs,
+    sphere_vertices,
     thicken,
     tree_distance,
 )
@@ -259,9 +261,9 @@ def _first_isos(enumerate_isos, degree, src, dst, pins, limit=300):
 
 def _ball_pins(rng, degree, a, b, radius):
     """Pins that a real map satisfies, and sometimes one more that no map
-    does. A pin is checked only once its parent is matched, so each pin
-    comes with the pins of its ancestors: a dead branch is then cut at
-    the step that chose it, not after a search of everything before."""
+    does. The dict reference checks a pin only once its parent is matched,
+    so each pin comes with the pins of its ancestors: a dead branch is then
+    cut at the step that chose it, not after a search of everything before."""
     real = random_mapping(degree, a, b, radius, rng)
     src, pins = ball_vertices(a, radius, degree), {}
     for x in rng.sample(src, min(len(src), rng.randint(0, 2))):
@@ -280,6 +282,59 @@ def test_subtree_isos_match_the_dict_reference_on_balls(degree, radius, seed):
     pins = _ball_pins(rng, degree, a, b, radius)
     want = _first_isos(ref_subtree_isos, degree, src, dst, pins)
     assert _first_isos(iterate_subtree_isos, degree, src, dst, pins) == want
+
+
+def _deep_pins(rng, degree, a, b, radius):
+    """Pins at depth two or more, without their ancestors: some a real map
+    meets, and sometimes one that sends a vertex to a vertex of another
+    depth, outside the ball, or to a sibling clash no map meets."""
+    real = random_mapping(degree, a, b, radius, rng)
+    deep = [x for x in real if tree_distance(a, x) >= 2]
+    pins = {x: real[x] for x in rng.sample(deep, min(len(deep), rng.randint(1, 3)))}
+    x = rng.choice(deep)
+    wrong = rng.random()
+    if wrong < 0.15:
+        pins[x] = b
+    elif wrong < 0.3:
+        pins[x] = rng.choice(sphere_vertices(b, radius + 1, degree))
+    elif wrong < 0.5:
+        # the image of a vertex in another branch from the root
+        other = rng.choice([y for y in deep if geodesic(a, y)[1] != geodesic(a, x)[1]])
+        pins[x] = real[other]
+    return pins
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(3, 2), (3, 3), (4, 2)]), st.integers(0, 2**32 - 1))
+def test_subtree_isos_close_deep_pins_under_ancestors(shape, seed):
+    # the dict reference checks a pin only once its parent is matched, so
+    # these shapes are the ones it can search through in full
+    degree, radius = shape
+    rng = random.Random(seed)
+    a, b = random_vertex(degree, rng), random_vertex(degree, rng)
+    src, dst = ball_addresses(a, radius, degree), ball_addresses(b, radius, degree)
+    pins = _deep_pins(rng, degree, a, b, radius)
+    want = _first_isos(ref_subtree_isos, degree, src, dst, pins)
+    assert _first_isos(iterate_subtree_isos, degree, src, dst, pins) == want
+
+
+def test_unmet_deep_pin_ends_the_search_before_it_starts():
+    # d = 5, R = 3 has 120 * 24^20 maps; a leaf pinned to its own parent is
+    # met by none, and unclosed it would be checked only at the last step
+    src = ball_addresses(ROOT, 3, 5)
+    leaf = src[-1]
+    pins = {leaf: geodesic(ROOT, leaf)[-2]}
+
+    def stop(signum, frame):
+        raise TimeoutError("the unmet pin did not end the search")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        assert next(iterate_subtree_isos(5, src, ROOT, src, ROOT, pins=pins), None) is None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,10 +6,12 @@ import pytest
 
 from treeclose.errors import TooLarge, ValidationError
 from treeclose.models import build_model
-from treeclose.models.base import take
+from treeclose.models.base import GroupModel, take
 from treeclose.tree_core import (
     ROOT,
+    VertexAddr,
     ball_vertices,
+    germ_of_map,
     identity_germ,
     sorted_germs,
     tree_distance,
@@ -88,6 +90,50 @@ def test_germ_of_agrees_with_action(model):
         for v in ball_vertices(ROOT, 2, model.degree):
             assert germ.apply(v) == model.act(g, v)
         germ.validate(model.degree)
+
+
+CUSTOM_F = {"model": "constant_local", "d": 4, "F": [[1, 0, 3, 2], [2, 3, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    DESCRIPTORS + [CUSTOM_F],
+    ids=[_descriptor_id(d) for d in DESCRIPTORS] + ["custom_F"],
+)
+def test_germ_of_matches_the_vertex_map_reference(descriptor):
+    # the shell-by-shell builder against the germ of the vertex map act
+    model = build_model(descriptor)
+    degree = model.degree
+    pool = take(model.iter_elements(), 60)
+    elements = random.Random(11).sample(pool, 4)
+    if model.name == "cover":
+        moved = [g for g in pool if g.anchor_image != ROOT]
+        assert moved
+        elements += moved[:2]
+    centers = (ROOT, VertexAddr((1,)), VertexAddr((0, 2)))
+    for g in elements:
+        for center in centers:
+            for radius in range(5):
+                got = model.germ_of(g, center, radius)
+                want = germ_of_map(lambda u: model.act(g, u), center, radius, degree)
+                # at radius 0 the reference knows no degree; equality,
+                # hashing, pairs and validation must not see that
+                assert got == want and hash(got) == hash(want)
+                assert got.pairs == want.pairs
+                assert got.validate(degree) is got
+                want.validate(degree)
+
+
+def test_germ_of_is_defined_once():
+    def families(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from families(sub)
+
+    found = list(families(GroupModel))
+    assert len(found) >= 5
+    for cls in found:
+        assert "germ_of" not in vars(cls), f"{cls.__name__} overrides germ_of"
 
 
 def test_transporter_identity_case(model):
