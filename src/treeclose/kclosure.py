@@ -157,11 +157,9 @@ def element_germs_at(model, center, radius, target):
     """Germs at (center -> target, radius) of actual model elements."""
     t = model.transporter(center, target)
     if t is None:
-        return ()
+        return frozenset()
     tg = model.germ_of(t, center, radius)
-    return sorted_germs(
-        compose(tg, s) for s in model.stab_germ_group(center, radius)
-    )
+    return frozenset(compose(tg, s) for s in model.stab_germ_group(center, radius))
 
 
 def closure_germs_at_targets(model, center, radius, k, targets=None):
@@ -329,25 +327,25 @@ def ipk_check(model, v, w, k, R):
     right_window = [m for m in maps if _map_trivial_on(m, v_side)]
     certified = bool(model.one_sided_fixators_trivial((v, w)))
     if certified:
-        ident = tuple(range(len(tube)))
-        left, right = [ident], [ident]
+        left_count = right_count = 1
     else:
-        left, right = left_window, right_window
-    product = {tuple(map(a.__getitem__, b)) for a in left for b in right}
-    # maps come sorted, so the missing ones do too
-    missing = [m for m in maps if m not in product]
+        left_count, right_count = len(left_window), len(right_window)
+    # L and R are subgroups of the group F = maps, and every tube vertex is
+    # strictly nearer v or strictly nearer w, so L ∩ R = {id} and L·R is a
+    # subset of F with |L|·|R| elements
+    missing_count = len(maps) - left_count * right_count
     details = {
         "fixator_count": len(maps),
-        "fixing_w_side_count": len(left),
-        "fixing_v_side_count": len(right),
+        "fixing_w_side_count": left_count,
+        "fixing_v_side_count": right_count,
         "w_side_window_count": len(left_window),
         "v_side_window_count": len(right_window),
         "one_sided_trivial_certified": certified,
-        "missing_count": len(missing),
+        "missing_count": missing_count,
         "window_radius": R,
         "k": k,
     }
-    if not missing:
+    if not missing_count:
         return Verdict(
             HOLDS,
             details=details,
@@ -357,6 +355,9 @@ def ipk_check(model, v, w, k, R):
             ),
         )
     if certified:
+        # L = R = {id}: every non-identity map is missing, in sorted order
+        ident = tuple(range(len(tube)))
+        missing = [m for m in maps if m != ident]
         # the witness germ is serialized on B(v,R) only, so prefer a map
         # whose two-sided movement is visible inside that ball
         near_w = [p for p in w_side if dist[p][0] <= R]
@@ -417,14 +418,13 @@ def pk_check(model, path, k, R):
     fibers = {x: [] for x in path}
     for p, y in enumerate(tube):
         fibers[project_to_path(y, path)].append(p)
-    # a fiber's marginal of a map is the images of the fiber's positions
+    # a fiber's marginal of a map is the images of the fiber's positions;
+    # the fibers partition the tube, so a map is the tuple of its marginals
     marginal_of = [itemgetter(*fibers[x]) for x in path]
-    realized = {tuple([get(m) for get in marginal_of]) for m in maps}
-    marginals = [{combo[i] for combo in realized} for i in range(len(path))]
+    marginals = [set(map(get, maps)) for get in marginal_of]
     product_count = 1
     for seen in marginals:
         product_count *= len(seen)
-    reconstructed = product_count == len(realized) == len(maps)
     details = {
         "fixator_count": len(maps),
         "fiber_counts": {x.render(): len(seen) for x, seen in zip(path, marginals)},
@@ -433,10 +433,10 @@ def pk_check(model, path, k, R):
         "k": k,
         "path": [x.render() for x in path],
     }
-    if reconstructed:
+    if product_count == len(maps):
         if product_count <= 10**4:
-            combos = set(itertools.product(*marginals))
-            if combos != realized:
+            realized = {tuple([get(m) for get in marginal_of]) for m in maps}
+            if set(itertools.product(*marginals)) != realized:
                 raise ValidationError("fiber reconstruction inconsistency")
             details["reconstruction"] = "exhaustive"
         return Verdict(
@@ -454,7 +454,7 @@ def pk_check(model, path, k, R):
     if certified:
         return Verdict(
             FAILS,
-            witness={"unrealized_combinations": product_count - len(realized)},
+            witness={"unrealized_combinations": product_count - len(maps)},
             details=details,
             notes=(
                 "fiber marginals admit combinations no region fixator "
@@ -565,7 +565,7 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
         gb = element_germs_at(model_b, ROOT, probe, x)
         if not ga and not gb:
             continue
-        common = set(ga) & set(gb)
+        common = ga & gb
         if not common:
             return Verdict(
                 INCONCLUSIVE,

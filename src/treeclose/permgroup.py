@@ -155,12 +155,3 @@ def induced_perm_group(germs, points):
             raise NotStabilized(f"germ does not stabilize the point set: {points!r}")
         out.append(tuple(index[img] for img in images))
     return tuple(sorted(set(out)))
-
-
-def product_set_equal(left, right, whole, mul):
-    """Is {a*b : a in left, b in right} equal to whole, with witnesses."""
-    prod = {mul(a, b) for a in left for b in right}
-    target = set(whole)
-    missing = tuple(sorted(target - prod, key=repr))
-    extra = tuple(sorted(prod - target, key=repr))
-    return (not missing and not extra, missing, extra)

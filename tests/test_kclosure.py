@@ -18,6 +18,7 @@ from treeclose.kclosure import (
     axis_fibers,
     check_k_legal,
     closure_germs_at_targets,
+    edge_region,
     element_germs_at,
     germ_closure,
     germ_from_json,
@@ -39,7 +40,10 @@ from treeclose.tree_core import (
     ball_vertices,
     compose,
     iterate_ball_germs,
+    project_to_path,
     restrict,
+    thicken,
+    tree_distance,
 )
 
 
@@ -246,6 +250,57 @@ def test_ipk_rejects_bad_windows(fa):
         ipk_check(fa, ROOT, VertexAddr.parse("0.1"), 1, 2)
     with pytest.raises(ValidationError):
         ipk_check(fa, *EDGE, 2, 1)
+
+
+# windows on which ipk_check's counts are checked against the product set
+# they replace: (descriptor, k, R) on the edge ε–0
+COUNTING_WINDOWS = {
+    "full-aut-k1-r2": ({"model": "full_aut", "d": 3}, 1, 2),
+    "full-aut-k1-r3": ({"model": "full_aut", "d": 3}, 1, 3),
+    "constant-local-k2-r3": ({"model": "constant_local", "d": 3, "F": "sym"}, 2, 3),
+    "bs23-k1-r3": ({"model": "bs", "m": 2, "n": 3}, 1, 3),
+    "psl2-k1-r2": ({"model": "psl2", "p": 2}, 1, 2),
+    "cover-c25-k1-r3": ({"model": "cover", "graph": "C", "p": 2, "r": 5}, 1, 3),
+    "strip-k1-r3": ({"model": "cover", "graph": "strip", "p": 2}, 1, 3),
+    # not certified, with a gap: inconclusive
+    "bs24-k1-r3": ({"model": "bs", "m": 2, "n": 4}, 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTING_WINDOWS))
+def test_independence_counts_match_the_sets_they_replace(name):
+    descriptor, k, radius = COUNTING_WINDOWS[name]
+    model = build_model(descriptor)
+    v, w = EDGE
+    tube = thicken([v, w], radius, model.degree)
+    maps = model.fixator_maps_on(tube, edge_region(v, w, k, model.degree))
+    near_w = [p for p, x in enumerate(tube) if tree_distance(x, w) < tree_distance(x, v)]
+    near_v = [p for p, x in enumerate(tube) if tree_distance(x, v) < tree_distance(x, w)]
+    left = [m for m in maps if all(m[p] == p for p in near_w)]
+    right = [m for m in maps if all(m[p] == p for p in near_v)]
+    ident = tuple(range(len(tube)))
+    products = {}
+    for choice, (ls, rs) in {"window": (left, right), "certified": ([ident], [ident])}.items():
+        product = {tuple(a[i] for i in b) for a in ls for b in rs}
+        assert product <= set(maps)
+        assert len(product) == len(ls) * len(rs)
+        products[choice] = product
+    certified = bool(model.one_sided_fixators_trivial((v, w)))
+    product = products["certified" if certified else "window"]
+    missing = [m for m in maps if m not in product]
+    verdict = ipk_check(model, v, w, k, radius)
+    assert verdict.details["missing_count"] == len(missing)
+    if not missing:
+        assert verdict.outcome == "holds"
+    else:
+        assert verdict.outcome == ("fails" if certified else "inconclusive")
+    # the fibers over the edge partition the tube, so marginals tell maps apart
+    fibers = {v: [], w: []}
+    for p, y in enumerate(tube):
+        fibers[project_to_path(y, [v, w])].append(p)
+    marginals = {tuple(tuple(m[p] for p in fibers[x]) for x in (v, w)) for m in maps}
+    assert len(marginals) == len(maps)
+    assert pk_check(model, [v, w], k, radius).details["fixator_count"] == len(maps)
 
 
 # --- path independence -----------------------------------------------------------

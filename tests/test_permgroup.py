@@ -13,7 +13,6 @@ from treeclose.permgroup import (
     is_transitive,
     perm_from_cycles,
     perm_order,
-    product_set_equal,
     structure_fingerprint,
 )
 
@@ -102,25 +101,3 @@ def test_fingerprint_invariant_under_conjugation():
     assert fa["abelian"] == fb["abelian"]
     assert sorted(fa["element_orders"]) == sorted(fb["element_orders"])
     assert fa["transitive"] == fb["transitive"]
-
-
-def test_product_set_equal_degenerate_cases():
-    ident = identity_perm(3)
-    mul = compose_perm
-    assert product_set_equal({ident}, {ident}, {ident}, mul)[0]
-    g = closure_group([perm_from_cycles(3, [(0, 1, 2)])], 3)
-    assert product_set_equal({ident}, set(g), set(g), mul)[0]
-    assert product_set_equal(set(g), {ident}, set(g), mul)[0]
-
-
-def test_product_set_equal_by_construction():
-    mul = compose_perm
-    a = set(closure_group([perm_from_cycles(4, [(0, 1)])], 4))
-    b = set(closure_group([perm_from_cycles(4, [(2, 3)])], 4))
-    ab = {mul(x, y) for x in a for y in b}
-    ok, missing, extra = product_set_equal(a, b, ab, mul)
-    assert ok and not missing and not extra
-    stray = perm_from_cycles(4, [(0, 2)])
-    ok, missing, extra = product_set_equal(a, b, ab | {stray}, mul)
-    assert not ok
-    assert stray in missing
