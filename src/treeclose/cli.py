@@ -22,6 +22,7 @@ from .errors import TreecloseError, ValidationError, as_int, max_elements, read_
 from .kclosure import (
     axis_fibers,
     check_k_legal,
+    commutator_translation,
     discreteness_certificate,
     first_stab_germ_difference,
     germ_closure,
@@ -214,6 +215,8 @@ def _verb_commutator(model, scenario, budget, seed):
             for z, mapping in f.items()
         }
     else:
+        # the translation checks the window before the fibers are built
+        commutator_translation(model, amplitude, radius, z_lo, z_hi)
         rng = random.Random(seed)
         core, fibers = axis_fibers(model, amplitude, radius, z_lo, z_hi)
         f_maps = {
@@ -323,7 +326,7 @@ def parse_scenario(text):
     for required in ("model", "verb"):
         if required not in data:
             raise ValidationError(f"scenario is missing {required!r}")
-    if data["verb"] not in VERBS:
+    if not isinstance(data["verb"], str) or data["verb"] not in VERBS:
         raise ValidationError(
             f"unknown verb {data['verb']!r}; expected one of "
             + ", ".join(sorted(VERBS))

@@ -73,6 +73,9 @@ class NotIntegral(TreecloseError):
 
 
 def as_int(value, what):
+    # int() would read a bool as 0 or 1 and truncate a float
+    if isinstance(value, (bool, float)):
+        raise ValidationError(f"{what} must be an integer")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -94,3 +97,14 @@ def max_elements():
     if limit < 0:
         raise ValidationError("TREECLOSE_MAX_ELEMENTS must not be negative")
     return limit
+
+
+def product_exceeds(factors, limit):
+    """Whether the product of the factors passes limit. Each factor is at
+    least 2, so this multiplies only until the product does."""
+    count = 1
+    for f in factors:
+        count *= f
+        if count > limit:
+            return True
+    return False

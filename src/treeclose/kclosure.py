@@ -740,6 +740,21 @@ def axis_fibers(model, margin_amplitude, R, z_lo, z_hi):
     return core, fibers
 
 
+def commutator_translation(model, amplitude, R, z_lo, z_hi):
+    """The axis translation solve_commutator uses, exact on its window.
+
+    Checks the window first, so a caller can run this before it builds
+    the fibers of a window too large to build.
+    """
+    if amplitude <= 0:
+        raise ValidationError("amplitude must be positive")
+    if not (z_lo <= 0 and amplitude <= z_hi):
+        raise ValidationError("need z_lo <= 0 < amplitude <= z_hi")
+    # every vertex h acts on sits within margin + R of the axis segment
+    window = max(abs(z_lo), abs(z_hi)) + amplitude + 1 + R
+    return model.translation(amplitude, window)
+
+
 def solve_commutator(model, amplitude, f_maps, R, z_lo=-4, z_hi=4, free_choices=None):
     """Solve [h, g] = f along a translation axis segment, fiberwise.
 
@@ -751,15 +766,9 @@ def solve_commutator(model, amplitude, f_maps, R, z_lo=-4, z_hi=4, free_choices=
     on every index with both sides determined.
     """
     a = amplitude
-    if a <= 0:
-        raise ValidationError("amplitude must be positive")
-    if not (z_lo <= 0 and a <= z_hi):
-        raise ValidationError("need z_lo <= 0 < amplitude <= z_hi")
     deg = model.degree
     margin = a + 1
-    # every vertex h acts on sits within margin + R of the axis segment
-    window = max(abs(z_lo), abs(z_hi)) + margin + R
-    h = model.translation(a, window)
+    h = commutator_translation(model, a, R, z_lo, z_hi)
     h_inv = model.inv(h)
     for z in range(z_lo - margin, z_hi + margin + 1 - a):
         if model.act(h, model.axis_vertex(z)) != model.axis_vertex(z + a):

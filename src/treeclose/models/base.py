@@ -27,6 +27,7 @@ from ..tree_core import (
     ball_positions,
     ball_word_ranks,
     germ_from_images,
+    require_star,
     sorted_germs,
     tree_distance,
 )
@@ -219,6 +220,7 @@ class LazyEmbedding:
         got = self._charts.get(obj)
         if got is not None:
             return got
+        require_star(self.degree)
         nbrs = list(self._ordered_neighbors(obj))
         if len(nbrs) != self.degree or len(set(nbrs)) != self.degree:
             raise ValidationError(

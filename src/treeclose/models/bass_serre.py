@@ -131,7 +131,6 @@ class BassSerreModel(GroupModel):
         require_regular(m + n)
         self.m, self.n = m, n
         self.degree = m + n
-        self._letters = [(e, 1) for e in range(n)] + [(f, -1) for f in range(m)]
         self.embedding = LazyEmbedding(
             self.degree, (), self._coset_neighbors, lambda segs: segs[:-1]
         )
@@ -175,7 +174,8 @@ class BassSerreModel(GroupModel):
 
     def _coset_neighbors(self, segs):
         out = []
-        for r, e in self._letters:
+        # the embedding's chart checks the degree before asking for these
+        for r, e in [(r, 1) for r in range(self.n)] + [(r, -1) for r in range(self.m)]:
             nz = _Normalizer(self.m, self.n, segs, 0)
             nz.push_a(r)
             nz.push_t(e)

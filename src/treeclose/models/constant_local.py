@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..errors import BadElement, ValidationError
+from ..errors import BadElement, TooLarge, ValidationError, max_elements, product_exceeds
 from ..permgroup import (
     check_perm,
     closure_group,
@@ -29,6 +29,7 @@ from ..tree_core import (
     word_inv,
     word_mul,
     require_regular,
+    require_star,
 )
 from .base import GroupModel
 
@@ -40,6 +41,16 @@ class CLElement:
 
 
 def _named_perm_group(degree, spec):
+    """The named subgroup of Sym(degree); TooLarge, before anything is
+    built, when its order passes the element limit."""
+    # |Sym(d)| = 2·3·…·d, |Alt(d)| = 3·4·…·d, |C_d| = d
+    orders = {"sym": range(2, degree + 1), "alt": range(3, degree + 1),
+              "cyclic": (degree,), "trivial": ()}
+    if not isinstance(spec, str) or spec not in orders:
+        raise ValidationError(f"unknown local action name {spec!r}")
+    limit = max_elements()
+    if product_exceeds(orders[spec], limit):
+        raise TooLarge(f"closure exceeded {limit} elements")
     if spec == "sym":
         gens = [perm_from_cycles(degree, [tuple(range(degree))]), perm_from_cycles(degree, [(0, 1)])]
     elif spec == "cyclic":
@@ -48,10 +59,8 @@ def _named_perm_group(degree, spec):
         gens = [perm_from_cycles(degree, [(0, 1, 2)])]
         if degree > 3:
             gens.append(perm_from_cycles(degree, [tuple(range(degree))] if degree % 2 else [tuple(range(1, degree))]))
-    elif spec == "trivial":
-        gens = []
     else:
-        raise ValidationError(f"unknown local action name {spec!r}")
+        gens = []
     return closure_group(gens, degree)
 
 
@@ -60,6 +69,8 @@ class ConstantLocalModel(GroupModel):
 
     def __init__(self, degree, local_action="sym"):
         require_regular(degree)
+        # every permutation of the local action lists the d neighbors
+        require_star(degree)
         self.degree = degree
         if isinstance(local_action, (list, tuple)):
             perms = closure_group(local_action, degree)

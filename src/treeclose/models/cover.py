@@ -28,9 +28,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..errors import IncompatibleBase, TooLarge, ValidationError, max_elements
+from ..errors import IncompatibleBase, TooLarge, ValidationError, max_elements, product_exceeds
 from ..permgroup import check_perm, identity_perm, invert_perm
-from ..tree_core import ROOT, VertexAddr, geodesic
+from ..tree_core import ROOT, VertexAddr, geodesic, require_star
 from .base import GroupModel
 
 
@@ -177,6 +177,11 @@ def iterate_graph_autos(graph):
 def aut_graph(graph):
     """Materialized automorphism list; TooLarge past the element limit."""
     limit = max_elements()
+    # fiber permutations within each level and the 2r rotations and
+    # reflections of the levels are automorphisms: |Aut| >= 2r (p!)^r
+    fiber_perms = (f for _ in range(graph.r) for f in range(2, graph.p + 1))
+    if product_exceeds(itertools.chain([2 * graph.r], fiber_perms), limit):
+        raise TooLarge(f"automorphism group exceeds {limit}")
     out = tuple(itertools.islice(iterate_graph_autos(graph), limit + 1))
     if len(out) > limit:
         raise TooLarge(f"automorphism group exceeds {limit}")
@@ -219,6 +224,7 @@ class CoverModel(GroupModel):
         if self.degree < 3:
             raise ValidationError("cover degree below 3; need p >= 2")
         self.is_finite = isinstance(base, CycleGraph)
+        require_star(self.degree)
         root_chart = dict(enumerate(base.ordered_neighbors(base.root)))
         self._charts = {(): (base.root, root_chart, _reverse(root_chart))}
         self._auto_cache = None

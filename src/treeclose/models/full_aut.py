@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..errors import BadElement, TooLarge, ValidationError, max_elements
+from ..errors import BadElement, TooLarge, ValidationError, max_elements, product_exceeds
 from ..permgroup import identity_perm, perm_from_cycles
 from ..tree_core import (
     ROOT,
@@ -44,20 +44,13 @@ from .base import GroupModel
 def _stab_germ_count_exceeds(degree, k, limit):
     """Whether the radius-k germs fixing a vertex, d! * ((d-1)!)^(|B(k-1)| - 1)
     of them, pass the limit; no number much larger than the limit is built."""
-    count = 1
-    for f in range(2, degree + 1):
-        count *= f
-        if count > limit:
-            return True
     # each factor (d-1)! is at least 2, so a radius past the limit's bit
     # length gives more factors than it takes to pass the limit
     inner = ball_size(degree, min(k - 1, limit.bit_length())) - 1
-    step = count // degree
-    for _ in range(inner):
-        count *= step
-        if count > limit:
-            return True
-    return False
+    factors = itertools.chain(
+        range(2, degree + 1), (f for _ in range(inner) for f in range(2, degree))
+    )
+    return product_exceeds(factors, limit)
 
 
 @dataclass(frozen=True)

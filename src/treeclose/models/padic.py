@@ -22,7 +22,10 @@ from ..errors import (
     BadElement,
     NotIntegral,
     SingularBasis,
+    TooLarge,
     ValidationError,
+    max_elements,
+    product_exceeds,
 )
 from ..tree_core import ROOT, VertexAddr, require_regular
 from .base import GroupModel, LazyEmbedding
@@ -139,7 +142,12 @@ class PSL2Model(GroupModel):
     vertex_transitive = False
 
     def __init__(self, p):
-        if not isinstance(p, int) or p < 2 or any(p % q == 0 for q in range(2, p)):
+        if not isinstance(p, int) or p < 2:
+            raise ValidationError(f"p must be a prime, got {p!r}")
+        root, limit = math.isqrt(p), max_elements()
+        if root > limit:
+            raise TooLarge(f"the primality test of p takes more than {limit} divisions")
+        if any(p % q == 0 for q in range(2, root + 1)):
             raise ValidationError(f"p must be a prime, got {p!r}")
         self.p = p
         self.degree = p + 1
@@ -278,6 +286,15 @@ class PSL2Model(GroupModel):
     # --- stabilizer germs --------------------------------------------------------------
 
     def _stab_germs(self, v, k):
+        # SL2(Z/p^k), of order p^(3k-2) (p^2 - 1), acts on B(v, k) with
+        # kernel the scalars l with l^2 = 1 mod p^k: 2 of them for odd p,
+        # and 1, 2 or 4 for p = 2 at k = 1, 2 or more
+        p, limit = self.p, max_elements()
+        kernel = 2 if p > 2 else (1, 2, 4)[min(k, 3) - 1]
+        if k > 0 and product_exceeds(
+            itertools.chain([p * p - 1], itertools.repeat(p, 3 * k - 2)), limit * kernel
+        ):
+            raise TooLarge(f"stabilizer germ group exceeded {limit}")
         basis = self.class_of_vertex(v).basis()
         basis_inv = basis.inv()
         for a, b, c, d in _sl2_mod(self.p, k):

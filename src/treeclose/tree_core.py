@@ -49,6 +49,14 @@ def require_regular(degree):
         raise NotRegular(f"tree degree must be an integer >= 3, got {degree!r}")
 
 
+def require_star(degree):
+    """TooLarge when the neighbors of one vertex, which the caller is about
+    to list, pass the element limit."""
+    limit = max_elements()
+    if degree > limit:
+        raise TooLarge(f"a vertex has more than {limit} neighbors")
+
+
 def word_mul(a, b):
     """Reduced concatenation of two reduced words (letters are involutions)."""
     out = list(a)

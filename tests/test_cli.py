@@ -167,9 +167,13 @@ LIMIT_SITES = {
     "mulclose": ({"model": _BS23, "verb": "plusk-generators", "k": 2,
                   "radius": 3, "samples": 1}, 500,
                  "closure exceeded 500 elements"),
-    # C(2,5) has 320 automorphisms
-    "aut_graph": (_corpus("cover-c25-local-action.json"), 100,
-                  "automorphism group exceeds 100"),
+    # C(2,4) has 1,152 automorphisms, past the pre-flight's bound 2r (p!)^r = 128
+    "aut_graph": ({"model": {"model": "cover", "graph": "C", "p": 2, "r": 4},
+                   "verb": "local-action"}, 500,
+                  "automorphism group exceeds 500"),
+    # C(2,5) has 2r (p!)^r = 320 automorphisms, all that bound counts
+    "aut_graph_preflight": (_corpus("cover-c25-local-action.json"), 100,
+                            "automorphism group exceeds 100"),
     "ball_vertices": (_corpus("bs23-ipk-k1-r3.json"), 100,
                       "ball of radius 3 has more than 100 vertices"),
     # 3! * 2**3 = 48 germs, on a 10-vertex ball
@@ -230,6 +234,19 @@ OVERSIZED = {
                                      "k": 1, "radius": 2, "samples": 10000000},
     "bs-normal-form-t-to-the-billion": {"model": _BS23, "verb": "normal-form",
                                         "word": "t^1000000000"},
+    # trial division up to sqrt(2**61 - 1), about 1.5e9
+    "psl2-p-mersenne-61": {"model": {"model": "psl2", "p": 2**61 - 1},
+                           "verb": "lattice", "r": 0, "matrix": [[1, 0], [0, 1]]},
+    "constant-local-sym-200": {"model": {"model": "constant_local", "d": 200, "F": "sym"},
+                               "verb": "local-action"},
+    # 2r (p!)^r automorphisms at least
+    "cover-c2-500-local-action": {"model": {"model": "cover", "p": 2, "r": 500},
+                                  "verb": "local-action"},
+    "cover-c2-60-local-action": {"model": {"model": "cover", "p": 2, "r": 60},
+                                 "verb": "local-action"},
+    # a valid window whose translation needs a ball of radius 60,003
+    "commutator-amplitude-30000": {"model": _AUT3, "verb": "commutator",
+                                   "amplitude": 30000, "z_hi": 30000},
 }
 
 
@@ -371,6 +388,12 @@ MALFORMED = {
                                        "verb": "local-action"},
     "constant-local-F-null": {"model": {"model": "constant_local", "d": 3, "F": None},
                               "verb": "local-action"},
+    "k-float": {"model": {"model": "full_aut", "d": 3}, "verb": "stab-germs",
+                "k": 1.9},
+    "k-bool": {"model": _CL3, "verb": "stab-germs", "k": True},
+    # checked before the random fibers of the window are drawn
+    "commutator-amplitude-past-z-hi": {"model": {"model": "full_aut", "d": 3},
+                                       "verb": "commutator", "amplitude": 30000},
 }
 
 
@@ -381,6 +404,27 @@ def test_malformed_scenario_values_exit_2(name, capsys, tmp_path):
     assert report["exit_code"] == 2
     assert report["error"]["type"] == "ValidationError"
     assert report["error"]["message"]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("k-float", "'k' must be an integer"),
+    ("k-bool", "'k' must be an integer"),
+    ("commutator-amplitude-past-z-hi", "need z_lo <= 0 < amplitude <= z_hi"),
+])
+def test_malformed_value_messages(name, message, capsys, tmp_path):
+    _, report = _run_scenario(tmp_path, capsys, MALFORMED[name])
+    assert report["error"]["message"] == message
+
+
+def test_large_prime_passes_the_primality_pre_flight(capsys, tmp_path):
+    # sqrt(10**9 + 7) is about 31,623 trial divisions, under the limit
+    code, report = _run_scenario(
+        tmp_path, capsys,
+        {"model": {"model": "psl2", "p": 10**9 + 7}, "verb": "lattice", "r": 0,
+         "matrix": [[1, 0], [0, 1]]},
+    )
+    assert code == 0
+    assert report["model"]["degree"] == 10**9 + 8
 
 
 def test_twisted_plusk_generators_at_k2_are_legal(capsys, tmp_path):
