@@ -154,7 +154,7 @@ def check_k_legal(model, germ, k, cache=None, explain=False):
 
 
 def element_germs_at(model, center, radius, target):
-    """Germs at (center -> target, radius) of actual model elements."""
+    """The set of germs at (center -> target, radius) of model elements."""
     t = model.transporter(center, target)
     if t is None:
         return frozenset()

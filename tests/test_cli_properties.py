@@ -1,7 +1,8 @@
 """Property test: every scenario ends in a documented exit code.
 
-Scenarios cover every verb and every model family. Each field is drawn
-from small valid values or from a perturbation: null, a bool, a float, a
+Scenarios cover every verb and every model family. Each starts from
+small valid values, then up to two of its fields, or of its model
+descriptors' fields, become a perturbation: null, a bool, a float, a
 string, a negative or huge integer, a vertex color at or above the
 degree, a wrong shape, or no value at all. Each scenario runs through
 the real CLI in-process with a small element limit, and must end in
