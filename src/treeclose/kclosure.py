@@ -31,6 +31,7 @@ from .tree_core import (
     Germ,
     VertexAddr,
     are_adjacent,
+    ball_addresses,
     ball_size,
     ball_vertices,
     compose,
@@ -624,16 +625,17 @@ def plusk_generator_germs(model, v, k, radius=None, samples=0, rng_seed=0):
     The union runs over all edges at the anchor. Models with a stabilizer
     power construction contribute one germ per base exponent that fixes
     the region (plus optional twisted samples); other models contribute
-    their fixator germs directly. TooLarge when the candidates would pass
-    the element limit.
+    the fixator maps on B(v, radius) (fixator_maps_on) as germs. TooLarge
+    when the candidates would pass the element limit.
     """
     radius = k + 1 if radius is None else radius
     deg = model.degree
     regions = [edge_region(v, v.step(c), k, deg) for c in range(deg)]
     if not hasattr(model, "sigma_construction"):
-        return sorted_germs(
-            g for region in regions for g in model.fixator_germs(v, radius, region)
-        )
+        # on the canonical ball a tube map is a germ's perm
+        ball = ball_addresses(v, radius, deg)
+        maps = {m for region in regions for m in model.fixator_maps_on(ball, region)}
+        return sorted_germs(Germ(v, v, radius, m, deg) for m in maps)
     # the candidates do not depend on the edge: build them once and keep
     # each one that fixes some edge region
     base = model.sigma_base(v, radius)
@@ -856,11 +858,7 @@ class KClosureOracleModel:
         if got is None:
             full = self._cache.get((v, self.k))
             if full is None:
-                full = sorted_germs(
-                    g
-                    for g in iterate_ball_germs(self.degree, v, v, self.k)
-                    if check_k_legal(self.base, g, self.k)
-                )
+                full = closure_germs_at_targets(self.base, v, self.k, self.k, (v,))
                 self._cache[(v, self.k)] = full
             if radius == self.k:
                 got = full

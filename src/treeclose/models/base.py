@@ -25,7 +25,6 @@ from ..tree_core import (
     ball_addresses,
     ball_parents,
     ball_positions,
-    ball_word_ranks,
     germ_from_images,
     require_star,
     sorted_germs,
@@ -106,49 +105,32 @@ class GroupModel(abc.ABC):
     def _stab_germs(self, v, k):
         """Radius-k germs at v of elements fixing v, repeats allowed."""
 
-    def fixator_germs(self, center, radius, fixed):
-        """Germs at (center, radius) of elements fixing the given set pointwise."""
-        fixed = tuple(fixed)
-        if center not in fixed:
-            raise ValidationError("the germ center must be among the fixed vertices")
-        return tuple(
-            g for g in self.stab_germ_group(center, radius) if g.fixes(fixed)
-        )
-
     def fixator_maps_on(self, tube, pinned):
         """Restrictions to the tube of all elements fixing `pinned` pointwise.
 
         Each map is an int tuple over tube positions: entry p is the
-        position of the image of tube[p]. They are deduplicated and sorted
-        by the image words taken in the word order of the tube. The
-        default reads them off the stabilizer germs at the middle pinned
-        vertex with a radius that covers the tube; backends with cheaper
-        exact enumerations override this.
+        position of the image of tube[p]; they come in tube_order. The
+        default reads them off the stabilizer germs at the pinned vertex
+        whose ball covers the tube with the least radius, ties broken by
+        word; every pinned center whose ball covers the tube gives the
+        same restrictions. Backends with cheaper exact enumerations
+        override this.
         """
         pinned = tuple(pinned)
         tube = tuple(tube)
-        center = pinned[len(pinned) // 2]
-        radius = max(tree_distance(center, x) for x in tube)
+        reach = {c: max(tree_distance(c, x) for x in tube) for c in pinned}
+        center = min(pinned, key=lambda c: (reach[c], c.word))
+        radius = reach[center]
         pins = ball_positions(center, pinned, radius, self.degree)
         spots = ball_positions(center, tube, radius, self.degree)
-        # maps on one tube compare as their image words taken in the word
-        # order of the tube, and the ranks of those words compare the same way
-        by_word = sorted(range(len(tube)), key=lambda p: tube[p].word)
-        by_word = [spots[p] for p in by_word]
-        rank = ball_word_ranks(center.word, radius, self.degree)
-        seen = {}
-        for g in self.stab_germ_group(center, radius):
-            perm = g.perm
-            if any(perm[i] != i for i in pins):
-                continue
-            key = tuple([rank[perm[i]] for i in by_word])
-            if key not in seen:
-                seen[key] = perm
         # tubes thicken a pinned path, so every map keeps the tube in place
         back = dict(zip(spots, range(len(tube))))
-        return tuple(
-            tuple([back[perm[i]] for i in spots]) for _, perm in sorted(seen.items())
-        )
+        maps = set()
+        for g in self.stab_germ_group(center, radius):
+            perm = g.perm
+            if all(perm[i] == i for i in pins):
+                maps.add(tuple([back[perm[i]] for i in spots]))
+        return tube_order(tube, maps)
 
     # --- searches ----------------------------------------------------------
 
@@ -190,6 +172,16 @@ class GroupModel(abc.ABC):
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.describe()!r}>"
+
+
+def tube_order(tube, maps):
+    """Maps on the tube, as int tuples over tube positions, sorted by their
+    image words taken in the word order of the tube."""
+    by_word = sorted(range(len(tube)), key=lambda p: tube[p].word)
+    rank = [0] * len(tube)
+    for r, p in enumerate(by_word):
+        rank[p] = r
+    return tuple(sorted(maps, key=lambda m: [rank[m[p]] for p in by_word]))
 
 
 def take(iterable, n):

@@ -461,45 +461,10 @@ class CoverModel(GroupModel):
             raise IncompatibleBase(
                 f"cannot pair covers with {self.p} and {other.p} fibers"
             )
-        pairs = []
-        for color in range(self.degree):
-            x = ROOT.step(color)
-            delta, fiber = self._root_step_data(x)
-            pairs.append(
-                (
-                    self._shift_lift(delta, fiber, x),
-                    other._shift_lift(delta, fiber, x),
-                    x,
-                )
-            )
-        return pairs
-
-    def _root_step_data(self, x):
-        bv = self.base_of(x)
-        root_level = self.base.root[0]
-        raw = bv[0] - root_level
-        if self.is_finite:
-            raw %= self.base.r
-            delta = -1 if raw == self.base.r - 1 else 1
-        else:
-            delta = raw
-        return delta, bv[1]
-
-    def _shift_lift(self, delta, fiber, x):
-        if self.p == 1 or fiber == 1:
-            sigma = identity_perm(self.p)
-        else:
-            sigma = list(identity_perm(self.p))
-            sigma[0], sigma[fiber - 1] = sigma[fiber - 1], sigma[0]
-            sigma = tuple(sigma)
-        if self.is_finite:
-            auto = self.compose_auto(
-                rotation_auto(self.base, delta % self.base.r),
-                fiber_auto(self.base, 0, sigma),
-            )
-        else:
-            auto = StripAuto.of(1, delta, {0: sigma})
-        return self.lift_at(auto, ROOT, x)
+        return [
+            (self.transporter(ROOT, x), other.transporter(ROOT, x), x)
+            for x in ROOT.neighbors(self.degree)
+        ]
 
     # --- serialization --------------------------------------------------------------------------
 

@@ -36,9 +36,8 @@ from ..tree_core import (
     tree_distance,
     word_mul,
     require_regular,
-    sorted_germs,
 )
-from .base import GroupModel
+from .base import GroupModel, tube_order
 
 
 def _stab_germ_count_exceeds(degree, k, limit):
@@ -165,15 +164,6 @@ class FullAutModel(GroupModel):
             raise TooLarge(f"stabilizer germ group exceeded {limit}")
         return iterate_ball_germs(self.degree, v, v, k)
 
-    def fixator_germs(self, center, radius, fixed):
-        fixed = tuple(fixed)
-        if center not in fixed:
-            raise ValidationError("the germ center must be among the fixed vertices")
-        pins = {x: x for x in fixed}
-        return sorted_germs(
-            iterate_ball_germs(self.degree, center, center, radius, pins=pins)
-        )
-
     def fixator_maps_on(self, tube, pinned):
         # every automorphism of the tube subtree extends to the whole tree,
         # so direct enumeration is both exact and complete
@@ -181,13 +171,9 @@ class FullAutModel(GroupModel):
         tube = tuple(tube)
         root = pinned[0]
         pins = {x: x for x in pinned}
-        maps = iterate_subtree_isos(self.degree, tube, root, tube, root, pins=pins)
-        # the default's order: image words taken in the word order of the tube
-        by_word = sorted(range(len(tube)), key=lambda p: tube[p].word)
-        rank = [0] * len(tube)
-        for r, p in enumerate(by_word):
-            rank[p] = r
-        return tuple(sorted(maps, key=lambda m: [rank[m[p]] for p in by_word]))
+        return tube_order(
+            tube, iterate_subtree_isos(self.degree, tube, root, tube, root, pins=pins)
+        )
 
     def iter_elements(self):
         for radius in itertools.count(0):

@@ -76,5 +76,6 @@ def test_word_element_acts_by_its_permutations(fa):
 
 
 def test_ball_fixators_are_nontrivial(fa):
-    germs = fa.fixator_germs(ROOT, 2, ball_vertices(ROOT, 1, 3))
-    assert any(not g.is_identity_map for g in germs)
+    tube = ball_vertices(ROOT, 2, 3)
+    maps = fa.fixator_maps_on(tube, ball_vertices(ROOT, 1, 3))
+    assert any(m != tuple(range(len(tube))) for m in maps)

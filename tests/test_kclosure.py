@@ -7,6 +7,7 @@ a multiple of 3 taken mod 3888, of which 3 are trivial toward one side
 of the edge and 2 toward the other.
 """
 
+import itertools
 import random
 
 import pytest
@@ -361,6 +362,98 @@ def test_pk_rejects_non_paths(fa):
         pk_check(fa, [ROOT], 1, 2)
     with pytest.raises(ValidationError):
         pk_check(fa, [ROOT, VertexAddr.parse("0.1")], 1, 2)
+
+
+# --- the one fixator primitive ---------------------------------------------------
+
+
+def _old_default_maps(model, tube, pinned):
+    """The default fixator_maps_on as it was before the center rule: the
+    stabilizer germs at the middle of the sorted pinned region, with a
+    radius covering the tube, filtered, restricted and sorted by image
+    words taken in the word order of the tube."""
+    center = pinned[len(pinned) // 2]
+    radius = max(tree_distance(center, x) for x in tube)
+    pos = {x: p for p, x in enumerate(tube)}
+    maps = {
+        tuple(pos[g.apply(x)] for x in tube)
+        for g in model.stab_germ_group(center, radius)
+        if g.fixes(pinned)
+    }
+    by_word = sorted(range(len(tube)), key=lambda p: tube[p].word)
+    return tuple(sorted(maps, key=lambda m: [tube[m[p]].word for p in by_word]))
+
+
+# windows whose middle pinned vertex needs a larger radius than the path's
+# center: (descriptor, path, k, R)
+CENTER_WINDOWS = {
+    f"{family}-{window}": (descriptor, path, k, radius)
+    for family, descriptor in (
+        ("constant-local", {"model": "constant_local", "d": 3, "F": "sym"}),
+        ("bs23", {"model": "bs", "m": 2, "n": 3}),
+        ("cover-c25", {"model": "cover", "graph": "C", "p": 2, "r": 5}),
+    )
+    for window, path, k, radius in (
+        ("edge-k2-r2", ["ε", "0"], 2, 2),
+        ("path-k1-r2", ["1", "ε", "0"], 1, 2),
+    )
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTER_WINDOWS))
+def test_fixator_maps_on_matches_the_old_center(name):
+    descriptor, path, k, radius = CENTER_WINDOWS[name]
+    model = build_model(descriptor)
+    path = [VertexAddr.parse(x) for x in path]
+    tube = thicken(path, radius, model.degree)
+    # the edge k-region and the pinned path region are both thicken(path, k-1)
+    pinned = thicken(path, k - 1, model.degree)
+    reach = {c: max(tree_distance(c, x) for x in tube) for c in pinned}
+    least = min(reach.values())
+    assert reach[pinned[len(pinned) // 2]] > least
+    maps = model.fixator_maps_on(tube, pinned)
+    # one stabilizer germ group is read, at a pinned vertex of least reach
+    ((center, used),) = model._stab_cache
+    assert used == least == reach[center]
+    assert maps == _old_default_maps(model, tube, pinned)
+
+
+def test_pk_reads_psl2_stabilizer_germs_at_the_path_center():
+    # the middle pinned vertex, 2, would need 768 germs of radius 4
+    model = build_model({"model": "psl2", "p": 2})
+    pk_check(model, EDGE, 2, 2)
+    assert set(model._stab_cache) == {(ROOT, 3)}
+
+
+PLUSK_FAMILIES = {
+    "constant-local": {"model": "constant_local", "d": 3, "F": "sym"},
+    "full-aut": {"model": "full_aut", "d": 3},
+    "psl2": {"model": "psl2", "p": 2},
+    "cover-c25": {"model": "cover", "graph": "C", "p": 2, "r": 5},
+    "strip": {"model": "cover", "graph": "strip", "p": 2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLUSK_FAMILIES))
+def test_plusk_fixator_branch_matches_the_old_fixator_germs(name):
+    model = build_model(PLUSK_FAMILIES[name])
+    deg = model.degree
+    for v, k in itertools.product((ROOT, VertexAddr.parse("1")), (1, 2)):
+        regions = [edge_region(v, v.step(c), k, deg) for c in range(deg)]
+        # full Aut enumerated pinned ball germs; the default filtered the
+        # stabilizer germs at v
+        if name == "full-aut":
+            old = (
+                g
+                for region in regions
+                for g in iterate_ball_germs(deg, v, v, 2, pins={x: x for x in region})
+            )
+        else:
+            old = (
+                g for region in regions for g in model.stab_germ_group(v, 2)
+                if g.fixes(region)
+            )
+        assert plusk_generator_germs(model, v, k, 2) == sorted_germs(old)
 
 
 # --- closure comparison and idempotence -----------------------------------------
