@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import TreecloseError, ValidationError, as_int, max_elements, read_int
+from .errors import TooLarge, TreecloseError, ValidationError, as_int, max_elements, read_int
 from .kclosure import (
     axis_fibers,
     check_k_legal,
@@ -82,6 +82,12 @@ def _germ_listing(germs):
     return out
 
 
+def _by_verdict(result, verdict):
+    """A verb's return value when one Verdict sets its exit code."""
+    witnesses = [verdict.witness] if verdict.witness is not None else []
+    return result, _OUTCOME_EXIT[verdict.outcome], witnesses, verdict.budget_used
+
+
 def _verb_stab_germs(model, scenario, budget, seed):
     v = _vertex(model, scenario, default=ROOT)
     k = read_int(scenario, "k")
@@ -123,8 +129,7 @@ def _verb_discreteness(model, scenario, budget, seed):
         "nondiscreteness": nd.to_json(),
         "exact_discreteness": dc.to_json(),
     }
-    witnesses = [nd.witness] if nd.witness is not None else []
-    return result, _OUTCOME_EXIT[nd.outcome], witnesses, nd.budget_used
+    return _by_verdict(result, nd)
 
 
 def _verb_kclosure_compare(model, scenario, budget, seed):
@@ -145,8 +150,7 @@ def _verb_kclosure_compare(model, scenario, budget, seed):
             if found is None
             else {"k": found[0], "germ": germ_to_json(found[1])}
         )
-    witnesses = [verdict.witness] if verdict.witness is not None else []
-    return result, _OUTCOME_EXIT[verdict.outcome], witnesses, verdict.budget_used
+    return _by_verdict(result, verdict)
 
 
 def _edge(model, scenario):
@@ -161,8 +165,7 @@ def _verb_ipk(model, scenario, budget, seed):
     k = read_int(scenario, "k")
     radius = read_int(scenario, "R")
     verdict = ipk_check(model, v, w, k, radius)
-    witnesses = [verdict.witness] if verdict.witness is not None else []
-    return verdict.to_json(), _OUTCOME_EXIT[verdict.outcome], witnesses, 0
+    return _by_verdict(verdict.to_json(), verdict)
 
 
 def _verb_pk(model, scenario, budget, seed):
@@ -173,8 +176,7 @@ def _verb_pk(model, scenario, budget, seed):
     k = read_int(scenario, "k")
     radius = read_int(scenario, "R")
     verdict = pk_check(model, path, k, radius)
-    witnesses = [verdict.witness] if verdict.witness is not None else []
-    return verdict.to_json(), _OUTCOME_EXIT[verdict.outcome], witnesses, 0
+    return _by_verdict(verdict.to_json(), verdict)
 
 
 def _verb_plusk_generators(model, scenario, budget, seed):
@@ -240,14 +242,25 @@ def _verb_commutator(model, scenario, budget, seed):
     return result, EXIT_OK, [], 0
 
 
-def _parse_matrix_entry(raw, p):
+def _rational(raw):
+    # Fraction would expand a decimal exponent such as 1e-100000000 in full
+    if isinstance(raw, str) and "e" in raw.lower():
+        raise ValueError("exponent notation")
+    return Fraction(raw)
+
+
+def _parse_matrix_entry(raw, p, where):
     try:
         if isinstance(raw, (str, int)):
-            return Fraction(raw)
+            return _rational(raw)
         if isinstance(raw, (list, tuple)) and len(raw) == 2:
             unit, power = raw
             if isinstance(power, str) and power.startswith("p^"):
-                return Fraction(unit) * Fraction(p) ** int(power[2:])
+                e = as_int(power[2:], f"the exponent of {where}")
+                limit = max_elements()
+                if abs(e) > limit:
+                    raise TooLarge(f"the exponent of {where} passes the limit {limit}")
+                return _rational(unit) * Fraction(p) ** e
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     raise ValidationError(f"bad matrix entry {raw!r}")
@@ -263,8 +276,10 @@ def _verb_lattice(model, scenario, budget, seed):
         and all(isinstance(row, list) and len(row) == 2 for row in matrix)
     ):
         raise ValidationError("scenario needs 'matrix': 2x2 entries")
-    (a, b), (c, d) = (
-        (_parse_matrix_entry(e, model.p) for e in row) for row in matrix
+    a, b, c, d = (
+        _parse_matrix_entry(matrix[i][j], model.p, f"entry ({i + 1}, {j + 1})")
+        for i in (0, 1)
+        for j in (0, 1)
     )
     el = model.element(a, b, c, d)
     r = read_int(scenario, "r")
@@ -316,7 +331,8 @@ VERBS = {
 def parse_scenario(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past Python's digit limit
         raise ValidationError(f"scenario is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("scenario must be a JSON object")

@@ -412,6 +412,8 @@ def pk_check(model, path, k, R):
     for a, b in zip(path, path[1:]):
         if not are_adjacent(a, b):
             raise ValidationError(f"{a!r} and {b!r} are not adjacent")
+    if tree_distance(path[0], path[-1]) != len(path) - 1:
+        raise ValidationError("the path turns back: it must be a geodesic")
     deg = model.degree
     region = thicken(path, k - 1, deg)
     tube = thicken(path, R, deg)

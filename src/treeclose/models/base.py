@@ -35,7 +35,6 @@ from ..tree_core import (
 class GroupModel(abc.ABC):
     name = "abstract"
     degree = None
-    vertex_transitive = True
 
     # --- group operations ------------------------------------------------
 

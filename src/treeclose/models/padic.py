@@ -38,8 +38,13 @@ def _vp_int(x, p):
         return INF
     v = 0
     while x % p == 0:
-        x //= p
-        v += 1
+        # divide out p, p^2, p^4, ... while they divide: a valuation of n
+        # takes O(log(n)^2) divisions, not n
+        q, e = p, 1
+        while x % q == 0:
+            x //= q
+            v += e
+            q, e = q * q, e * 2
     return v
 
 
@@ -96,6 +101,9 @@ class Mat2:
 
 
 MAT_IDENTITY = Mat2.of(1, 0, 0, 1)
+# Mat2.entries() positions as (row, column), so that messages name an entry
+# by position: an entry can have more digits than str() may print
+ENTRY_NAMES = ("(1, 1)", "(1, 2)", "(2, 1)", "(2, 2)")
 
 
 def _mat_key(m):
@@ -110,11 +118,14 @@ class PSL2Element:
 
     @staticmethod
     def make(p, mat):
-        for e in mat.entries():
+        for name, e in zip(ENTRY_NAMES, mat.entries()):
             if not _in_z_inv_p(e, p):
-                raise BadElement(f"entry {e} is not in Z[1/{p}]")
-        if mat.det() != 1:
-            raise BadElement(f"determinant is {mat.det()}, need exactly 1")
+                raise BadElement(f"entry {name} is not in Z[1/{p}]")
+        det = mat.det()
+        if det != 1:
+            raise BadElement(
+                f"determinant must be exactly 1; its {p}-adic valuation is {vp(det, p)}"
+            )
         neg = mat.neg()
         return PSL2Element(mat if _mat_key(mat) <= _mat_key(neg) else neg)
 
@@ -139,7 +150,6 @@ class LatticeClass:
 
 class PSL2Model(GroupModel):
     name = "psl2"
-    vertex_transitive = False
 
     def __init__(self, p):
         if not isinstance(p, int) or p < 2:
@@ -163,10 +173,10 @@ class PSL2Model(GroupModel):
         """Canonical class of the lattice spanned by two column vectors."""
         p = self.p
         cols = [tuple(Fraction(x) for x in col) for col in (col1, col2)]
-        for col in cols:
-            for e in col:
+        for j, col in enumerate(cols, 1):
+            for i, e in enumerate(col, 1):
                 if not _in_z_inv_p(e, p):
-                    raise ValidationError(f"entry {e} is not in Z[1/{p}]")
+                    raise ValidationError(f"basis entry ({i}, {j}) is not in Z[1/{p}]")
         scale = p ** max(
             _vp_int(e.denominator, p) for col in cols for e in col
         )
@@ -270,9 +280,9 @@ class PSL2Model(GroupModel):
         pointwise? Exact congruence test against +-identity."""
         m = x.mat if isinstance(x, PSL2Element) else x
         p = self.p
-        for e in m.entries():
+        for name, e in zip(ENTRY_NAMES, m.entries()):
             if vp(e, p) < 0:
-                raise NotIntegral(f"entry {e} has negative valuation")
+                raise NotIntegral(f"entry {name} has negative valuation {vp(e, p)}")
         for cand in (m, m.neg()):
             if (
                 vp(cand.a - 1, p) >= r

@@ -7,6 +7,7 @@ expected exit codes below are part of the corpus contract.
 import hashlib
 import json
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -391,6 +392,9 @@ MALFORMED = {
     "k-float": {"model": {"model": "full_aut", "d": 3}, "verb": "stab-germs",
                 "k": 1.9},
     "k-bool": {"model": _CL3, "verb": "stab-germs", "k": True},
+    # ε is counted twice: a fiber product over a path that does not exist
+    "pk-path-turns-back": {"model": {"model": "full_aut", "d": 3}, "verb": "pk",
+                           "path": ["ε", "0", "ε"], "k": 1, "R": 1},
     # checked before the random fibers of the window are drawn
     "commutator-amplitude-past-z-hi": {"model": {"model": "full_aut", "d": 3},
                                        "verb": "commutator", "amplitude": 30000},
@@ -410,6 +414,7 @@ def test_malformed_scenario_values_exit_2(name, capsys, tmp_path):
     ("k-float", "'k' must be an integer"),
     ("k-bool", "'k' must be an integer"),
     ("commutator-amplitude-past-z-hi", "need z_lo <= 0 < amplitude <= z_hi"),
+    ("pk-path-turns-back", "the path turns back: it must be a geodesic"),
 ])
 def test_malformed_value_messages(name, message, capsys, tmp_path):
     _, report = _run_scenario(tmp_path, capsys, MALFORMED[name])
@@ -425,6 +430,53 @@ def test_large_prime_passes_the_primality_pre_flight(capsys, tmp_path):
     )
     assert code == 0
     assert report["model"]["degree"] == 10**9 + 8
+
+
+# matrix entries with more digits than str() may print, or than a run can
+# afford to expand: (matrix, error type, message)
+HUGE_LATTICE_ENTRIES = {
+    "valuation-minus-200000": ([[1, [1, "p^-200000"]], [0, 1]], "NotIntegral",
+                               "entry (1, 2) has negative valuation -200000"),
+    "exponent-past-the-limit": ([[1, [1, "p^100000000"]], [0, 1]], "TooLarge",
+                                "the exponent of entry (1, 2) passes the limit 1000000"),
+    "decimal-exponent": ([[1, "1e-100000000"], [0, 1]], "ValidationError",
+                         "bad matrix entry '1e-100000000'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_LATTICE_ENTRIES))
+def test_huge_lattice_entries_exit_2_at_once(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("TREECLOSE_MAX_ELEMENTS", raising=False)
+    matrix, kind, message = HUGE_LATTICE_ENTRIES[name]
+
+    def stop(signum, frame):
+        # Failed is no Exception, so the CLI cannot report it as an error
+        pytest.fail(f"{name} did not end within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        code, report = _run_scenario(
+            tmp_path, capsys,
+            {"model": {"model": "psl2", "p": 2}, "verb": "lattice", "r": 1,
+             "matrix": matrix},
+        )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert report["error"] == {"type": kind, "message": message}
+
+
+def test_integers_past_the_digit_limit_are_invalid_json(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"model": {"model": "full_aut", "d": 3}, "verb": "stab-germs", '
+                    '"k": ' + "1" * 5000 + "}")
+    code, out = run_cli(["run", str(path), "--format", "json"], capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"]["type"] == "ValidationError"
+    assert report["error"]["message"].startswith("scenario is not valid JSON")
 
 
 def test_twisted_plusk_generators_at_k2_are_legal(capsys, tmp_path):

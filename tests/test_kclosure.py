@@ -362,6 +362,8 @@ def test_pk_rejects_non_paths(fa):
         pk_check(fa, [ROOT], 1, 2)
     with pytest.raises(ValidationError):
         pk_check(fa, [ROOT, VertexAddr.parse("0.1")], 1, 2)
+    with pytest.raises(ValidationError):
+        pk_check(fa, [ROOT, VertexAddr.parse("0"), ROOT], 1, 1)
 
 
 # --- the one fixator primitive ---------------------------------------------------
