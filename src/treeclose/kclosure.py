@@ -406,6 +406,8 @@ def pk_check(model, path, k, R):
     same gate the edge-independence check uses; all other gaps stay
     inconclusive.
     """
+    if R < k - 1:
+        raise ValidationError("window radius must be at least k - 1")
     path = tuple(path)
     if len(path) < 2:
         raise ValidationError("need a path with at least one edge")
@@ -631,6 +633,8 @@ def plusk_generator_germs(model, v, k, radius=None, samples=0, rng_seed=0):
     when the candidates would pass the element limit.
     """
     radius = k + 1 if radius is None else radius
+    if radius < k:
+        raise ValidationError("radius must be at least k")
     deg = model.degree
     regions = [edge_region(v, v.step(c), k, deg) for c in range(deg)]
     if not hasattr(model, "sigma_construction"):

@@ -9,6 +9,12 @@ as exact Fractions.
 
 Group elements are 2x2 matrices of determinant exactly 1 with Z[1/p]
 entries, normalized by sign (a matrix and its negative act identically).
+
+The stabiliser of a vertex v with lattice basis B is B SL2(Z_p) B^-1, and
+the radius-k germ of B g B^-1 depends only on g mod p^k. SL2(Z) maps onto
+SL2(Z/p^k) and is generated by T = [[1, 1], [0, 1]] and S = [[0, -1],
+[1, 0]], so the germs of B T B^-1 and B S B^-1 generate the whole
+stabiliser germ group, which is their composition closure.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from ..errors import (
     max_elements,
     product_exceeds,
 )
-from ..tree_core import ROOT, VertexAddr, require_regular
+from ..permgroup import mulclose
+from ..tree_core import ROOT, VertexAddr, compose, require_regular
 from .base import GroupModel, LazyEmbedding
 
 INF = float("inf")
@@ -101,6 +108,9 @@ class Mat2:
 
 
 MAT_IDENTITY = Mat2.of(1, 0, 0, 1)
+# generators of SL2(Z), and so of every SL2(Z/p^k)
+SL2_T = Mat2.of(1, 1, 0, 1)
+SL2_S = Mat2.of(0, -1, 1, 0)
 # Mat2.entries() positions as (row, column), so that messages name an entry
 # by position: an entry can have more digits than str() may print
 ENTRY_NAMES = ("(1, 1)", "(1, 2)", "(2, 1)", "(2, 2)")
@@ -298,7 +308,8 @@ class PSL2Model(GroupModel):
     def _stab_germs(self, v, k):
         # SL2(Z/p^k), of order p^(3k-2) (p^2 - 1), acts on B(v, k) with
         # kernel the scalars l with l^2 = 1 mod p^k: 2 of them for odd p,
-        # and 1, 2 or 4 for p = 2 at k = 1, 2 or more
+        # and 1, 2 or 4 for p = 2 at k = 1, 2 or more. The germ group is the
+        # quotient, so the check is exact and the closure stays in the limit
         p, limit = self.p, max_elements()
         kernel = 2 if p > 2 else (1, 2, 4)[min(k, 3) - 1]
         if k > 0 and product_exceeds(
@@ -307,10 +318,11 @@ class PSL2Model(GroupModel):
             raise TooLarge(f"stabilizer germ group exceeded {limit}")
         basis = self.class_of_vertex(v).basis()
         basis_inv = basis.inv()
-        for a, b, c, d in _sl2_mod(self.p, k):
-            lifted = _lift_det1(a, b, c, d, self.p**k)
-            conj = basis.mul(lifted).mul(basis_inv)
-            yield self.germ_of(PSL2Element.make(self.p, conj), v, k)
+        gens = [
+            self.germ_of(PSL2Element.make(p, basis.mul(m).mul(basis_inv)), v, k)
+            for m in (SL2_T, SL2_S)
+        ]
+        return mulclose(gens, mul=compose)
 
     # --- orbits -----------------------------------------------------------------------
 
@@ -373,47 +385,3 @@ class PSL2Model(GroupModel):
     def describe(self):
         return {"model": self.name, "p": self.p, "degree": self.degree}
 
-
-def _sl2_mod(p, k):
-    """All of SL2 over Z/p^k as (a, b, c, d) tuples."""
-    q = p**k
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                rhs = (1 + b * c) % q
-                if a == 0:
-                    if rhs == 0:
-                        for d in range(q):
-                            yield (a, b, c, d)
-                    continue
-                g = math.gcd(a, q)
-                if rhs % g:
-                    continue
-                qg = q // g
-                d0 = (rhs // g) * pow(a // g, -1, qg) % qg if qg > 1 else 0
-                for t in range(g):
-                    yield (a, b, c, d0 + t * qg)
-
-
-def _lift_det1(a, b, c, d, q):
-    """Integer matrix of determinant exactly 1 congruent to (a,b,c,d) mod q."""
-    b1 = b if b != 0 else b + q
-    a1 = a
-    while math.gcd(a1, b1) != 1:
-        a1 += q
-    m = (a1 * d - b1 * c - 1) // q
-    _, u, v = _ext_gcd(a1, b1)
-    y, x = -m * u, m * v
-    return Mat2.of(a1, b1, c + q * x, d + q * y)
-
-
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    return old_r, old_s, old_t

@@ -72,26 +72,40 @@ def cycle_table(p):
 
 
 def mulclose(generators, mul=compose_perm):
-    """Closure under the product, breadth-first from the generators.
+    """Closure under the product, in no particular order.
 
     Works for any hashable elements. In a finite setting the semigroup
-    generated this way is the full group. TooLarge past the element limit.
+    generated this way is the full group. A generator already in the
+    closure of the ones before it is dropped; each one kept at least
+    doubles the closure, so at most log2 of its size are kept, and only
+    those are multiplied by. TooLarge past the element limit.
     """
     limit = max_elements()
-    gens = list(dict.fromkeys(generators))
-    els = dict.fromkeys(gens)
-    frontier = gens
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in gens:
-                c = mul(a, b)
-                if c not in els:
-                    els[c] = None
-                    new.append(c)
-                    if len(els) > limit:
-                        raise TooLarge(f"closure exceeded {limit} elements")
-        frontier = new
+    gens = []
+    els = {}
+
+    def add(c):
+        els[c] = None
+        if len(els) > limit:
+            raise TooLarge(f"closure exceeded {limit} elements")
+
+    for g in generators:
+        if g in els:
+            continue
+        gens.append(g)
+        add(g)
+        # every element of the new closure is a current element times a
+        # word in the kept generators
+        frontier = list(els)
+        while frontier:
+            new = []
+            for a in frontier:
+                for b in gens:
+                    c = mul(a, b)
+                    if c not in els:
+                        add(c)
+                        new.append(c)
+            frontier = new
     return tuple(els)
 
 

@@ -164,6 +164,10 @@ LIMIT_SITES = {
                              "more than 10 isomorphisms"),
     "stab_germ_group": (_corpus("psl2-stab-germs-k1.json"), 5,
                         "stabilizer germ group exceeded 5"),
+    # SL2(Z/4) over its two scalars: 24 germs, in the other orbit
+    "psl2_stab_preflight_odd_orbit": ({"model": {"model": "psl2", "p": 2},
+                                       "verb": "stab-germs", "vertex": "0", "k": 2},
+                                      20, "stabilizer germ group exceeded 20"),
     # 216 generator powers and one twisted sample each; they close to 648
     "mulclose": ({"model": _BS23, "verb": "plusk-generators", "k": 2,
                   "radius": 3, "samples": 1}, 500,
@@ -345,6 +349,33 @@ def test_edge_path_and_germ_colors_beyond_the_degree_are_rejected(capsys, tmp_pa
         message = report["error"]["message"]
         assert "3-regular" in message
         assert "edge region identity" not in message
+
+
+def _window_error(tmp_path, capsys, scenario):
+    code, report = _run_scenario(tmp_path, capsys, scenario)
+    assert code == 2
+    return report["error"]
+
+
+@pytest.mark.parametrize("model", [_AUT3, _BS23], ids=["full_aut", "bs"])
+def test_pk_window_must_hold_the_path_region(model, capsys, tmp_path):
+    # the region is the path thickened by k - 1, so R = k - 1 is the least
+    # window that holds it
+    scenario = {"model": model, "verb": "pk", "path": ["ε", "0"], "k": 3, "R": 1}
+    assert _window_error(tmp_path, capsys, scenario) == {
+        "type": "ValidationError", "message": "window radius must be at least k - 1"}
+    code, _ = _run_scenario(tmp_path, capsys, {**scenario, "R": 2})
+    assert code != 2
+
+
+@pytest.mark.parametrize("model", [_AUT3, _BS23], ids=["full_aut", "bs"])
+def test_plusk_radius_must_hold_the_edge_regions(model, capsys, tmp_path):
+    # the edge k-regions at v reach distance k from v
+    scenario = {"model": model, "verb": "plusk-generators", "k": 2, "radius": 1}
+    assert _window_error(tmp_path, capsys, scenario) == {
+        "type": "ValidationError", "message": "radius must be at least k"}
+    code, _ = _run_scenario(tmp_path, capsys, {**scenario, "k": 1})
+    assert code != 2
 
 
 _CL3 = {"model": "constant_local", "d": 3, "F": "sym"}

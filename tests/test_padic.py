@@ -1,13 +1,23 @@
 """Lattice-class tree backend for the determinant-one matrix group."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from treeclose.errors import NotIntegral
 from treeclose.models import build_model
+from treeclose.models.padic import Mat2, PSL2Element, PSL2Model
 from treeclose.permgroup import structure_fingerprint, induced_perm_group
-from treeclose.tree_core import ROOT, ball_vertices, sphere_vertices, tree_distance
+from treeclose.tree_core import (
+    ROOT,
+    VertexAddr,
+    ball_size,
+    ball_vertices,
+    sorted_germs,
+    sphere_vertices,
+    tree_distance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +122,90 @@ def test_sphere_sizes_match_valency(p2):
         p2.class_of_vertex(w) for w in sphere_vertices(ROOT, 2, 3)
     }
     assert len(seen) == 6
+
+
+# --- stabiliser germs against the lift enumeration they replaced --------------
+
+
+def _sl2_mod(p, k):
+    """All of SL2 over Z/p^k as (a, b, c, d) tuples."""
+    q = p**k
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                rhs = (1 + b * c) % q
+                if a == 0:
+                    if rhs == 0:
+                        for d in range(q):
+                            yield (a, b, c, d)
+                    continue
+                g = math.gcd(a, q)
+                if rhs % g:
+                    continue
+                qg = q // g
+                d0 = (rhs // g) * pow(a // g, -1, qg) % qg if qg > 1 else 0
+                for t in range(g):
+                    yield (a, b, c, d0 + t * qg)
+
+
+def _ext_gcd(a, b):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        qt = old_r // r
+        old_r, r = r, old_r - qt * r
+        old_s, s = s, old_s - qt * s
+        old_t, t = t, old_t - qt * t
+    return old_r, old_s, old_t
+
+
+def _lift_det1(a, b, c, d, q):
+    """Integer matrix of determinant exactly 1 congruent to (a,b,c,d) mod q."""
+    b1 = b if b != 0 else b + q
+    a1 = a
+    while math.gcd(a1, b1) != 1:
+        a1 += q
+    m = (a1 * d - b1 * c - 1) // q
+    _, u, v = _ext_gcd(a1, b1)
+    y, x = -m * u, m * v
+    return Mat2.of(a1, b1, c + q * x, d + q * y)
+
+
+def _lifted_stab_germs(model, v, k):
+    """The germ of B g B^-1 for a determinant-1 lift g of every matrix
+    of SL2(Z/p^k), B the basis of v's lattice class."""
+    p = model.p
+    basis = model.class_of_vertex(v).basis()
+    basis_inv = basis.inv()
+    return sorted_germs(
+        model.germ_of(
+            PSL2Element.make(p, basis.mul(_lift_det1(*m, p**k)).mul(basis_inv)), v, k
+        )
+        for m in _sl2_mod(p, k)
+    )
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_stab_germs_from_two_generators_match_every_lift(p, k):
+    model = PSL2Model(p)
+    # both orbits, down to depth 3
+    for v in ("ε", "0", f"{p}", "1.0", f"{p}.1.0"):
+        v = VertexAddr.parse(v)
+        assert model.stab_germ_group(v, k) == tuple(_lifted_stab_germs(model, v, k))
+
+
+@pytest.mark.parametrize("p,k,v", [(2, 3, "0"), (3, 2, "3.1.0")])
+def test_stab_germs_act_twice_per_ball_vertex(p, k, v, monkeypatch):
+    # a germ costs one act per ball vertex, and only the two generator
+    # germs are built through act
+    calls = []
+    act = PSL2Model.act
+
+    def counted(self, g, x):
+        calls.append(x)
+        return act(self, g, x)
+
+    monkeypatch.setattr(PSL2Model, "act", counted)
+    PSL2Model(p).stab_germ_group(VertexAddr.parse(v), k)
+    assert len(calls) <= 2 * ball_size(p + 1, k)

@@ -1,8 +1,12 @@
 """Finite permutation group helpers."""
 
+import itertools
 import math
 import random
 
+import pytest
+
+from treeclose.errors import TooLarge
 from treeclose.permgroup import (
     closure_group,
     compose_perm,
@@ -11,6 +15,7 @@ from treeclose.permgroup import (
     is_abelian,
     is_closed,
     is_transitive,
+    mulclose,
     perm_from_cycles,
     perm_order,
     structure_fingerprint,
@@ -53,6 +58,25 @@ def test_closure_order_divides_factorial():
         g = closure_group(gens, n)
         assert math.factorial(n) % len(g) == 0
         assert is_closed(g)
+
+
+def test_mulclose_multiplies_only_by_generators_that_add_something(monkeypatch):
+    s4 = list(itertools.permutations(range(4)))
+    used = set()
+
+    def mul(a, b):
+        used.add(b)
+        return compose_perm(a, b)
+
+    assert sorted(mulclose(s4, mul=mul)) == s4
+    # each kept generator at least doubles the closure: 2**4 < 24 < 2**5
+    assert len(used) <= 4
+    # the limit trips exactly when the closure passes it
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "24")
+    assert len(mulclose(s4)) == 24
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "23")
+    with pytest.raises(TooLarge):
+        mulclose(s4)
 
 
 def test_perm_order():
