@@ -64,12 +64,8 @@ def _address(model, text):
     return v
 
 
-def _vertex(model, scenario, key="vertex", default=None):
-    if key not in scenario:
-        if default is not None:
-            return default
-        raise ValidationError(f"scenario is missing {key!r}")
-    return _address(model, scenario[key])
+def _vertex(model, scenario):
+    return _address(model, scenario["vertex"]) if "vertex" in scenario else ROOT
 
 
 def _germ_listing(germs):
@@ -89,7 +85,7 @@ def _by_verdict(result, verdict):
 
 
 def _verb_stab_germs(model, scenario, budget, seed):
-    v = _vertex(model, scenario, default=ROOT)
+    v = _vertex(model, scenario)
     k = read_int(scenario, "k")
     germs = model.stab_germ_group(v, k)
     result = {"vertex": v.render(), "k": k}
@@ -98,7 +94,7 @@ def _verb_stab_germs(model, scenario, budget, seed):
 
 
 def _verb_local_action(model, scenario, budget, seed):
-    v = _vertex(model, scenario, default=ROOT)
+    v = _vertex(model, scenario)
     fp = local_action(model, v)
     fp["element_orders"] = list(fp["element_orders"])
     fp["vertex"] = v.render()
@@ -180,7 +176,7 @@ def _verb_pk(model, scenario, budget, seed):
 
 
 def _verb_plusk_generators(model, scenario, budget, seed):
-    v = _vertex(model, scenario, default=ROOT)
+    v = _vertex(model, scenario)
     k = read_int(scenario, "k")
     radius = scenario.get("radius")
     if radius is not None:

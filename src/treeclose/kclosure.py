@@ -480,15 +480,22 @@ def pk_check(model, path, k, R):
 # --- closure comparison -------------------------------------------------------
 
 
+def germ_group_difference(group_a, group_b):
+    """Least germ in just one of two germ groups, from group_a's first; None if equal."""
+    sa, sb = set(group_a), set(group_b)
+    if sa == sb:
+        return None
+    return sorted_germs((sa - sb) or (sb - sa))[0]
+
+
 def first_stab_germ_difference(model_a, model_b, v=ROOT, kmax=4):
     """Smallest radius at which the stabilizer germ sets differ, with a
     distinguishing germ; None if none up to kmax."""
     for k in range(1, kmax + 1):
-        sa = set(model_a.stab_germ_group(v, k))
-        sb = set(model_b.stab_germ_group(v, k))
-        if sa != sb:
-            diff = sorted_germs((sa - sb) or (sb - sa))
-            return k, diff[0]
+        ga, gb = model_a.stab_germ_group(v, k), model_b.stab_germ_group(v, k)
+        diff = germ_group_difference(ga, gb)
+        if diff is not None:
+            return k, diff
     return None
 
 
@@ -544,17 +551,16 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
     reps = tuple(dict.fromkeys(model_a.orbit_reps() + model_b.orbit_reps()))
     stab_orders = {}
     for u in reps:
-        sa = set(model_a.stab_germ_group(u, k))
-        sb = set(model_b.stab_germ_group(u, k))
-        stab_orders[u.render()] = len(sa)
-        if sa != sb:
-            diff = sorted_germs((sa - sb) or (sb - sa))
+        group_a = model_a.stab_germ_group(u, k)
+        stab_orders[u.render()] = len(group_a)
+        diff = germ_group_difference(group_a, model_b.stab_germ_group(u, k))
+        if diff is not None:
             return Verdict(
                 FAILS,
                 witness={
                     "kind": "stab_germ",
                     "vertex": u.render(),
-                    "germ": germ_to_json(diff[0]),
+                    "germ": germ_to_json(diff),
                 },
                 notes=(
                     f"stabilizer germ sets at radius {k} differ, and the "

@@ -79,8 +79,9 @@ def build_model(descriptor):
     if kind == "psl2":
         return PSL2Model(field("p"))
     if kind == "cover":
+        graph = descriptor.get("graph", "C")
+        if graph not in ("C", "strip"):
+            raise ValidationError(f"unknown cover graph {graph!r}: use \"C\" or \"strip\"")
         p = field("p")
-        if descriptor.get("graph", "C") == "strip" or descriptor.get("r") == "inf":
-            return CoverModel(StripGraph(p))
-        return CoverModel(CycleGraph(p, field("r")))
+        return CoverModel(StripGraph(p) if graph == "strip" else CycleGraph(p, field("r")))
     raise ValidationError(f"unknown model kind: {kind!r}")

@@ -12,6 +12,10 @@ y = x.step(c) given the image gx of its parent x. The default image_step
 is act(g, y); a family whose local action is cheap to read off (a cover
 through its charts, a constant local action through its permutation)
 overrides image_step to step from gx instead, and never germ_of itself.
+
+Stabiliser germs come from one closure: stab_generators(v, k) names
+elements fixing v whose radius-k germs generate the stabiliser germ group,
+and _stab_germs closes those germs. Only full Aut enumerates its germs.
 """
 
 from __future__ import annotations
@@ -20,12 +24,15 @@ import abc
 import itertools
 
 from ..errors import TooLarge, ValidationError, max_elements
+from ..permgroup import mulclose
 from ..tree_core import (
     ROOT,
     ball_addresses,
     ball_parents,
     ball_positions,
+    compose,
     germ_from_images,
+    identity_germ,
     require_star,
     sorted_germs,
     tree_distance,
@@ -100,9 +107,18 @@ class GroupModel(abc.ABC):
             got = cache[(v, k)] = sorted_germs(germs)
         return got
 
-    @abc.abstractmethod
     def _stab_germs(self, v, k):
-        """Radius-k germs at v of elements fixing v, repeats allowed."""
+        """The composition closure of the radius-k germs of stab_generators(v, k)."""
+        gens = self.stab_generators(v, k)
+        # built before any germ, so a ball past the element limit says so
+        ident = identity_germ(v, k, self.degree)
+        # mulclose would multiply by an identity generator too, and the
+        # closure of a finite group holds the identity anyway
+        germs = (x for x in (self.germ_of(g, v, k) for g in gens) if x != ident)
+        try:
+            return mulclose(germs, mul=compose) or (ident,)
+        except TooLarge:
+            raise TooLarge(f"stabilizer germ group exceeded {max_elements()}") from None
 
     def fixator_maps_on(self, tube, pinned):
         """Restrictions to the tube of all elements fixing `pinned` pointwise.

@@ -25,9 +25,7 @@ from ..tree_core import (
     ball_parents,
     ball_positions,
     ball_vertices,
-    compose,
     geodesic,
-    identity_germ,
     require_regular,
     tree_distance,
 )
@@ -197,14 +195,8 @@ class BassSerreModel(GroupModel):
         u = BSElement(self.embedding.obj_of(v), 0)
         return self.mul(self.mul(u, self.a_power(1)), self.inv(u))
 
-    def _stab_germs(self, v, k):
-        gen_germ = self.germ_of(self.stab_generator(v), v, k)
-        ident = identity_germ(v, k, self.degree)
-        yield ident
-        cur = gen_germ
-        while cur != ident:
-            yield cur
-            cur = compose(gen_germ, cur)
+    def stab_generators(self, v, k):
+        return [self.stab_generator(v)]
 
     def edge_label(self, x, y):
         """+1 for a t-type edge out of x, -1 for a t^-1-type one."""

@@ -111,10 +111,10 @@ class ConstantLocalModel(GroupModel):
     def transporter(self, u, w):
         return CLElement(word_mul(w.word, word_inv(u.word)), identity_perm(self.degree))
 
-    def _stab_germs(self, v, k):
-        for p in self.F:
-            moved = tuple(p[c] for c in v.word)
-            yield self.germ_of(CLElement(word_mul(v.word, word_inv(moved)), p), v, k)
+    def stab_generators(self, v, k):
+        # for each p in F, the one element with local action p that fixes v
+        moved = [(tuple(p[c] for c in v.word), p) for p in self.F]
+        return [CLElement(word_mul(v.word, word_inv(w)), p) for w, p in moved]
 
     def iter_elements(self):
         for radius in itertools.count(0):

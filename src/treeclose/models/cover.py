@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import IncompatibleBase, TooLarge, ValidationError, max_elements, product_exceeds
-from ..permgroup import check_perm, identity_perm, invert_perm
+from ..permgroup import check_perm, identity_perm, invert_perm, perm_from_cycles
 from ..tree_core import ROOT, VertexAddr, geodesic, require_star
 from .base import GroupModel
 
@@ -120,11 +120,9 @@ class StripAuto:
 
     @staticmethod
     def of(eps, shift, sigmas):
-        p_len = None
         cleaned = {}
         for level, perm in dict(sigmas).items():
             perm = tuple(perm)
-            p_len = len(perm) if p_len is None else p_len
             if perm != identity_perm(len(perm)):
                 cleaned[int(level)] = perm
         return StripAuto(eps, shift, tuple(sorted(cleaned.items())))
@@ -343,30 +341,22 @@ class CoverModel(GroupModel):
 
     # --- stabilizer germs -----------------------------------------------------------------
 
-    def _strip_window_stabs(self, bv, k):
-        i0, j0 = bv
-        for eps in (1, -1):
-            shift = i0 - eps * i0
-            levels = list(range(i0 - k, i0 + k + 1))
-            choices = []
-            for lv in levels:
-                perms = [
-                    p
-                    for p in itertools.permutations(range(self.p))
-                    if lv != i0 or p[j0 - 1] == j0 - 1
-                ]
-                choices.append(perms)
-            for combo in itertools.product(*choices):
-                yield StripAuto.of(eps, shift, dict(zip(levels, combo)))
-
-    def _stab_germs(self, v, k):
+    def stab_generators(self, v, k):
         bv = self.base_of(v)
         if self.is_finite:
             autos = [a for a in self.all_autos() if self.apply_auto(a, bv) == bv]
         else:
-            autos = self._strip_window_stabs(bv, k)
-        for auto in autos:
-            yield self.germ_of(self.lift_at(auto, v, v), v, k)
+            # a germ on B(v, k) reads the levels within k of bv's only; the
+            # reflection through bv's level and, on each such level, a swap
+            # and a full cycle of the fibers other than bv's generate them
+            i0 = bv[0]
+            autos = [StripAuto.of(-1, 2 * i0, {})]
+            for lv in range(i0 - k, i0 + k + 1):
+                free = tuple(j for j in range(self.p) if (lv, j + 1) != bv)
+                for cycle in dict.fromkeys([free[:2], free]):
+                    if len(cycle) > 1:
+                        autos.append(StripAuto.of(1, 0, {lv: perm_from_cycles(self.p, [cycle])}))
+        return [self.lift_at(a, v, v) for a in autos]
 
     # --- structure ---------------------------------------------------------------------------
 

@@ -14,7 +14,7 @@ The stabiliser of a vertex v with lattice basis B is B SL2(Z_p) B^-1, and
 the radius-k germ of B g B^-1 depends only on g mod p^k. SL2(Z) maps onto
 SL2(Z/p^k) and is generated by T = [[1, 1], [0, 1]] and S = [[0, -1],
 [1, 0]], so the germs of B T B^-1 and B S B^-1 generate the whole
-stabiliser germ group, which is their composition closure.
+stabiliser germ group, and stab_generators returns those two elements.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from ..errors import (
     max_elements,
     product_exceeds,
 )
-from ..permgroup import mulclose
-from ..tree_core import ROOT, VertexAddr, compose, require_regular
+from ..tree_core import ROOT, VertexAddr, require_regular
 from .base import GroupModel, LazyEmbedding
 
 INF = float("inf")
@@ -305,7 +304,7 @@ class PSL2Model(GroupModel):
 
     # --- stabilizer germs --------------------------------------------------------------
 
-    def _stab_germs(self, v, k):
+    def stab_generators(self, v, k):
         # SL2(Z/p^k), of order p^(3k-2) (p^2 - 1), acts on B(v, k) with
         # kernel the scalars l with l^2 = 1 mod p^k: 2 of them for odd p,
         # and 1, 2 or 4 for p = 2 at k = 1, 2 or more. The germ group is the
@@ -318,11 +317,7 @@ class PSL2Model(GroupModel):
             raise TooLarge(f"stabilizer germ group exceeded {limit}")
         basis = self.class_of_vertex(v).basis()
         basis_inv = basis.inv()
-        gens = [
-            self.germ_of(PSL2Element.make(p, basis.mul(m).mul(basis_inv)), v, k)
-            for m in (SL2_T, SL2_S)
-        ]
-        return mulclose(gens, mul=compose)
+        return [PSL2Element.make(p, basis.mul(m).mul(basis_inv)) for m in (SL2_T, SL2_S)]
 
     # --- orbits -----------------------------------------------------------------------
 

@@ -110,6 +110,9 @@ class VertexAddr:
 
     @staticmethod
     def parse(text):
+        # a JSON number such as 10.20 must not be read as the vertex 10.2
+        if isinstance(text, bool) or not isinstance(text, (str, int)):
+            raise ValidationError(f"cannot parse vertex address {text!r}")
         t = str(text).strip()
         # "e" is an ASCII alias for the root, handy on the command line
         if t in ("ε", "e", ""):

@@ -12,10 +12,18 @@ import random
 import pytest
 
 from treeclose.kclosure import check_k_legal
-from treeclose.models import build_model
+from treeclose.models import base, build_model
 from treeclose.models.bass_serre import render_britton
 from treeclose.permgroup import induced_perm_group, structure_fingerprint
-from treeclose.tree_core import ROOT, VertexAddr, ball_vertices, geodesic
+from treeclose.tree_core import (
+    ROOT,
+    VertexAddr,
+    ball_vertices,
+    compose,
+    geodesic,
+    identity_germ,
+    sorted_germs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +167,40 @@ def test_sigma_construction_fixes_an_edge_for_split_exponents(bs23):
             w for w in (ROOT.step(i) for i in range(5)) if germ.apply(w) == w
         ]
         assert fixed_neighbor
+
+
+def _power_loop_stab_germs(model, v, k):
+    """Reference: the identity germ, then each power of the generator
+    germ up to the identity."""
+    gen = model.germ_of(model.stab_generator(v), v, k)
+    ident = identity_germ(v, k, model.degree)
+    out = [ident]
+    cur = gen
+    while cur != ident:
+        out.append(cur)
+        cur = compose(gen, cur)
+    return sorted_germs(out)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_stab_germs_match_the_generator_powers(k):
+    model = build_model({"model": "bs", "m": 2, "n": 3})
+    for v in ("ε", "0", "1.2", "4.1"):
+        v = VertexAddr.parse(v)
+        assert model.stab_germ_group(v, k) == tuple(_power_loop_stab_germs(model, v, k))
+
+
+@pytest.mark.parametrize("v, k, order", [("ε", 3, 216), ("1.2", 4, 1296)])
+def test_stab_germ_closure_composes_once_per_germ(v, k, order, monkeypatch):
+    # the closure of one generator multiplies each new power by it once;
+    # an identity generator in front would double that
+    calls = []
+
+    def counted(outer, inner):
+        calls.append(None)
+        return compose(outer, inner)
+
+    monkeypatch.setattr(base, "compose", counted)
+    model = build_model({"model": "bs", "m": 2, "n": 3})
+    assert len(model.stab_germ_group(VertexAddr.parse(v), k)) == order
+    assert len(calls) <= order

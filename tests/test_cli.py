@@ -426,6 +426,16 @@ MALFORMED = {
     # ε is counted twice: a fiber product over a path that does not exist
     "pk-path-turns-back": {"model": {"model": "full_aut", "d": 3}, "verb": "pk",
                            "path": ["ε", "0", "ε"], "k": 1, "R": 1},
+    # a JSON number is no vertex: str() would read 10.20 as the vertex 10.2
+    "vertex-float": {"model": {"model": "full_aut", "d": 30}, "verb": "stab-germs",
+                     "vertex": 10.20, "k": 1},
+    "edge-entry-float": {"model": _CL3, "verb": "ipk", "edge": ["ε", 0.0],
+                         "k": 1, "R": 1},
+    "cover-graph-unknown": {"model": {"model": "cover", "graph": "Q", "p": 2, "r": 5},
+                            "verb": "local-action"},
+    # the strip is spelled "graph": "strip" only
+    "cover-r-inf": {"model": {"model": "cover", "p": 2, "r": "inf"},
+                    "verb": "local-action"},
     # checked before the random fibers of the window are drawn
     "commutator-amplitude-past-z-hi": {"model": {"model": "full_aut", "d": 3},
                                        "verb": "commutator", "amplitude": 30000},
@@ -446,6 +456,10 @@ def test_malformed_scenario_values_exit_2(name, capsys, tmp_path):
     ("k-bool", "'k' must be an integer"),
     ("commutator-amplitude-past-z-hi", "need z_lo <= 0 < amplitude <= z_hi"),
     ("pk-path-turns-back", "the path turns back: it must be a geodesic"),
+    ("vertex-float", "cannot parse vertex address 10.2"),
+    ("edge-entry-float", "cannot parse vertex address 0.0"),
+    ("cover-graph-unknown", 'unknown cover graph \'Q\': use "C" or "strip"'),
+    ("cover-r-inf", "'r' must be an integer"),
 ])
 def test_malformed_value_messages(name, message, capsys, tmp_path):
     _, report = _run_scenario(tmp_path, capsys, MALFORMED[name])

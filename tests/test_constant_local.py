@@ -8,9 +8,17 @@ from treeclose.kclosure import (
     element_germs_at,
     local_action,
 )
-from treeclose.models import build_model
+from treeclose.models import CLElement, build_model
 from treeclose.permgroup import structure_fingerprint
-from treeclose.tree_core import ROOT, VertexAddr, iterate_ball_germs, sphere_vertices
+from treeclose.tree_core import (
+    ROOT,
+    VertexAddr,
+    iterate_ball_germs,
+    sorted_germs,
+    sphere_vertices,
+    word_inv,
+    word_mul,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +85,24 @@ def test_center_and_neighbor_turn_mismatch_is_2_illegal(cl):
 def test_ball_fixators_are_trivial(cl):
     for k in (1, 2):
         assert discreteness_certificate(cl, k).outcome == "holds"
+
+
+def _stab_germs_over_all_of_f(model, v, k):
+    """Reference: for each p in F, the germ of the element with local
+    action p that fixes v."""
+    def fixing(p):
+        return CLElement(word_mul(v.word, word_inv(tuple(p[c] for c in v.word))), p)
+
+    return sorted_germs(model.germ_of(fixing(p), v, k) for p in model.F)
+
+
+@pytest.mark.parametrize("d, F", [
+    (3, "sym"), (4, "sym"), (4, "alt"), (5, "alt"), (4, "cyclic"), (3, "trivial"),
+    (4, [[1, 0, 3, 2], [2, 3, 0, 1]]),
+], ids=["sym3", "sym4", "alt4", "alt5", "cyclic4", "trivial3", "custom4"])
+def test_stab_germs_from_generators_match_all_of_f(d, F):
+    model = build_model({"model": "constant_local", "d": d, "F": F})
+    for v in ("ε", "1", "0.2", "2.1.0"):
+        v = VertexAddr.parse(v)
+        for k in (0, 1, 2):
+            assert model.stab_germ_group(v, k) == tuple(_stab_germs_over_all_of_f(model, v, k))

@@ -1,5 +1,7 @@
 """Universal-cover backend over the doubled-cycle graphs and the strip."""
 
+import itertools
+
 import pytest
 
 from treeclose.kclosure import (
@@ -12,12 +14,13 @@ from treeclose.kclosure import (
 from treeclose.models import build_model
 from treeclose.models.cover import (
     CycleGraph,
+    StripAuto,
     StripGraph,
     aut_graph,
     is_graph_automorphism,
     rotation_auto,
 )
-from treeclose.tree_core import ROOT, ball_vertices, sphere_vertices
+from treeclose.tree_core import ROOT, VertexAddr, ball_vertices, sorted_germs, sphere_vertices
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +134,43 @@ def test_strip_shape():
     g = StripGraph(2)
     root = g.root
     assert len(g.ordered_neighbors(root)) == 4
+
+
+def _strip_window_stab_germs(model, v, k):
+    """Reference: the germ of the lift of every window automorphism that
+    fixes v's base vertex, (p!)^(2k+1) level permutations times two
+    reflections, with the base vertex's fiber fixed on its own level."""
+    i0, j0 = model.base_of(v)
+    levels = range(i0 - k, i0 + k + 1)
+    choices = [
+        [s for s in itertools.permutations(range(model.p)) if lv != i0 or s[j0 - 1] == j0 - 1]
+        for lv in levels
+    ]
+    autos = (
+        StripAuto.of(eps, i0 - eps * i0, dict(zip(levels, combo)))
+        for eps in (1, -1)
+        for combo in itertools.product(*choices)
+    )
+    return sorted_germs(model.germ_of(model.lift_at(a, v, v), v, k) for a in autos)
+
+
+@pytest.mark.parametrize("p, k", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_strip_stab_germs_from_generators_match_the_window_product(p, k):
+    model = build_model({"model": "cover", "graph": "strip", "p": p})
+    # the root, a vertex on the level below and one two levels up
+    for v in ("ε", "0", f"{p}.{p + 1}"):
+        v = VertexAddr.parse(v)
+        assert model.stab_germ_group(v, k) == tuple(_strip_window_stab_germs(model, v, k))
+
+
+def test_finite_cover_stab_germs_lift_every_fixing_automorphism(c25):
+    for v in ("ε", "1", "2.0"):
+        v = VertexAddr.parse(v)
+        bv = c25.base_of(v)
+        for k in (1, 2, 3):
+            want = sorted_germs(
+                c25.germ_of(c25.lift_at(a, v, v), v, k)
+                for a in c25.all_autos()
+                if c25.apply_auto(a, bv) == bv
+            )
+            assert c25.stab_germ_group(v, k) == tuple(want)

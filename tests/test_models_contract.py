@@ -5,7 +5,7 @@ import random
 import pytest
 
 from treeclose.errors import TooLarge, ValidationError
-from treeclose.models import build_model
+from treeclose.models import FullAutModel, build_model
 from treeclose.models.base import GroupModel, take
 from treeclose.tree_core import (
     ROOT,
@@ -124,16 +124,24 @@ def test_germ_of_matches_the_vertex_map_reference(descriptor):
                 want.validate(degree)
 
 
-def test_germ_of_is_defined_once():
-    def families(cls):
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from families(sub)
+def _families(cls=GroupModel):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _families(sub)
 
-    found = list(families(GroupModel))
+
+def test_germ_of_is_defined_once():
+    found = list(_families())
     assert len(found) >= 5
     for cls in found:
         assert "germ_of" not in vars(cls), f"{cls.__name__} overrides germ_of"
+
+
+def test_stab_germs_are_defined_once():
+    # every family but full Aut names stab_generators and shares the closure
+    found = list(_families())
+    assert len(found) >= 5
+    assert [cls for cls in found if "_stab_germs" in vars(cls)] == [FullAutModel]
 
 
 def test_transporter_identity_case(model):

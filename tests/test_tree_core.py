@@ -37,6 +37,15 @@ def test_parse_render_round_trip():
     assert ROOT.render() == "ε"
 
 
+def test_parse_takes_only_text_and_integers():
+    assert VertexAddr.parse(1) == VertexAddr((1,))
+    assert VertexAddr.parse(10) == VertexAddr((10,))
+    # str() would read the JSON number 10.20 as the vertex 10.2
+    for value in (10.2, 1.0, True, None, [1, 2], {"1": 2}):
+        with pytest.raises(ValidationError, match="^cannot parse vertex address "):
+            VertexAddr.parse(value)
+
+
 def test_step_backtracks():
     v = ROOT.step(0).step(1)
     assert v.render() == "0.1"
