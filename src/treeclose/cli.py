@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -38,7 +39,7 @@ from .kclosure import (
     solve_commutator,
 )
 from .models import build_model
-from .tree_core import ROOT, VertexAddr
+from .tree_core import ROOT, VertexAddr, sorted_germs
 
 SCENARIO_SCHEMA = "treeclose.scenario/v1"
 REPORT_SCHEMA = "treeclose.report/v1"
@@ -68,6 +69,11 @@ def _vertex(model, scenario):
     return _address(model, scenario["vertex"]) if "vertex" in scenario else ROOT
 
 
+def _optional_int(scenario, key):
+    """scenario[key] as an integer; None when it is absent or null."""
+    return None if scenario.get(key) is None else read_int(scenario, key)
+
+
 def _germ_listing(germs):
     out = {"count": len(germs)}
     if len(germs) <= GERM_LIST_CAP:
@@ -87,9 +93,8 @@ def _by_verdict(result, verdict):
 def _verb_stab_germs(model, scenario, budget, seed):
     v = _vertex(model, scenario)
     k = read_int(scenario, "k")
-    germs = model.stab_germ_group(v, k)
     result = {"vertex": v.render(), "k": k}
-    result.update(_germ_listing(germs))
+    result.update(_germ_listing(sorted_germs(model.stab_germ_group(v, k))))
     return result, EXIT_OK, [], 0
 
 
@@ -133,13 +138,11 @@ def _verb_kclosure_compare(model, scenario, budget, seed):
         raise ValidationError("scenario is missing 'other' model descriptor")
     other = build_model(scenario["other"])
     k = read_int(scenario, "k")
-    probe = scenario.get("probe_radius")
-    if probe is not None:
-        probe = read_int(scenario, "probe_radius")
+    probe = _optional_int(scenario, "probe_radius")
+    kmax = _optional_int(scenario, "first_difference_kmax")
     verdict = kclosure_equal(model, other, k, probe)
     result = {"k": k, "comparison": verdict.to_json()}
-    if scenario.get("first_difference_kmax") is not None:
-        kmax = read_int(scenario, "first_difference_kmax")
+    if kmax is not None:
         found = first_stab_germ_difference(model, other, ROOT, kmax)
         result["first_stab_germ_difference"] = (
             None
@@ -178,9 +181,7 @@ def _verb_pk(model, scenario, budget, seed):
 def _verb_plusk_generators(model, scenario, budget, seed):
     v = _vertex(model, scenario)
     k = read_int(scenario, "k")
-    radius = scenario.get("radius")
-    if radius is not None:
-        radius = read_int(scenario, "radius")
+    radius = _optional_int(scenario, "radius")
     samples = read_int(scenario, "samples", 0)
     germs = plusk_generator_germs(
         model, v, k, radius, samples=samples, rng_seed=seed
@@ -256,6 +257,10 @@ def _parse_matrix_entry(raw, p, where):
                 limit = max_elements()
                 if abs(e) > limit:
                     raise TooLarge(f"the exponent of {where} passes the limit {limit}")
+                # entries are multiplied in pairs, and Fraction pays for
+                # every bit, so p^e may hold a quarter of the limit in bits
+                if abs(e) * math.log2(p) > limit // 4:
+                    raise TooLarge(f"{where} has more than {limit // 4} bits")
                 return _rational(unit) * Fraction(p) ** e
     except (TypeError, ValueError, ZeroDivisionError):
         pass
@@ -272,13 +277,13 @@ def _verb_lattice(model, scenario, budget, seed):
         and all(isinstance(row, list) and len(row) == 2 for row in matrix)
     ):
         raise ValidationError("scenario needs 'matrix': 2x2 entries")
+    r = read_int(scenario, "r")
     a, b, c, d = (
         _parse_matrix_entry(matrix[i][j], model.p, f"entry ({i + 1}, {j + 1})")
         for i in (0, 1)
         for j in (0, 1)
     )
     el = model.element(a, b, c, d)
-    r = read_int(scenario, "r")
     fixes = model.fix_ball_test(el, r)
     germ_fixes = model.germ_of(el, ROOT, r).is_identity_map
     if fixes != germ_fixes:

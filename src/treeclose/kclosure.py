@@ -58,10 +58,6 @@ class Verdict:
     notes: tuple = ()
     details: dict = field(default_factory=dict)
 
-    @property
-    def holds(self):
-        return self.outcome == HOLDS
-
     def to_json(self):
         return {
             "outcome": self.outcome,
@@ -123,7 +119,9 @@ def check_k_legal(model, germ, k, cache=None, explain=False):
     The germ is k-legal when, around every vertex u whose k-ball sits
     inside the domain, it agrees with some model element: the center must
     stay in the model orbit of u and the recentered k-germ must land in
-    the coset (transporter germ) ∘ (stabilizer germs at u).
+    the coset (transporter germ) ∘ (stabilizer germs at u). The cache
+    maps (u, germ(u)) to the inverse transporter germ at radius k, so
+    calls share one only for the same model and k.
     """
     if k < 1:
         raise ValidationError("need k >= 1")
@@ -135,21 +133,15 @@ def check_k_legal(model, germ, k, cache=None, explain=False):
     cache = {} if cache is None else cache
     for u in ball_vertices(germ.src_center, germ.radius - k, deg):
         x = germ.apply(u)
-        tkey = ("t", u, x)
-        back = cache.get(tkey)
+        back = cache.get((u, x))
         if back is None:
             t = model.transporter(u, x)
             if t is None:
                 return (False, u) if explain else False
             back = invert(model.germ_of(t, u, k))
-            cache[tkey] = back
+            cache[u, x] = back
         local = compose(back, restrict(germ, u, k, deg))
-        skey = ("s", u, k)
-        stabs = cache.get(skey)
-        if stabs is None:
-            stabs = frozenset(model.stab_germ_group(u, k))
-            cache[skey] = stabs
-        if local not in stabs:
+        if local not in model.stab_germ_group(u, k):
             return (False, u) if explain else False
     return (True, None) if explain else True
 
@@ -179,8 +171,8 @@ def closure_germs_at_targets(model, center, radius, k, targets=None):
 
 
 def germ_closure(germs):
-    """Composition closure of germs sharing one center and radius."""
-    return sorted_germs(mulclose(germs, mul=compose))
+    """Composition closure of germs sharing one center and radius, as a frozenset."""
+    return frozenset(mulclose(germs, mul=compose))
 
 
 def local_action(model, v):
@@ -295,6 +287,16 @@ def discreteness_certificate(model, k):
 # --- independence properties -------------------------------------------------
 
 
+def tube_order(tube, maps):
+    """Maps on the tube, as int tuples over tube positions, sorted by their
+    image words taken in the word order of the tube."""
+    by_word = sorted(range(len(tube)), key=lambda p: tube[p].word)
+    rank = [0] * len(tube)
+    for r, p in enumerate(by_word):
+        rank[p] = r
+    return tuple(sorted(maps, key=lambda m: [rank[m[p]] for p in by_word]))
+
+
 def _map_trivial_on(m, side):
     return all(m[p] == p for p in side)
 
@@ -356,9 +358,8 @@ def ipk_check(model, v, w, k, R):
             ),
         )
     if certified:
-        # L = R = {id}: every non-identity map is missing, in sorted order
-        ident = tuple(range(len(tube)))
-        missing = [m for m in maps if m != ident]
+        # L = R = {id}: every non-identity map is missing
+        missing = tube_order(tube, maps - {tuple(range(len(tube)))})
         # the witness germ is serialized on B(v,R) only, so prefer a map
         # whose two-sided movement is visible inside that ball
         near_w = [p for p in w_side if dist[p][0] <= R]
@@ -482,10 +483,9 @@ def pk_check(model, path, k, R):
 
 def germ_group_difference(group_a, group_b):
     """Least germ in just one of two germ groups, from group_a's first; None if equal."""
-    sa, sb = set(group_a), set(group_b)
-    if sa == sb:
+    if group_a == group_b:
         return None
-    return sorted_germs((sa - sb) or (sb - sa))[0]
+    return sorted_germs((group_a - group_b) or (group_b - group_a))[0]
 
 
 def first_stab_germ_difference(model_a, model_b, v=ROOT, kmax=4):
@@ -854,9 +854,6 @@ class KClosureOracleModel:
     def transporter(self, u, w):
         return self.base.transporter(u, w)
 
-    def act(self, g, v):
-        return self.base.act(g, v)
-
     def germ_of(self, g, center, radius):
         return self.base.germ_of(g, center, radius)
 
@@ -870,14 +867,14 @@ class KClosureOracleModel:
         if got is None:
             full = self._cache.get((v, self.k))
             if full is None:
-                full = closure_germs_at_targets(self.base, v, self.k, self.k, (v,))
+                full = frozenset(
+                    closure_germs_at_targets(self.base, v, self.k, self.k, (v,))
+                )
                 self._cache[(v, self.k)] = full
             if radius == self.k:
                 got = full
             else:
                 # shallower radii restrict the enumerated truncation
-                got = sorted_germs(
-                    restrict(g, v, radius, self.degree) for g in full
-                )
+                got = frozenset(restrict(g, v, radius, self.degree) for g in full)
             self._cache[key] = got
         return got

@@ -3,53 +3,11 @@
 from __future__ import annotations
 
 from ..errors import ValidationError, read_int
-from .base import GroupModel, LazyEmbedding
-from .bass_serre import BassSerreModel, BSElement, parse_britton, render_britton
-from .constant_local import ConstantLocalModel, CLElement
-from .cover import (
-    CoverElement,
-    CoverModel,
-    CycleGraph,
-    FiniteAuto,
-    StripAuto,
-    StripGraph,
-    aut_graph,
-    fiber_auto,
-    is_graph_automorphism,
-    iterate_graph_autos,
-    rotation_auto,
-)
-from .full_aut import FullAutModel, RigidElement
-from .padic import LatticeClass, Mat2, PSL2Element, PSL2Model
-
-__all__ = [
-    "GroupModel",
-    "LazyEmbedding",
-    "BassSerreModel",
-    "BSElement",
-    "parse_britton",
-    "render_britton",
-    "ConstantLocalModel",
-    "CLElement",
-    "CoverElement",
-    "CoverModel",
-    "CycleGraph",
-    "StripGraph",
-    "FiniteAuto",
-    "StripAuto",
-    "aut_graph",
-    "iterate_graph_autos",
-    "is_graph_automorphism",
-    "rotation_auto",
-    "fiber_auto",
-    "FullAutModel",
-    "RigidElement",
-    "PSL2Model",
-    "PSL2Element",
-    "LatticeClass",
-    "Mat2",
-    "build_model",
-]
+from .bass_serre import BassSerreModel
+from .constant_local import ConstantLocalModel
+from .cover import CoverModel, CycleGraph, StripGraph
+from .full_aut import FullAutModel
+from .padic import PSL2Model
 
 
 def build_model(descriptor):

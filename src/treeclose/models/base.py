@@ -34,7 +34,6 @@ from ..tree_core import (
     germ_from_images,
     identity_germ,
     require_star,
-    sorted_germs,
     tree_distance,
 )
 
@@ -90,7 +89,7 @@ class GroupModel(abc.ABC):
     # --- germ data ---------------------------------------------------------
 
     def stab_germ_group(self, v, k):
-        """Sorted tuple of all radius-k germs of elements fixing v. Exact.
+        """Frozenset of all radius-k germs of elements fixing v. Exact.
 
         Cached per (v, k); TooLarge past the element limit of distinct germs.
         """
@@ -104,7 +103,7 @@ class GroupModel(abc.ABC):
                 germs.add(germ)
                 if len(germs) > limit:
                     raise TooLarge(f"stabilizer germ group exceeded {limit}")
-            got = cache[(v, k)] = sorted_germs(germs)
+            got = cache[(v, k)] = frozenset(germs)
         return got
 
     def _stab_germs(self, v, k):
@@ -123,13 +122,12 @@ class GroupModel(abc.ABC):
     def fixator_maps_on(self, tube, pinned):
         """Restrictions to the tube of all elements fixing `pinned` pointwise.
 
-        Each map is an int tuple over tube positions: entry p is the
-        position of the image of tube[p]; they come in tube_order. The
-        default reads them off the stabilizer germs at the pinned vertex
-        whose ball covers the tube with the least radius, ties broken by
-        word; every pinned center whose ball covers the tube gives the
-        same restrictions. Backends with cheaper exact enumerations
-        override this.
+        A frozenset of int tuples over tube positions: entry p of a map is
+        the position of the image of tube[p]. The default reads them off
+        the stabilizer germs at the pinned vertex whose ball covers the
+        tube with the least radius, ties broken by word; every pinned
+        center whose ball covers the tube gives the same restrictions.
+        Backends with cheaper exact enumerations override this.
         """
         pinned = tuple(pinned)
         tube = tuple(tube)
@@ -145,7 +143,7 @@ class GroupModel(abc.ABC):
             perm = g.perm
             if all(perm[i] == i for i in pins):
                 maps.add(tuple([back[perm[i]] for i in spots]))
-        return tube_order(tube, maps)
+        return frozenset(maps)
 
     # --- searches ----------------------------------------------------------
 
@@ -187,16 +185,6 @@ class GroupModel(abc.ABC):
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.describe()!r}>"
-
-
-def tube_order(tube, maps):
-    """Maps on the tube, as int tuples over tube positions, sorted by their
-    image words taken in the word order of the tube."""
-    by_word = sorted(range(len(tube)), key=lambda p: tube[p].word)
-    rank = [0] * len(tube)
-    for r, p in enumerate(by_word):
-        rank[p] = r
-    return tuple(sorted(maps, key=lambda m: [rank[m[p]] for p in by_word]))
 
 
 def take(iterable, n):

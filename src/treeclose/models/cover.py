@@ -363,12 +363,9 @@ class CoverModel(GroupModel):
     def transporter(self, u, w):
         bu, bw = self.base_of(u), self.base_of(w)
         delta = bw[0] - bu[0]
-        if self.p == 1:
-            sigma = identity_perm(1)
-        else:
-            sigma = list(identity_perm(self.p))
-            sigma[bu[1] - 1], sigma[bw[1] - 1] = sigma[bw[1] - 1], sigma[bu[1] - 1]
-            sigma = tuple(sigma)
+        sigma = list(identity_perm(self.p))
+        sigma[bu[1] - 1], sigma[bw[1] - 1] = sigma[bw[1] - 1], sigma[bu[1] - 1]
+        sigma = tuple(sigma)
         if self.is_finite:
             auto = self.compose_auto(
                 rotation_auto(self.base, delta % self.base.r),

@@ -37,7 +37,7 @@ from ..tree_core import (
     word_mul,
     require_regular,
 )
-from .base import GroupModel, tube_order
+from .base import GroupModel
 
 
 def _stab_germ_count_exceeds(degree, k, limit):
@@ -171,8 +171,8 @@ class FullAutModel(GroupModel):
         tube = tuple(tube)
         root = pinned[0]
         pins = {x: x for x in pinned}
-        return tube_order(
-            tube, iterate_subtree_isos(self.degree, tube, root, tube, root, pins=pins)
+        return frozenset(
+            iterate_subtree_isos(self.degree, tube, root, tube, root, pins=pins)
         )
 
     def iter_elements(self):

@@ -78,7 +78,9 @@ def mulclose(generators, mul=compose_perm):
     generated this way is the full group. A generator already in the
     closure of the ones before it is dropped; each one kept at least
     doubles the closure, so at most log2 of its size are kept, and only
-    those are multiplied by. TooLarge past the element limit.
+    those are multiplied by: the elements there before a kept generator
+    by it alone, the ones it adds by every kept generator. TooLarge past
+    the element limit.
     """
     limit = max_elements()
     gens = []
@@ -93,18 +95,19 @@ def mulclose(generators, mul=compose_perm):
         if g in els:
             continue
         gens.append(g)
+        # the current elements are closed under the earlier generators, so
+        # they need the new one only; each new element needs every kept one
+        frontier = [(a, (g,)) for a in els]
         add(g)
-        # every element of the new closure is a current element times a
-        # word in the kept generators
-        frontier = list(els)
+        frontier.append((g, gens))
         while frontier:
             new = []
-            for a in frontier:
-                for b in gens:
+            for a, by in frontier:
+                for b in by:
                     c = mul(a, b)
                     if c not in els:
                         add(c)
-                        new.append(c)
+                        new.append((c, gens))
             frontier = new
     return tuple(els)
 

@@ -22,7 +22,6 @@ from treeclose.tree_core import (
     compose,
     geodesic,
     identity_germ,
-    sorted_germs,
 )
 
 
@@ -179,7 +178,7 @@ def _power_loop_stab_germs(model, v, k):
     while cur != ident:
         out.append(cur)
         cur = compose(gen, cur)
-    return sorted_germs(out)
+    return frozenset(out)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -187,7 +186,7 @@ def test_stab_germs_match_the_generator_powers(k):
     model = build_model({"model": "bs", "m": 2, "n": 3})
     for v in ("ε", "0", "1.2", "4.1"):
         v = VertexAddr.parse(v)
-        assert model.stab_germ_group(v, k) == tuple(_power_loop_stab_germs(model, v, k))
+        assert model.stab_germ_group(v, k) == _power_loop_stab_germs(model, v, k)
 
 
 @pytest.mark.parametrize("v, k, order", [("ε", 3, 216), ("1.2", 4, 1296)])

@@ -14,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from treeclose import cli
 from treeclose.cli import main
+from treeclose.kclosure import germ_from_json
+from treeclose.models.padic import PSL2Model
 from treeclose.tree_core import ball_vertices
 
 ROOT_DIR = Path(__file__).resolve().parent.parent
@@ -439,6 +442,29 @@ MALFORMED = {
     # checked before the random fibers of the window are drawn
     "commutator-amplitude-past-z-hi": {"model": {"model": "full_aut", "d": 3},
                                        "verb": "commutator", "amplitude": 30000},
+    "scenario-not-an-object": ["stab-germs"],
+    "legality-without-germ": {"model": _CL3, "verb": "legality", "k": 1},
+    "legality-germ-not-an-object": {"model": _CL3, "verb": "legality", "k": 1,
+                                    "germ": 5},
+    "compare-without-other": {"model": _CL3, "verb": "kclosure-compare", "k": 1},
+    "commutator-f-not-an-object": {"model": _AUT3, "verb": "commutator",
+                                   "amplitude": 1, "f": []},
+    "commutator-amplitude-zero": {"model": _AUT3, "verb": "commutator",
+                                  "amplitude": 0},
+    "normal-form-unknown-generator": {"model": _BS23, "verb": "normal-form",
+                                      "word": "b"},
+    "normal-form-bad-exponent": {"model": _BS23, "verb": "normal-form",
+                                 "word": "a^x"},
+    "psl2-p-not-prime": {"model": {"model": "psl2", "p": 4}, "verb": "local-action"},
+    "cover-r-two": {"model": {"model": "cover", "p": 2, "r": 2},
+                    "verb": "local-action"},
+    "cover-p-one": {"model": {"model": "cover", "p": 1, "r": 5},
+                    "verb": "local-action"},
+    "bs-m-zero": {"model": {"model": "bs", "m": 0, "n": 3}, "verb": "local-action"},
+    "vertex-not-reduced": {"model": _AUT3, "verb": "stab-germs", "vertex": "0.0",
+                           "k": 1},
+    "vertex-negative-color": {"model": _AUT3, "verb": "stab-germs", "vertex": "-1",
+                              "k": 1},
 }
 
 
@@ -460,10 +486,92 @@ def test_malformed_scenario_values_exit_2(name, capsys, tmp_path):
     ("edge-entry-float", "cannot parse vertex address 0.0"),
     ("cover-graph-unknown", 'unknown cover graph \'Q\': use "C" or "strip"'),
     ("cover-r-inf", "'r' must be an integer"),
+    ("scenario-not-an-object", "scenario must be a JSON object"),
+    ("legality-without-germ", "scenario is missing 'germ'"),
+    ("legality-germ-not-an-object", "a germ must be an object"),
+    ("compare-without-other", "scenario is missing 'other' model descriptor"),
+    ("commutator-f-not-an-object", "scenario needs 'f': {fiber: {vertex: vertex}}"),
+    ("commutator-amplitude-zero", "amplitude must be positive"),
+    ("normal-form-unknown-generator", "unknown generator 'b'"),
+    ("normal-form-bad-exponent", "bad exponent in token 'a^x'"),
+    ("psl2-p-not-prime", "p must be a prime, got 4"),
+    ("cover-r-two", "need p >= 1 fibers and r >= 3 levels"),
+    ("cover-p-one", "cover degree below 3; need p >= 2"),
+    ("bs-m-zero", "need integer m, n >= 1, got 0, 3"),
+    ("vertex-not-reduced", "address not reduced: (0, 0)"),
+    ("vertex-negative-color", "bad edge color -1"),
 ])
 def test_malformed_value_messages(name, message, capsys, tmp_path):
     _, report = _run_scenario(tmp_path, capsys, MALFORMED[name])
     assert report["error"]["message"] == message
+
+
+def test_degree_two_is_not_a_regular_tree(capsys, tmp_path):
+    code, report = _run_scenario(
+        tmp_path, capsys, {"model": {"model": "full_aut", "d": 2}, "verb": "local-action"})
+    assert code == 2
+    assert report["error"] == {"type": "NotRegular",
+                               "message": "tree degree must be an integer >= 3, got 2"}
+
+
+def test_text_format_renders_an_error_report(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(MALFORMED["k-bool"]))
+    code, out = run_cli(["run", str(path)], capsys)
+    assert code == 2
+    assert out == (
+        "treeclose report\n"
+        'error      {"message": "\'k\' must be an integer", "type": "ValidationError"}\n'
+        "exit_code  2\n"
+        'schema     "treeclose.report/v1"\n'
+    )
+
+
+def _unreachable(*args, **kwargs):
+    # Failed is no Exception, so the CLI cannot report it as an error
+    pytest.fail("the computation ran before every scenario value was read")
+
+
+def test_compare_reads_first_difference_kmax_before_comparing(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "kclosure_equal", _unreachable)
+    code, report = _run_scenario(tmp_path, capsys, MALFORMED["compare-kmax-not-int"])
+    assert code == 2
+    assert report["error"]["message"] == "'first_difference_kmax' must be an integer"
+
+
+def test_lattice_reads_r_before_building_the_matrix(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(PSL2Model, "element", _unreachable)
+    code, report = _run_scenario(
+        tmp_path, capsys,
+        {"model": {"model": "psl2", "p": 2}, "verb": "lattice", "r": "x",
+         "matrix": [[1, 0], [0, 1]]},
+    )
+    assert code == 2
+    assert report["error"]["message"] == "'r' must be an integer"
+
+
+# each family's stab-germs listing, at a radius with a few dozen germs
+STAB_LISTINGS = {
+    "constant_local": _CL3,
+    "full_aut": _AUT3,
+    "bs": _BS23,
+    "psl2": {"model": "psl2", "p": 2},
+    "cover": _C25,
+    "strip": {"model": "cover", "graph": "strip", "p": 2},
+}
+
+
+@pytest.mark.parametrize("family", sorted(STAB_LISTINGS))
+def test_stab_germs_listing_is_sorted(family, capsys, tmp_path):
+    # stabilizer germ groups are sets; the listing sorts them
+    code, report = _run_scenario(
+        tmp_path, capsys,
+        {"model": STAB_LISTINGS[family], "verb": "stab-germs", "vertex": "1", "k": 2},
+    )
+    assert code == 0
+    keys = [germ_from_json(g).sort_key() for g in report["result"]["germs"]]
+    assert len(keys) == report["result"]["count"] > 1
+    assert keys == sorted(set(keys))
 
 
 def test_large_prime_passes_the_primality_pre_flight(capsys, tmp_path):
@@ -486,6 +594,12 @@ HUGE_LATTICE_ENTRIES = {
                                 "the exponent of entry (1, 2) passes the limit 1000000"),
     "decimal-exponent": ([[1, "1e-100000000"], [0, 1]], "ValidationError",
                          "bad matrix entry '1e-100000000'"),
+    # at p = 2 an entry may hold a quarter of the limit in bits; these two
+    # took 7.3 s and 3.6 s of Fraction arithmetic
+    "bits-past-the-bound-diagonal": ([[[1, "p^999999"], 0], [0, [1, "p^-999999"]]],
+                                     "TooLarge", "entry (1, 1) has more than 250000 bits"),
+    "bits-past-the-bound-unipotent": ([[1, [1, "p^999999"]], [0, 1]], "TooLarge",
+                                      "entry (1, 2) has more than 250000 bits"),
 }
 
 

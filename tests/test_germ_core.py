@@ -28,7 +28,7 @@ from treeclose.errors import (
     TooLarge,
     ValidationError,
 )
-from treeclose.kclosure import edge_region, germ_to_json
+from treeclose.kclosure import edge_region, germ_to_json, tube_order
 from treeclose.models import BassSerreModel, FullAutModel
 from treeclose.tree_core import (
     ROOT,
@@ -195,7 +195,7 @@ def test_fixator_maps_on_matches_the_dict_reference(model, edge):
             m = {x: g.apply(x) for x in tube}
             seen.setdefault(tuple(sorted((a.word, b.word) for a, b in m.items())), m)
     # a map is an int tuple: entry p is the tube position of the image of tube[p]
-    maps = model.fixator_maps_on(tube, pinned)
+    maps = tube_order(tube, model.fixator_maps_on(tube, pinned))
     got = [{x: tube[m[p]] for p, x in enumerate(tube)} for m in maps]
     assert got == [seen[k] for k in sorted(seen)]
 

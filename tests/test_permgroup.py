@@ -79,6 +79,25 @@ def test_mulclose_multiplies_only_by_generators_that_add_something(monkeypatch):
         mulclose(s4)
 
 
+def test_mulclose_multiplies_old_elements_by_the_new_generator_only():
+    # the elements there before a kept generator are closed under the
+    # earlier ones, so they are multiplied by it alone; each element it
+    # adds is multiplied by every kept generator
+    swap = perm_from_cycles(4, [(0, 1)])
+    cycle = perm_from_cycles(4, [(0, 1, 2, 3)])
+    products = []
+
+    def mul(a, b):
+        products.append(b)
+        return compose_perm(a, b)
+
+    assert len(mulclose([swap, cycle, swap], mul=mul)) == 24
+    # swap adds itself and the identity, each times swap; cycle multiplies
+    # those two and adds 22 elements, each times both generators
+    assert products.count(swap) == 2 + 22
+    assert products.count(cycle) == 2 + 22
+
+
 def test_perm_order():
     assert perm_order(identity_perm(5)) == 1
     assert perm_order(perm_from_cycles(5, [(0, 1), (2, 3, 4)])) == 6
