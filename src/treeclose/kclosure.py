@@ -593,9 +593,9 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
         f"transitive germs verified through probe radius {probe}; "
         "equality beyond the truncation is not certified",
     ]
-    hook = model_a.common_transitive_pairs(model_b, probe)
+    hook = model_a.common_transitive_pairs(model_b)
     if hook is None:
-        swapped = model_b.common_transitive_pairs(model_a, probe)
+        swapped = model_b.common_transitive_pairs(model_a)
         if swapped is not None:
             hook = [(a_el, b_el, x) for (b_el, a_el, x) in swapped]
     if hook is not None:

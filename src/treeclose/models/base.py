@@ -164,7 +164,7 @@ class GroupModel(abc.ABC):
         half-tree at the edge pointwise is the identity."""
         return False
 
-    def common_transitive_pairs(self, other, probe_radius):
+    def common_transitive_pairs(self, other):
         """Candidate (self element, other element) pairs expected to act
         identically, anchored at the root and covering all root neighbors.
         None when the model has no pairing hook."""

@@ -16,6 +16,12 @@ the full (non-finitary) automorphism group on a finite window is
 realized by a finite-support element already, so all finite certificates
 are unaffected.
 
+Each base graph owns its automorphisms: it names the identity, a
+transporter, the automorphisms that generate a vertex stabiliser
+(stab_autos) and its element streams, and reads automorphisms from
+JSON. CoverModel holds the covering map and lifts what the base names,
+without asking which base it holds.
+
 Neighbor order is direction-aware on purpose: level i-1 fibers first,
 then level i+1 fibers, identically for the finite and infinite bases, so
 both covers address the same colored tree and germ sets are directly
@@ -28,9 +34,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..errors import IncompatibleBase, TooLarge, ValidationError, max_elements, product_exceeds
+from ..errors import IncompatibleBase, TooLarge, ValidationError, as_int, max_elements, product_exceeds
 from ..permgroup import check_perm, identity_perm, invert_perm, perm_from_cycles
-from ..tree_core import ROOT, VertexAddr, geodesic, require_star
+from ..tree_core import ROOT, VertexAddr, geodesic, require_star, sphere_vertices
 from .base import GroupModel
 
 
@@ -56,22 +62,57 @@ class CycleGraph:
         up = [((i + 1) % self.r, l) for l in range(1, self.p + 1)]
         return down + up
 
-    def diameter(self):
-        verts = self.vertices()
-        worst = 0
-        for src in verts:
-            dist = {src: 0}
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in self.ordered_neighbors(x):
-                        if y not in dist:
-                            dist[y] = dist[x] + 1
-                            nxt.append(y)
-                frontier = nxt
-            worst = max(worst, max(dist.values()))
-        return worst
+    @cached_property
+    def aut_graph(self):
+        """Materialized automorphism list; TooLarge past the element limit."""
+        limit = max_elements()
+        # fiber permutations within each level and the 2r rotations and
+        # reflections of the levels are automorphisms: |Aut| >= 2r (p!)^r
+        fiber_perms = (f for _ in range(self.r) for f in range(2, self.p + 1))
+        if product_exceeds(itertools.chain([2 * self.r], fiber_perms), limit):
+            raise TooLarge(f"automorphism group exceeds {limit}")
+        out = tuple(itertools.islice(iterate_graph_autos(self), limit + 1))
+        if len(out) > limit:
+            raise TooLarge(f"automorphism group exceeds {limit}")
+        return out
+
+    def identity(self):
+        return FiniteAuto.from_mapping({v: v for v in self.vertices()})
+
+    def transporter(self, bu, bw):
+        """Swaps the fibers of bu and bw on bu's level, then rotates that
+        level onto bw's."""
+        delta = bw[0] - bu[0]
+        swap = {bu[1]: bw[1], bw[1]: bu[1]}
+        return FiniteAuto.from_mapping({
+            (i, j): ((i + delta) % self.r, swap.get(j, j) if i == bu[0] else j)
+            for (i, j) in self.vertices()
+        })
+
+    def stab_autos(self, bv, k):
+        """Automorphisms whose lifts generate the radius-k stabiliser germs
+        at a vertex over bv: every automorphism fixing bv."""
+        return [a for a in self.aut_graph if a.apply(bv) == bv]
+
+    def is_covered_by(self, bvs):
+        return set(bvs) == set(self.vertices())
+
+    def element_autos(self, radius):
+        # every automorphism, at every radius
+        return self.aut_graph
+
+    def candidate_autos(self):
+        ident = self.identity()
+        return (a for a in self.stab_autos(self.root, 0) if a != ident)
+
+    def auto_from_json(self, raw):
+        auto = FiniteAuto.from_mapping({tuple(v): tuple(w) for v, w in raw["pairs"]})
+        if not is_graph_automorphism(self, auto):
+            raise ValidationError("not an automorphism of the base graph")
+        return auto
+
+    def describe(self):
+        return {"graph": "C", "p": self.p, "r": self.r}
 
 
 @dataclass(frozen=True)
@@ -92,6 +133,65 @@ class StripGraph:
         up = [(i + 1, l) for l in range(1, self.p + 1)]
         return down + up
 
+    def identity(self):
+        return StripAuto.of(1, 0, {})
+
+    def transporter(self, bu, bw):
+        """Swaps the fibers of bu and bw on bu's level, then shifts that
+        level onto bw's."""
+        swap = perm_from_cycles(self.p, [(bu[1] - 1, bw[1] - 1)])
+        return StripAuto.of(1, bw[0] - bu[0], {bu[0]: swap})
+
+    def stab_autos(self, bv, k):
+        """Automorphisms whose lifts generate the radius-k stabiliser germs
+        at a vertex over bv."""
+        # a germ on B(v, k) reads the levels within k of bv's only; the
+        # reflection through bv's level and, on each such level, a swap
+        # and a full cycle of the fibers other than bv's generate them
+        i0 = bv[0]
+        autos = [StripAuto.of(-1, 2 * i0, {})]
+        for lv in range(i0 - k, i0 + k + 1):
+            free = tuple(j for j in range(self.p) if (lv, j + 1) != bv)
+            for cycle in dict.fromkeys([free[:2], free]):
+                if len(cycle) > 1:
+                    autos.append(StripAuto.of(1, 0, {lv: perm_from_cycles(self.p, [cycle])}))
+        return autos
+
+    def is_covered_by(self, bvs):
+        # a finite region never covers the infinite strip
+        return False
+
+    def element_autos(self, radius):
+        """Both orientations, shifts by at most radius levels, and every
+        fiber permutation on the levels within radius of the root's."""
+        levels = range(-radius, radius + 1)
+        for eps in (1, -1):
+            for shift in levels:
+                for combo in itertools.product(
+                    itertools.permutations(range(self.p)), repeat=len(levels)
+                ):
+                    yield StripAuto.of(eps, shift, dict(zip(levels, combo)))
+
+    def candidate_autos(self):
+        for bound in itertools.count(1):
+            for lv in (bound, -bound):
+                for perm in itertools.permutations(range(self.p)):
+                    if perm != identity_perm(self.p):
+                        yield StripAuto.of(1, 0, {lv: perm})
+
+    def auto_from_json(self, raw):
+        eps = as_int(raw.get("eps"), "'eps'")
+        if eps not in (1, -1):
+            raise ValidationError(f"'eps' must be 1 or -1, got {eps}")
+        sigmas = {
+            as_int(lv, f"level {lv!r}"): check_perm(perm, self.p)
+            for lv, perm in raw.get("sigmas", {}).items()
+        }
+        return StripAuto.of(eps, as_int(raw.get("shift"), "'shift'"), sigmas)
+
+    def describe(self):
+        return {"graph": "strip", "p": self.p, "r": None}
+
 
 @dataclass(frozen=True)
 class FiniteAuto:
@@ -104,6 +204,19 @@ class FiniteAuto:
     @staticmethod
     def from_mapping(m):
         return FiniteAuto(tuple(sorted(m.items())))
+
+    def apply(self, bv):
+        return self.mapping[bv]
+
+    def compose(self, inner):
+        """self after inner."""
+        return FiniteAuto.from_mapping({v: self.mapping[w] for v, w in inner.pairs})
+
+    def inverse(self):
+        return FiniteAuto.from_mapping({w: v for v, w in self.pairs})
+
+    def to_json(self):
+        return {"pairs": [[list(v), list(w)] for v, w in self.pairs]}
 
 
 @dataclass(frozen=True)
@@ -120,12 +233,39 @@ class StripAuto:
 
     @staticmethod
     def of(eps, shift, sigmas):
-        cleaned = {}
-        for level, perm in dict(sigmas).items():
-            perm = tuple(perm)
-            if perm != identity_perm(len(perm)):
-                cleaned[int(level)] = perm
-        return StripAuto(eps, shift, tuple(sorted(cleaned.items())))
+        kept = {lv: perm for lv, perm in sigmas.items() if perm != identity_perm(len(perm))}
+        return StripAuto(eps, shift, tuple(sorted(kept.items())))
+
+    def apply(self, bv):
+        i, j = bv
+        sigma = self.sigma_map.get(i)
+        return (self.eps * i + self.shift, j if sigma is None else sigma[j - 1] + 1)
+
+    def compose(self, inner):
+        """self after inner."""
+        levels = {lv for lv, _ in inner.sigmas}
+        levels.update(inner.eps * (lv - inner.shift) for lv, _ in self.sigmas)
+        sigmas = {}
+        for i in levels:
+            s1 = inner.sigma_map.get(i)
+            s2 = self.sigma_map.get(inner.eps * i + inner.shift)
+            if s1 is None or s2 is None:
+                # the level moves under one of the two only
+                sigmas[i] = s1 or s2
+            else:
+                sigmas[i] = tuple(s2[x] for x in s1)
+        return StripAuto.of(self.eps * inner.eps, self.eps * inner.shift + self.shift, sigmas)
+
+    def inverse(self):
+        sigmas = {self.eps * lv + self.shift: invert_perm(perm) for lv, perm in self.sigmas}
+        return StripAuto.of(self.eps, -self.eps * self.shift, sigmas)
+
+    def to_json(self):
+        return {
+            "eps": self.eps,
+            "shift": self.shift,
+            "sigmas": {str(lv): list(perm) for lv, perm in self.sigmas},
+        }
 
 
 def is_graph_automorphism(graph, auto):
@@ -172,36 +312,6 @@ def iterate_graph_autos(graph):
     yield from rec(0)
 
 
-def aut_graph(graph):
-    """Materialized automorphism list; TooLarge past the element limit."""
-    limit = max_elements()
-    # fiber permutations within each level and the 2r rotations and
-    # reflections of the levels are automorphisms: |Aut| >= 2r (p!)^r
-    fiber_perms = (f for _ in range(graph.r) for f in range(2, graph.p + 1))
-    if product_exceeds(itertools.chain([2 * graph.r], fiber_perms), limit):
-        raise TooLarge(f"automorphism group exceeds {limit}")
-    out = tuple(itertools.islice(iterate_graph_autos(graph), limit + 1))
-    if len(out) > limit:
-        raise TooLarge(f"automorphism group exceeds {limit}")
-    return out
-
-
-def rotation_auto(graph, delta):
-    return FiniteAuto.from_mapping(
-        {(i, j): ((i + delta) % graph.r, j) for (i, j) in graph.vertices()}
-    )
-
-
-def fiber_auto(graph, level, perm):
-    check_perm(perm, graph.p)
-    return FiniteAuto.from_mapping(
-        {
-            (i, j): ((i, perm[j - 1] + 1) if i == level else (i, j))
-            for (i, j) in graph.vertices()
-        }
-    )
-
-
 def _reverse(chart):
     return {bv: c for c, bv in chart.items()}
 
@@ -221,11 +331,9 @@ class CoverModel(GroupModel):
         self.degree = 2 * base.p
         if self.degree < 3:
             raise ValidationError("cover degree below 3; need p >= 2")
-        self.is_finite = isinstance(base, CycleGraph)
         require_star(self.degree)
         root_chart = dict(enumerate(base.ordered_neighbors(base.root)))
         self._charts = {(): (base.root, root_chart, _reverse(root_chart))}
-        self._auto_cache = None
 
     # --- the covering map ---------------------------------------------------
 
@@ -253,63 +361,15 @@ class CoverModel(GroupModel):
         """The covering projection."""
         return self._chart(addr.word)[0]
 
-    # --- base automorphism plumbing ---------------------------------------------
-
-    def apply_auto(self, auto, bv):
-        if self.is_finite:
-            return auto.mapping[bv]
-        i, j = bv
-        sigma = auto.sigma_map.get(i)
-        jj = j if sigma is None else sigma[j - 1] + 1
-        return (auto.eps * i + auto.shift, jj)
-
-    def compose_auto(self, a2, a1):
-        """a2 after a1."""
-        if self.is_finite:
-            return FiniteAuto.from_mapping(
-                {v: a2.mapping[w] for v, w in a1.pairs}
-            )
-        eps = a2.eps * a1.eps
-        shift = a2.eps * a1.shift + a2.shift
-        levels = {lv for lv, _ in a1.sigmas}
-        levels.update(a1.eps * (lv - a1.shift) for lv, _ in a2.sigmas)
-        sigmas = {}
-        for i in levels:
-            s1 = a1.sigma_map.get(i, identity_perm(self.p))
-            s2 = a2.sigma_map.get(a1.eps * i + a1.shift, identity_perm(self.p))
-            sigmas[i] = tuple(s2[s1[x]] for x in range(self.p))
-        return StripAuto.of(eps, shift, sigmas)
-
-    def invert_auto(self, a):
-        if self.is_finite:
-            return FiniteAuto.from_mapping({w: v for v, w in a.pairs})
-        eps, shift = a.eps, -a.eps * a.shift
-        sigmas = {}
-        for lv, perm in a.sigmas:
-            sigmas[a.eps * lv + a.shift] = invert_perm(perm)
-        return StripAuto.of(eps, shift, sigmas)
-
-    def identity_auto(self):
-        if self.is_finite:
-            return FiniteAuto.from_mapping({v: v for v in self.base.vertices()})
-        return StripAuto.of(1, 0, {})
-
-    def all_autos(self):
-        if not self.is_finite:
-            raise TooLarge("the strip automorphism group is infinite")
-        if self._auto_cache is None:
-            self._auto_cache = aut_graph(self.base)
-        return self._auto_cache
-
     # --- lifting -------------------------------------------------------------------
 
     def lift_apply(self, auto, anchor_src, anchor_dst, v):
-        if self.apply_auto(auto, self.base_of(anchor_src)) != self.base_of(anchor_dst):
+        if auto.apply(self.base_of(anchor_src)) != self.base_of(anchor_dst):
             raise ValidationError("anchor does not project compatibly")
         path = geodesic(anchor_src, v)
         cur = anchor_dst
         for nxt in path[1:]:
-            target = self.apply_auto(auto, self.base_of(nxt))
+            target = auto.apply(self.base_of(nxt))
             cur = cur.step(self._chart(cur.word)[2][target])
         return cur
 
@@ -319,7 +379,7 @@ class CoverModel(GroupModel):
     # --- group operations --------------------------------------------------------------
 
     def identity(self):
-        return CoverElement(self.identity_auto(), ROOT)
+        return CoverElement(self.base.identity(), ROOT)
 
     def act(self, g, v):
         return self.lift_apply(g.auto, ROOT, g.anchor_image, v)
@@ -327,59 +387,28 @@ class CoverModel(GroupModel):
     def image_step(self, g, x, gx, y, c):
         # the lift sends the c-neighbor of x to the neighbor of gx over
         # the image of its base vertex
-        target = self.apply_auto(g.auto, self._chart(x.word)[1][c])
+        target = g.auto.apply(self._chart(x.word)[1][c])
         return gx.step(self._chart(gx.word)[2][target])
 
     def mul(self, a, b):
-        return CoverElement(
-            self.compose_auto(a.auto, b.auto), self.act(a, b.anchor_image)
-        )
+        return CoverElement(a.auto.compose(b.auto), self.act(a, b.anchor_image))
 
     def inv(self, a):
-        ia = self.invert_auto(a.auto)
+        ia = a.auto.inverse()
         return CoverElement(ia, self.lift_apply(ia, a.anchor_image, ROOT, ROOT))
 
     # --- stabilizer germs -----------------------------------------------------------------
 
     def stab_generators(self, v, k):
-        bv = self.base_of(v)
-        if self.is_finite:
-            autos = [a for a in self.all_autos() if self.apply_auto(a, bv) == bv]
-        else:
-            # a germ on B(v, k) reads the levels within k of bv's only; the
-            # reflection through bv's level and, on each such level, a swap
-            # and a full cycle of the fibers other than bv's generate them
-            i0 = bv[0]
-            autos = [StripAuto.of(-1, 2 * i0, {})]
-            for lv in range(i0 - k, i0 + k + 1):
-                free = tuple(j for j in range(self.p) if (lv, j + 1) != bv)
-                for cycle in dict.fromkeys([free[:2], free]):
-                    if len(cycle) > 1:
-                        autos.append(StripAuto.of(1, 0, {lv: perm_from_cycles(self.p, [cycle])}))
-        return [self.lift_at(a, v, v) for a in autos]
+        return [self.lift_at(a, v, v) for a in self.base.stab_autos(self.base_of(v), k)]
 
     # --- structure ---------------------------------------------------------------------------
 
     def transporter(self, u, w):
-        bu, bw = self.base_of(u), self.base_of(w)
-        delta = bw[0] - bu[0]
-        sigma = list(identity_perm(self.p))
-        sigma[bu[1] - 1], sigma[bw[1] - 1] = sigma[bw[1] - 1], sigma[bu[1] - 1]
-        sigma = tuple(sigma)
-        if self.is_finite:
-            auto = self.compose_auto(
-                rotation_auto(self.base, delta % self.base.r),
-                fiber_auto(self.base, bu[0], sigma),
-            )
-        else:
-            auto = StripAuto.of(1, delta, {bu[0]: sigma})
-        return self.lift_at(auto, u, w)
+        return self.lift_at(self.base.transporter(self.base_of(u), self.base_of(w)), u, w)
 
     def region_fixator_trivial(self, region):
-        if not self.is_finite or not region:
-            return None
-        image = {self.base_of(x) for x in region}
-        if image == set(self.base.vertices()):
+        if self.base.is_covered_by(self.base_of(x) for x in region):
             # the projected region covers the base, forcing the base
             # automorphism of any fixator to be the identity; a lift of
             # the identity fixing a vertex is the identity
@@ -393,55 +422,19 @@ class CoverModel(GroupModel):
         return True
 
     def iter_elements(self):
-        if self.is_finite:
-            autos = self.all_autos()
-            for radius in itertools.count(0):
-                from ..tree_core import sphere_vertices
-
-                for auto in autos:
-                    target = self.apply_auto(auto, self.base.root)
-                    for w0 in sphere_vertices(ROOT, radius, self.degree):
-                        if self.base_of(w0) == target:
-                            yield CoverElement(auto, w0)
-        else:
-            for bound in itertools.count(0):
-                for eps in (1, -1):
-                    for shift in range(-bound, bound + 1):
-                        levels = range(-bound, bound + 1)
-                        for combo in itertools.product(
-                            itertools.permutations(range(self.p)), repeat=len(levels)
-                        ):
-                            auto = StripAuto.of(eps, shift, dict(zip(levels, combo)))
-                            target = self.apply_auto(auto, self.base.root)
-                            anchor = self._some_fiber_vertex(target, abs(shift) + 1)
-                            yield CoverElement(auto, anchor)
-
-    def _some_fiber_vertex(self, bv, radius_hint):
-        from ..tree_core import ball_vertices
-
-        for radius in itertools.count(radius_hint):
-            for w in ball_vertices(ROOT, radius, self.degree):
-                if self.base_of(w) == bv:
-                    return w
+        # radius by radius, the lifts of the base's automorphisms at each
+        # vertex of that sphere over the image of the base root
+        for radius in itertools.count(0):
+            for auto in self.base.element_autos(radius):
+                target = auto.apply(self.base.root)
+                for w in sphere_vertices(ROOT, radius, self.degree):
+                    if self.base_of(w) == target:
+                        yield CoverElement(auto, w)
 
     def nondiscreteness_candidates(self, k):
-        if self.is_finite:
-            bv = self.base.root
-            for auto in self.all_autos():
-                if self.apply_auto(auto, bv) == bv:
-                    g = self.lift_at(auto, ROOT, ROOT)
-                    if g != self.identity():
-                        yield g
-        else:
-            for bound in itertools.count(1):
-                for lv in (bound, -bound):
-                    for perm in itertools.permutations(range(self.p)):
-                        if perm == identity_perm(self.p):
-                            continue
-                        auto = StripAuto.of(1, 0, {lv: perm})
-                        yield self.lift_at(auto, ROOT, ROOT)
+        return (self.lift_at(a, ROOT, ROOT) for a in self.base.candidate_autos())
 
-    def common_transitive_pairs(self, other, probe_radius):
+    def common_transitive_pairs(self, other):
         if not isinstance(other, CoverModel):
             return None
         if other.p != self.p:
@@ -456,41 +449,14 @@ class CoverModel(GroupModel):
     # --- serialization --------------------------------------------------------------------------
 
     def element_to_json(self, g):
-        if self.is_finite:
-            auto = {"pairs": [[list(v), list(w)] for v, w in g.auto.pairs]}
-        else:
-            auto = {
-                "eps": g.auto.eps,
-                "shift": g.auto.shift,
-                "sigmas": {str(lv): list(perm) for lv, perm in g.auto.sigmas},
-            }
-        return {"auto": auto, "anchor_image": g.anchor_image.render()}
+        return {"auto": g.auto.to_json(), "anchor_image": g.anchor_image.render()}
 
     def element_from_json(self, data):
-        raw = data["auto"]
-        if self.is_finite:
-            auto = FiniteAuto.from_mapping(
-                {tuple(v): tuple(w) for v, w in raw["pairs"]}
-            )
-            if not is_graph_automorphism(self.base, auto):
-                raise ValidationError("not an automorphism of the base graph")
-        else:
-            auto = StripAuto.of(
-                int(raw["eps"]),
-                int(raw["shift"]),
-                {int(lv): tuple(perm) for lv, perm in raw.get("sigmas", {}).items()},
-            )
+        auto = self.base.auto_from_json(data["auto"])
         anchor = VertexAddr.parse(data["anchor_image"])
-        g = CoverElement(auto, anchor)
         # re-anchor from scratch to validate projection compatibility
         self.lift_apply(auto, ROOT, anchor, ROOT)
-        return g
+        return CoverElement(auto, anchor)
 
     def describe(self):
-        return {
-            "model": self.name,
-            "graph": "C" if self.is_finite else "strip",
-            "p": self.p,
-            "r": self.base.r if self.is_finite else None,
-            "degree": self.degree,
-        }
+        return {"model": self.name, **self.base.describe(), "degree": self.degree}

@@ -70,6 +70,79 @@ REPORT_SHA256.update({
 })
 
 
+# cover inputs the corpus lacks: (scenario, exit code, SHA-256 of the
+# `--format json` report)
+_STRIP2 = {"model": "cover", "graph": "strip", "p": 2}
+_STRIP3 = {"model": "cover", "graph": "strip", "p": 3}
+
+
+def _cycle(r):
+    return {"model": "cover", "graph": "C", "p": 2, "r": r}
+
+
+COVER_REPORT_SHA256 = {
+    "strip-stab-germs-3.0-k2": (
+        {"model": _STRIP2, "verb": "stab-germs", "vertex": "3.0", "k": 2},
+        0, "c11120933f2f58eadb504de157ba319540361b5c87dcb931ed24aebd4ee59f99"),
+    "strip-p3-stab-germs-k1": (
+        {"model": _STRIP3, "verb": "stab-germs", "k": 1},
+        0, "4ba76af629e2ffebc98424b46ff929953a38acb2b8ff93717ab167cb719aefd5"),
+    "strip-p3-local-action": (
+        {"model": _STRIP3, "verb": "local-action"},
+        0, "5dbf373799b6435833303f21911f9a9c94106a56d919696daaf7c7170c589138"),
+    "strip-discreteness-k1": (
+        {"model": _STRIP2, "verb": "discreteness", "k": 1, "budget": 50},
+        0, "7a8aa01b24e65cb79d07a77cc5b85a19f76175320442864de65adf7f5147080b"),
+    "strip-discreteness-k2": (
+        {"model": _STRIP2, "verb": "discreteness", "k": 2, "budget": 50},
+        0, "267f5a7c619b19d449f088a2813b8651c9db53affed2954f5acaa46345630d91"),
+    "strip-ipk-k1-r2": (
+        {"model": _STRIP2, "verb": "ipk", "edge": ["ε", "0"], "k": 1, "R": 2},
+        10, "87abfca1593ea7203c0c6fd5f97c46f4754ec6ae019605eb1a1fcb4213a50284"),
+    "strip-pk-k1-r2": (
+        {"model": _STRIP2, "verb": "pk", "path": ["1", "ε", "0"], "k": 1, "R": 2},
+        20, "bf58abab55d3ee2f8239ad4d6f0cc22435d3c50fb2ba4df4d9a71494318f21b7"),
+    "strip-plusk-k2": (
+        {"model": _STRIP2, "verb": "plusk-generators", "vertex": "0", "k": 2, "radius": 2},
+        0, "c4d233005a304b03cae757b30eca662487fdaac83c03f8d4c66b880945b6afcb"),
+    "strip-vs-c25-k2": (
+        {"model": _STRIP2, "verb": "kclosure-compare", "other": _cycle(5), "k": 2},
+        0, "40f3b18d6d9c2cdef55d0f32cf7a0c10344d58751382057e22b8e10fb574ff64"),
+    "c23-stab-germs-1.2-k2": (
+        {"model": _cycle(3), "verb": "stab-germs", "vertex": "1.2", "k": 2},
+        0, "2fd5772345e8a600c5efc2e94547a982438b530f324ffa2374e88ce625d668e4"),
+    "c24-stab-germs-0-k2": (
+        {"model": _cycle(4), "verb": "stab-germs", "vertex": "0", "k": 2},
+        0, "7306e4aec5ece2b453e6f5dc712061c26c3cd55bd0033c4a4cc3604a8f31401c"),
+    "c24-discreteness-k2": (
+        {"model": _cycle(4), "verb": "discreteness", "k": 2},
+        20, "e95bd115ff5d2509a7cec98acfacb07f3c89bd2a539ed404198abd3afb68c670"),
+    "c24-vs-strip-k1": (
+        {"model": _cycle(4), "verb": "kclosure-compare", "other": _STRIP2, "k": 1,
+         "first_difference_kmax": 3},
+        10, "d210d398279d372869eabf024efd665824f9eef33ee6a75eece4a24522f8a631"),
+    "c25-stab-germs-3-k2": (
+        {"model": _cycle(5), "verb": "stab-germs", "vertex": "3", "k": 2},
+        0, "cf1c8ec9f082751e2f6eea93bf5b52967c5876125bdd6a287635a769ee65704c"),
+    "c25-discreteness-k1": (
+        {"model": _cycle(5), "verb": "discreteness", "k": 1},
+        0, "a04e5327a9690e6f30691b3ecffae930fcc70035de6f648f8e9c870099a53d61"),
+    "c25-ipk-k1-r2": (
+        {"model": _cycle(5), "verb": "ipk", "edge": ["ε", "0"], "k": 1, "R": 2},
+        10, "9b2ffadf203eb4e875f58096fbc5725763066e7f29a65542eb8e2a65e1d4f838"),
+    "c25-plusk-k1": (
+        {"model": _cycle(5), "verb": "plusk-generators", "k": 1, "radius": 2},
+        0, "9fb4fcad9f324db4682b993a0625b2af7da632914e2504c2500e86161edc05d5"),
+    "c25-local-action-2.1": (
+        {"model": _cycle(5), "verb": "local-action", "vertex": "2.1"},
+        0, "7ac3d373ca251b3004bdeb3957de14c6736480623027c8c4936a7d41e97723e1"),
+    "c27-vs-strip-k1": (
+        {"model": _cycle(7), "verb": "kclosure-compare", "other": _STRIP2, "k": 1,
+         "first_difference_kmax": 4},
+        0, "17be68fee1580214131a347d06c5ad6cb5d5594856092a8708b644ae360c28fe"),
+}
+
+
 def run_cli(args, capsys):
     code = main(args)
     return code, capsys.readouterr().out
@@ -96,6 +169,16 @@ def test_scenario_runs_with_expected_exit(name, capsys):
     verdict_verbs = ("ipk", "pk", "kclosure-compare", "discreteness")
     if code == 10 and report["scenario"]["verb"] in verdict_verbs:
         assert report["witnesses"]
+
+
+@pytest.mark.parametrize("name", sorted(COVER_REPORT_SHA256))
+def test_cover_reports_match_their_digests(name, capsys, tmp_path):
+    scenario, exit_code, digest = COVER_REPORT_SHA256[name]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out = run_cli(["run", str(path), "--format", "json"], capsys)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

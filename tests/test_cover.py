@@ -1,9 +1,11 @@
 """Universal-cover backend over the doubled-cycle graphs and the strip."""
 
 import itertools
+import random
 
 import pytest
 
+from treeclose.errors import ValidationError
 from treeclose.kclosure import (
     discreteness_certificate,
     first_stab_germ_difference,
@@ -12,13 +14,12 @@ from treeclose.kclosure import (
     nondiscreteness_certificate,
 )
 from treeclose.models import base, build_model
+from treeclose.models.base import take
 from treeclose.models.cover import (
     CycleGraph,
     StripAuto,
     StripGraph,
-    aut_graph,
     is_graph_automorphism,
-    rotation_auto,
 )
 from treeclose.tree_core import (
     ROOT,
@@ -42,20 +43,20 @@ def strip():
 def test_cycle_graph_shape():
     g = CycleGraph(2, 5)
     assert len(g.vertices()) == 10
-    assert g.diameter() == 2
     for v in g.vertices():
         assert len(g.ordered_neighbors(v)) == 4
 
 
 def test_cycle_graph_automorphism_count():
     # rotations x reflection x independent fiber swaps: 5 * 2 * 2^5
-    autos = aut_graph(CycleGraph(2, 5))
+    autos = CycleGraph(2, 5).aut_graph
     assert len(autos) == 320
 
 
 def test_larger_cycle_has_a_rotation():
     g = CycleGraph(3, 7)
-    rot = rotation_auto(g, 1)
+    # the transporter between two vertices of one fiber index rotates
+    rot = g.transporter(g.root, (1, 1))
     assert is_graph_automorphism(g, rot)
     seen = g.root
     for _ in range(7):
@@ -109,7 +110,7 @@ def test_deck_transformation_fixes_fibers(c25):
     translate = next(
         w for w in sphere_vertices(ROOT, 5, 4) if c25.base_of(w) == base
     )
-    deck = c25.lift_at(c25.identity_auto(), ROOT, translate)
+    deck = c25.lift_at(c25.base.identity(), ROOT, translate)
     for v in ball_vertices(ROOT, 2, 4):
         assert c25.base_of(c25.act(deck, v)) == c25.base_of(v)
     assert c25.act(deck, ROOT) == translate
@@ -152,6 +153,19 @@ def test_strip_one_sided_fixators_trivial(strip, c25):
     assert c25.one_sided_fixators_trivial(edge)
 
 
+def test_strip_products_act_as_composed_maps():
+    # Sym(3) is not abelian, so this also checks the order in which each
+    # level's fiber permutations compose; Sym(2) could not
+    model = build_model({"model": "cover", "graph": "strip", "p": 3})
+    rng = random.Random(3)
+    pool = take(model.iter_elements(), 2000)
+    for _ in range(100):
+        g, h = rng.choice(pool), rng.choice(pool)
+        for v in ball_vertices(ROOT, 2, model.degree):
+            assert model.act(model.mul(g, h), v) == model.act(g, model.act(h, v))
+            assert model.act(model.inv(g), model.act(g, v)) == v
+
+
 def test_strip_shape():
     g = StripGraph(2)
     root = g.root
@@ -185,14 +199,32 @@ def test_strip_stab_germs_from_generators_match_the_window_product(p, k):
         assert model.stab_germ_group(v, k) == _strip_window_stab_germs(model, v, k)
 
 
-def test_finite_cover_stab_germs_lift_every_fixing_automorphism(c25):
-    for v in ("ε", "1", "2.0"):
-        v = VertexAddr.parse(v)
-        bv = c25.base_of(v)
-        for k in (1, 2, 3):
-            want = frozenset(
-                c25.germ_of(c25.lift_at(a, v, v), v, k)
-                for a in c25.all_autos()
-                if c25.apply_auto(a, bv) == bv
-            )
-            assert c25.stab_germ_group(v, k) == want
+def test_finite_cover_stab_germs_lift_every_fixing_automorphism():
+    # C(2, 4) is K_{4,4}: most of its 1,152 automorphisms are no level maps
+    for r in (3, 4, 5):
+        model = build_model({"model": "cover", "graph": "C", "p": 2, "r": r})
+        for v in ("ε", "1", "2.0"):
+            v = VertexAddr.parse(v)
+            bv = model.base_of(v)
+            for k in (1, 2, 3):
+                want = frozenset(
+                    model.germ_of(model.lift_at(a, v, v), v, k)
+                    for a in model.base.aut_graph
+                    if a.apply(bv) == bv
+                )
+                assert model.stab_germ_group(v, k) == want
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # neighbours 2 and 3 of the root would both go to 2
+        {"eps": 1, "shift": 0, "sigmas": {"1": [0, 0]}},
+        {"eps": True, "shift": 0.7},
+        {"eps": 2, "shift": 0},
+    ],
+    ids=["not-a-permutation", "bool-and-float", "eps-two"],
+)
+def test_strip_automorphisms_from_json_are_validated(strip, raw):
+    with pytest.raises(ValidationError):
+        strip.element_from_json({"auto": raw, "anchor_image": "ε"})

@@ -7,6 +7,7 @@ import pytest
 from treeclose.errors import TooLarge, ValidationError
 from treeclose.models import FullAutModel, build_model
 from treeclose.models.base import GroupModel, take
+from treeclose.models.cover import CycleGraph
 from treeclose.tree_core import (
     ROOT,
     VertexAddr,
@@ -23,13 +24,17 @@ DESCRIPTORS = [
     {"model": "psl2", "p": 2},
     {"model": "cover", "graph": "C", "p": 2, "r": 5},
     {"model": "cover", "graph": "strip", "p": 2},
+    # K_{4,4}: most of its automorphisms are not level maps
+    {"model": "cover", "graph": "C", "p": 2, "r": 4},
 ]
 # distinct radius-1 stabilizer germs at the root, in DESCRIPTORS order
-RADIUS1_COUNTS = [6, 6, 6, 6, 8, 8]
+RADIUS1_COUNTS = [6, 6, 6, 6, 8, 8, 24]
 
 
 def _descriptor_id(descriptor):
-    return "strip" if descriptor.get("graph") == "strip" else descriptor["model"]
+    if descriptor.get("graph") == "strip":
+        return "strip"
+    return "cover-c24" if descriptor.get("r") == 4 else descriptor["model"]
 
 
 @pytest.fixture(params=DESCRIPTORS, ids=_descriptor_id)
@@ -106,7 +111,9 @@ def test_germ_of_matches_the_vertex_map_reference(descriptor):
     pool = take(model.iter_elements(), 60)
     elements = random.Random(11).sample(pool, 4)
     if model.name == "cover":
-        moved = [g for g in pool if g.anchor_image != ROOT]
+        # C(2, 4) lifts its 144 automorphisms fixing the base root at the
+        # root first, so its first moving lifts come later in the stream
+        moved = [g for g in take(model.iter_elements(), 400) if g.anchor_image != ROOT]
         assert moved
         elements += moved[:2]
     centers = (ROOT, VertexAddr((1,)), VertexAddr((0, 2)))
@@ -206,8 +213,8 @@ def test_stab_germ_group_guard(descriptor, count, monkeypatch):
     # and balls, so those are built before it is lowered
     model = build_model(descriptor)
     ball_vertices(ROOT, 1, model.degree)
-    if getattr(model, "is_finite", False):
-        model.all_autos()
+    if isinstance(getattr(model, "base", None), CycleGraph):
+        assert model.base.aut_graph
     monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", str(count - 1))
     with pytest.raises(TooLarge, match=f"^stabilizer germ group exceeded {count - 1}$"):
         model.stab_germ_group(ROOT, 1)
