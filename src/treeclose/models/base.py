@@ -16,6 +16,11 @@ overrides image_step to step from gx instead, and never germ_of itself.
 Stabiliser germs come from one closure: stab_generators(v, k) names
 elements fixing v whose radius-k germs generate the stabiliser germ group,
 and _stab_germs closes those germs. Only full Aut enumerates its germs.
+
+BS(m,n), PSL(2,Q_p) and covers colour their tree through one TreeChart:
+the d-regular tree covering a graph, with the graph vertex under each
+address and the colour of each edge read off lazily. For a cover the
+graph is the base graph; for BS and PSL(2) it is the tree itself.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from ..errors import TooLarge, ValidationError, max_elements
 from ..permgroup import mulclose
 from ..tree_core import (
     ROOT,
+    _addr,
     ball_addresses,
     ball_parents,
     ball_positions,
@@ -191,84 +197,86 @@ def take(iterable, n):
     return list(itertools.islice(iterable, n))
 
 
-class LazyEmbedding:
-    """Bijection between a model's own vertex objects and tree addresses.
+class TreeChart:
+    """The d-regular tree covering a graph, its edge colours read off lazily.
 
-    The model supplies the root object, a canonical neighbor ordering,
-    and a parent function. Colors are assigned on demand: the root gets
-    its neighbors in canonical order; elsewhere the edge to the parent
-    reuses the inward color and the remaining neighbors take the
-    remaining colors in ascending order. Objects must be hashable.
+    An address names a vertex of the tree, and obj_of the graph vertex
+    under it. The graph supplies its root vertex and a neighbour list per
+    vertex. Colours follow one rule: at the root, neighbours take colours
+    in their listed order; elsewhere the inward colour is kept and the
+    remaining neighbours take the remaining colours in ascending order.
+    Charts are cached by address word. When the graph is the tree itself,
+    parent_of names each vertex's neighbour towards the root, and addr_of
+    inverts obj_of; vertices must then be hashable.
     """
 
-    def __init__(self, degree, root_obj, ordered_neighbors, parent_of):
+    def __init__(self, degree, root_obj, ordered_neighbors, parent_of=None):
         self.degree = degree
-        self.root_obj = root_obj
         self._ordered_neighbors = ordered_neighbors
         self._parent_of = parent_of
-        self._addr_of = {root_obj: ROOT}
-        self._obj_of = {ROOT: root_obj}
+        self._obj = {(): root_obj}
+        self._addr = {root_obj: ROOT} if parent_of else None
         self._charts = {}
 
-    def chart(self, obj):
-        """(color -> neighbor object, neighbor object -> color), built lazily."""
-        got = self._charts.get(obj)
+    def chart(self, addr):
+        """(colour -> neighbour, neighbour -> colour) at addr, built lazily."""
+        word = addr.word
+        got = self._charts.get(word)
         if got is not None:
             return got
-        require_star(self.degree)
+        if not self._charts:
+            require_star(self.degree)
+        obj = self.obj_of(addr)
         nbrs = list(self._ordered_neighbors(obj))
         if len(nbrs) != self.degree or len(set(nbrs)) != self.degree:
             raise ValidationError(
                 f"neighbor list of {obj!r} is not {self.degree} distinct vertices"
             )
-        addr = self.addr_of(obj)
-        if not addr.word:
+        if not word:
             chart = dict(enumerate(nbrs))
         else:
-            parent = self._parent_of(obj)
+            parent = self._obj[word[:-1]]
             if parent not in nbrs:
                 raise ValidationError(f"parent of {obj!r} missing from its neighbors")
-            inward = addr.word[-1]
-            chart = {inward: parent}
-            rest = [x for x in nbrs if x != parent]
-            free = [c for c in range(self.degree) if c != inward]
-            chart.update(zip(free, rest))
-        entry = self._charts[obj] = (chart, {nb: c for c, nb in chart.items()})
-        return entry
+            chart = {word[-1]: parent}
+            free = [c for c in range(self.degree) if c != word[-1]]
+            chart.update(zip(free, [x for x in nbrs if x != parent]))
+        got = self._charts[word] = (chart, {nb: c for c, nb in chart.items()})
+        return got
+
+    def obj_of(self, addr):
+        word = addr.word
+        got = self._obj.get(word)
+        if got is not None:
+            return got
+        # walk down from the deepest known prefix, charting proper prefixes only
+        i = len(word) - 1
+        while word[:i] not in self._obj:
+            i -= 1
+        cur = _addr(word[:i])
+        for c in word[i:]:
+            obj = self.chart(cur)[0][c]
+            cur = self._learn(cur, c, obj)
+        return obj
 
     def addr_of(self, obj):
-        got = self._addr_of.get(obj)
+        got = self._addr.get(obj)
         if got is not None:
             return got
         chain = [obj]
-        cur = obj
-        while cur not in self._addr_of:
-            cur = self._parent_of(cur)
-            chain.append(cur)
-        # descend from the first known ancestor, assigning colors
-        for parent, child in zip(reversed(chain), list(reversed(chain))[1:]):
-            addr = self._addr_of[parent].step(self.chart(parent)[1][child])
-            self._addr_of[child] = addr
-            self._obj_of[addr] = child
-        return self._addr_of[obj]
+        while chain[-1] not in self._addr:
+            chain.append(self._parent_of(chain[-1]))
+        addr = self._addr[chain.pop()]
+        # descend from the first known ancestor, assigning colours
+        while chain:
+            child = chain.pop()
+            addr = self._learn(addr, self.chart(addr)[1][child], child)
+        return addr
 
-    def obj_of(self, addr):
-        got = self._obj_of.get(addr)
-        if got is not None:
-            return got
-        cur_addr = None
-        cur_obj = None
-        # walk down from the deepest cached prefix
-        from ..tree_core import VertexAddr
-
-        for i in range(len(addr.word), -1, -1):
-            prefix = VertexAddr(addr.word[:i])
-            if prefix in self._obj_of:
-                cur_addr, cur_obj = prefix, self._obj_of[prefix]
-                break
-        for color in addr.word[len(cur_addr.word) :]:
-            cur_obj = self.chart(cur_obj)[0][color]
-            cur_addr = cur_addr.step(color)
-            self._addr_of[cur_obj] = cur_addr
-            self._obj_of[cur_addr] = cur_obj
-        return cur_obj
+    def _learn(self, addr, c, obj):
+        """Record obj at the child of addr along c, an outward colour."""
+        child = _addr(addr.word + (c,))
+        self._obj[child.word] = obj
+        if self._addr is not None:
+            self._addr[obj] = child
+        return child

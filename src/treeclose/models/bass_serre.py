@@ -29,7 +29,7 @@ from ..tree_core import (
     require_regular,
     tree_distance,
 )
-from .base import GroupModel, LazyEmbedding
+from .base import GroupModel, TreeChart
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class BassSerreModel(GroupModel):
         require_regular(m + n)
         self.m, self.n = m, n
         self.degree = m + n
-        self.embedding = LazyEmbedding(
+        self.tree = TreeChart(
             self.degree, (), self._coset_neighbors, lambda segs: segs[:-1]
         )
 
@@ -172,7 +172,7 @@ class BassSerreModel(GroupModel):
 
     def _coset_neighbors(self, segs):
         out = []
-        # the embedding's chart checks the degree before asking for these
+        # the tree's first chart checks the degree before asking for these
         for r, e in [(r, 1) for r in range(self.n)] + [(r, -1) for r in range(self.m)]:
             nz = _Normalizer(self.m, self.n, segs, 0)
             nz.push_a(r)
@@ -181,18 +181,18 @@ class BassSerreModel(GroupModel):
         return out
 
     def act(self, g, v):
-        segs = self.embedding.obj_of(v)
+        segs = self.tree.obj_of(v)
         moved = self.mul(g, BSElement(segs, 0))
-        return self.embedding.addr_of(moved.segs)
+        return self.tree.addr_of(moved.segs)
 
     def transporter(self, u, w):
-        gu = BSElement(self.embedding.obj_of(u), 0)
-        gw = BSElement(self.embedding.obj_of(w), 0)
+        gu = BSElement(self.tree.obj_of(u), 0)
+        gw = BSElement(self.tree.obj_of(w), 0)
         return self.mul(gw, self.inv(gu))
 
     def stab_generator(self, v):
         """Generator of the (infinite cyclic) full stabilizer of v."""
-        u = BSElement(self.embedding.obj_of(v), 0)
+        u = BSElement(self.tree.obj_of(v), 0)
         return self.mul(self.mul(u, self.a_power(1)), self.inv(u))
 
     def stab_generators(self, v, k):
@@ -200,8 +200,8 @@ class BassSerreModel(GroupModel):
 
     def edge_label(self, x, y):
         """+1 for a t-type edge out of x, -1 for a t^-1-type one."""
-        sx = self.embedding.obj_of(x)
-        sy = self.embedding.obj_of(y)
+        sx = self.tree.obj_of(x)
+        sy = self.tree.obj_of(y)
         if len(sy) == len(sx) + 1 and sy[: len(sx)] == sx:
             return sy[-1][1]
         if len(sx) == len(sy) + 1 and sx[: len(sy)] == sy:

@@ -19,8 +19,8 @@ are unaffected.
 Each base graph owns its automorphisms: it names the identity, a
 transporter, the automorphisms that generate a vertex stabiliser
 (stab_autos) and its element streams, and reads automorphisms from
-JSON. CoverModel holds the covering map and lifts what the base names,
-without asking which base it holds.
+JSON. CoverModel holds the covering map, a TreeChart over the base
+graph, and lifts what the base names, without asking which base it holds.
 
 Neighbor order is direction-aware on purpose: level i-1 fibers first,
 then level i+1 fibers, identically for the finite and infinite bases, so
@@ -37,7 +37,7 @@ from functools import cached_property
 from ..errors import IncompatibleBase, TooLarge, ValidationError, as_int, max_elements, product_exceeds
 from ..permgroup import check_perm, identity_perm, invert_perm, perm_from_cycles
 from ..tree_core import ROOT, VertexAddr, geodesic, require_star, sphere_vertices
-from .base import GroupModel
+from .base import GroupModel, TreeChart
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,15 @@ class CycleGraph:
         return (a for a in self.stab_autos(self.root, 0) if a != ident)
 
     def auto_from_json(self, raw):
-        auto = FiniteAuto.from_mapping({tuple(v): tuple(w) for v, w in raw["pairs"]})
+        verts = set(self.vertices())
+        try:
+            mapping = {tuple(v): tuple(w) for v, w in raw["pairs"]}
+            bijective = set(mapping) == verts == set(mapping.values())
+        except (KeyError, TypeError, ValueError):
+            bijective = False
+        if not bijective:
+            raise ValidationError("'pairs' must map the base vertices one to one")
+        auto = FiniteAuto.from_mapping(mapping)
         if not is_graph_automorphism(self, auto):
             raise ValidationError("not an automorphism of the base graph")
         return auto
@@ -312,10 +320,6 @@ def iterate_graph_autos(graph):
     yield from rec(0)
 
 
-def _reverse(chart):
-    return {bv: c for c, bv in chart.items()}
-
-
 @dataclass(frozen=True)
 class CoverElement:
     auto: object
@@ -332,34 +336,13 @@ class CoverModel(GroupModel):
         if self.degree < 3:
             raise ValidationError("cover degree below 3; need p >= 2")
         require_star(self.degree)
-        root_chart = dict(enumerate(base.ordered_neighbors(base.root)))
-        self._charts = {(): (base.root, root_chart, _reverse(root_chart))}
+        self.tree = TreeChart(self.degree, base.root, base.ordered_neighbors)
 
     # --- the covering map ---------------------------------------------------
 
-    def _chart(self, word):
-        """(base vertex, color -> base neighbor, base neighbor -> color) at
-        the vertex with this word."""
-        got = self._charts.get(word)
-        if got is not None:
-            return got
-        parent_base, parent_chart, _ = self._chart(word[:-1])
-        inward = word[-1]
-        my_base = parent_chart[inward]
-        nbrs = self.base.ordered_neighbors(my_base)
-        if len(set(nbrs)) != self.degree or nbrs.count(parent_base) != 1:
-            raise ValidationError(f"bad neighbor structure at {my_base!r}")
-        chart = {inward: parent_base}
-        free = [c for c in range(self.degree) if c != inward]
-        rest = [x for x in nbrs if x != parent_base]
-        chart.update(zip(free, rest))
-        entry = (my_base, chart, _reverse(chart))
-        self._charts[word] = entry
-        return entry
-
     def base_of(self, addr):
         """The covering projection."""
-        return self._chart(addr.word)[0]
+        return self.tree.obj_of(addr)
 
     # --- lifting -------------------------------------------------------------------
 
@@ -370,7 +353,7 @@ class CoverModel(GroupModel):
         cur = anchor_dst
         for nxt in path[1:]:
             target = auto.apply(self.base_of(nxt))
-            cur = cur.step(self._chart(cur.word)[2][target])
+            cur = cur.step(self.tree.chart(cur)[1][target])
         return cur
 
     def lift_at(self, auto, anchor_src, anchor_dst):
@@ -387,8 +370,8 @@ class CoverModel(GroupModel):
     def image_step(self, g, x, gx, y, c):
         # the lift sends the c-neighbor of x to the neighbor of gx over
         # the image of its base vertex
-        target = g.auto.apply(self._chart(x.word)[1][c])
-        return gx.step(self._chart(gx.word)[2][target])
+        target = g.auto.apply(self.tree.chart(x)[0][c])
+        return gx.step(self.tree.chart(gx)[1][target])
 
     def mul(self, a, b):
         return CoverElement(a.auto.compose(b.auto), self.act(a, b.anchor_image))

@@ -34,7 +34,7 @@ from ..errors import (
     product_exceeds,
 )
 from ..tree_core import ROOT, VertexAddr, require_regular
-from .base import GroupModel, LazyEmbedding
+from .base import GroupModel, TreeChart
 
 INF = float("inf")
 
@@ -172,7 +172,7 @@ class PSL2Model(GroupModel):
         self.degree = p + 1
         require_regular(self.degree)
         self.root_class = LatticeClass(p, 0, Fraction(0))
-        self.embedding = LazyEmbedding(
+        self.tree = TreeChart(
             self.degree, self.root_class, self.ordered_neighbors, self.parent_of
         )
 
@@ -254,10 +254,10 @@ class PSL2Model(GroupModel):
         raise ValidationError(f"no parent found for {latt!r}")
 
     def class_of_vertex(self, v):
-        return self.embedding.obj_of(v)
+        return self.tree.obj_of(v)
 
     def vertex_of_class(self, latt):
-        return self.embedding.addr_of(latt)
+        return self.tree.addr_of(latt)
 
     # --- group operations --------------------------------------------------------
 
@@ -280,7 +280,7 @@ class PSL2Model(GroupModel):
         return self.lattice_canonical((moved.a, moved.c), (moved.b, moved.d))
 
     def act(self, g, v):
-        return self.embedding.addr_of(self.act_on_class(g, self.embedding.obj_of(v)))
+        return self.tree.addr_of(self.act_on_class(g, self.tree.obj_of(v)))
 
     # --- congruence tests -----------------------------------------------------------
 

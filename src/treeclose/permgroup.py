@@ -35,9 +35,10 @@ def perm_from_cycles(n, cycles):
 
 def check_perm(p, n):
     """p as a tuple, when it lists the integers 0..n-1 in some order."""
+    # a JSON true or false is a Python int, but no point of 0..n-1
     if not (
         isinstance(p, (list, tuple))
-        and all(isinstance(x, int) for x in p)
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in p)
         and sorted(p) == list(range(n))
     ):
         raise ValidationError(f"not a permutation of 0..{n - 1}: {p!r}")

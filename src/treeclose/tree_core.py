@@ -159,8 +159,9 @@ def edge_color(u, v):
 def geodesic(u, v):
     """The unique path from u to v, inclusive."""
     k = common_prefix_len(u.word, v.word)
-    out = [VertexAddr(u.word[:i]) for i in range(len(u.word), k - 1, -1)]
-    out += [VertexAddr(v.word[:i]) for i in range(k + 1, len(v.word) + 1)]
+    # prefixes of a reduced word are reduced
+    out = [_addr(u.word[:i]) for i in range(len(u.word), k - 1, -1)]
+    out += [_addr(v.word[:i]) for i in range(k + 1, len(v.word) + 1)]
     return out
 
 

@@ -181,6 +181,26 @@ def test_cover_reports_match_their_digests(name, capsys, tmp_path):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# deeper than Python's default limit of 1000 nested calls
+_DEEP_VERTEX = ".".join("01"[i % 2] for i in range(1100))
+
+
+@pytest.mark.parametrize("model, count", [
+    (_cycle(3), 8),
+    (_STRIP2, 8),
+    ({"model": "bs", "m": 2, "n": 3}, 6),
+    ({"model": "psl2", "p": 2}, 6),
+], ids=["cover-c23", "strip", "bs", "psl2"])
+def test_stab_germs_at_a_deep_vertex(model, count, capsys, tmp_path):
+    # each family's stabilisers are conjugate along the path, so the count
+    # is the root's
+    code, report = _run_scenario(tmp_path, capsys, {
+        "model": model, "verb": "stab-germs", "vertex": _DEEP_VERTEX, "k": 1})
+    assert code == 0
+    assert report["result"]["vertex"] == _DEEP_VERTEX
+    assert report["result"]["count"] == count
+
+
 @pytest.mark.parametrize(
     "name",
     ["bs23-ipk-k1-r4.json", "full-aut-commutator-a1.json", "psl2-lattice-r1.json"],
@@ -506,6 +526,10 @@ MALFORMED = {
                                        "verb": "local-action"},
     "constant-local-F-null": {"model": {"model": "constant_local", "d": 3, "F": None},
                               "verb": "local-action"},
+    # JSON true and false are no points of 0..2
+    "constant-local-F-bool-entries": {"model": {"model": "constant_local", "d": 3,
+                                                "F": [[True, False, 2]]},
+                                      "verb": "local-action"},
     "k-float": {"model": {"model": "full_aut", "d": 3}, "verb": "stab-germs",
                 "k": 1.9},
     "k-bool": {"model": _CL3, "verb": "stab-germs", "k": True},
@@ -583,6 +607,7 @@ def test_malformed_scenario_values_exit_2(name, capsys, tmp_path):
     ("bs-m-zero", "need integer m, n >= 1, got 0, 3"),
     ("vertex-not-reduced", "address not reduced: (0, 0)"),
     ("vertex-negative-color", "bad edge color -1"),
+    ("constant-local-F-bool-entries", "not a permutation of 0..2: [True, False, 2]"),
 ])
 def test_malformed_value_messages(name, message, capsys, tmp_path):
     _, report = _run_scenario(tmp_path, capsys, MALFORMED[name])

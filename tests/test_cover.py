@@ -222,9 +222,20 @@ def test_finite_cover_stab_germs_lift_every_fixing_automorphism():
         {"eps": 1, "shift": 0, "sigmas": {"1": [0, 0]}},
         {"eps": True, "shift": 0.7},
         {"eps": 2, "shift": 0},
+        {"eps": 1, "shift": 0, "sigmas": {"1": [True, False]}},
     ],
-    ids=["not-a-permutation", "bool-and-float", "eps-two"],
+    ids=["not-a-permutation", "bool-and-float", "eps-two", "bool-sigma"],
 )
 def test_strip_automorphisms_from_json_are_validated(strip, raw):
     with pytest.raises(ValidationError):
         strip.element_from_json({"auto": raw, "anchor_image": "ε"})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"pairs": 5}, {"pairs": [[0, 1]]}, {}],
+    ids=["pairs-int", "pair-of-ints", "no-pairs"],
+)
+def test_cycle_graph_automorphisms_from_json_are_validated(c25, raw):
+    with pytest.raises(ValidationError):
+        c25.element_from_json({"auto": raw, "anchor_image": "ε"})

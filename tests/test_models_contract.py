@@ -6,7 +6,7 @@ import pytest
 
 from treeclose.errors import TooLarge, ValidationError
 from treeclose.models import FullAutModel, build_model
-from treeclose.models.base import GroupModel, take
+from treeclose.models.base import GroupModel, TreeChart, take
 from treeclose.models.cover import CycleGraph
 from treeclose.tree_core import (
     ROOT,
@@ -220,3 +220,40 @@ def test_stab_germ_group_guard(descriptor, count, monkeypatch):
         model.stab_germ_group(ROOT, 1)
     monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", str(count))
     assert len(model.stab_germ_group(ROOT, 1)) == count
+
+
+@pytest.mark.parametrize(
+    "descriptor, neighbors",
+    [
+        ({"model": "bs", "m": 2, "n": 3}, lambda model: model._coset_neighbors),
+        ({"model": "psl2", "p": 2}, lambda model: model.ordered_neighbors),
+        ({"model": "psl2", "p": 3}, lambda model: model.ordered_neighbors),
+        ({"model": "cover", "graph": "C", "p": 2, "r": 5},
+         lambda model: model.base.ordered_neighbors),
+        ({"model": "cover", "graph": "strip", "p": 2},
+         lambda model: model.base.ordered_neighbors),
+    ],
+    ids=["bs", "psl2", "psl2-p3", "cover", "strip"],
+)
+def test_charts_follow_one_colouring_rule(descriptor, neighbors):
+    model = build_model(descriptor)
+    neighbors = neighbors(model)
+    tree, degree = model.tree, model.degree
+    assert isinstance(tree, TreeChart)
+    # the walk down charts the proper prefixes only
+    deep = VertexAddr((1, 0, 1))
+    tree.obj_of(deep)
+    assert (1, 0) in tree._charts and deep.word not in tree._charts
+    to_obj, _ = tree.chart(ROOT)
+    assert [to_obj[c] for c in range(degree)] == list(neighbors(tree.obj_of(ROOT)))
+    for x in ball_vertices(ROOT, 2, degree):
+        to_obj, to_color = tree.chart(x)
+        for c in range(degree):
+            assert tree.obj_of(x.step(c)) == to_obj[c]
+            assert to_color[to_obj[c]] == c
+        if x != ROOT:
+            # the inward color is kept; the rest go out in ascending order
+            inward, parent = x.word[-1], tree.obj_of(VertexAddr(x.word[:-1]))
+            assert to_obj[inward] == parent
+            nbrs = [y for y in neighbors(tree.obj_of(x)) if y != parent]
+            assert [to_obj[c] for c in range(degree) if c != inward] == nbrs
