@@ -9,8 +9,8 @@ Germs come from one builder, GroupModel.germ_of. It takes the image of
 the center from act, then walks the canonical ball shell by shell,
 parents before children, and asks image_step for the image of each child
 y = x.step(c) given the image gx of its parent x. The default image_step
-is act(g, y); a family whose local action is cheap to read off (a cover
-through its charts, a constant local action through its permutation)
+is act(g, y); a family that reads its local action off cheaply (covers
+and PSL(2) through their charts, constant local actions by permutation)
 overrides image_step to step from gx instead, and never germ_of itself.
 
 Stabiliser germs come from one closure: stab_generators(v, k) names

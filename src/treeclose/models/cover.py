@@ -91,8 +91,15 @@ class CycleGraph:
 
     def stab_autos(self, bv, k):
         """Automorphisms whose lifts generate the radius-k stabiliser germs
-        at a vertex over bv: every automorphism fixing bv."""
-        return [a for a in self.aut_graph if a.apply(bv) == bv]
+        at a vertex over bv: down the chain of point stabilisers along
+        vertices(), the first element to each other image (Sims 1970)."""
+        group = [a for a in self.aut_graph if a.apply(bv) == bv]
+        reps = []
+        for v in self.vertices():
+            firsts = {a.apply(v): a for a in reversed(group)}
+            reps.extend(a for w, a in firsts.items() if w != v)
+            group = [a for a in group if a.apply(v) == v]
+        return reps
 
     def is_covered_by(self, bvs):
         return set(bvs) == set(self.vertices())
@@ -102,13 +109,17 @@ class CycleGraph:
         return self.aut_graph
 
     def candidate_autos(self):
-        ident = self.identity()
-        return (a for a in self.stab_autos(self.root, 0) if a != ident)
+        ident, root = self.identity(), self.root
+        return (a for a in self.aut_graph if a.apply(root) == root and a != ident)
 
     def auto_from_json(self, raw):
         verts = set(self.vertices())
+
+        def vertex(coords):
+            return tuple(as_int(x, "a vertex coordinate") for x in coords)
+
         try:
-            mapping = {tuple(v): tuple(w) for v, w in raw["pairs"]}
+            mapping = {vertex(v): vertex(w) for v, w in raw["pairs"]}
             bijective = set(mapping) == verts == set(mapping.values())
         except (KeyError, TypeError, ValueError):
             bijective = False

@@ -282,6 +282,10 @@ class PSL2Model(GroupModel):
     def act(self, g, v):
         return self.tree.addr_of(self.act_on_class(g, self.tree.obj_of(v)))
 
+    def image_step(self, g, x, gx, y, c):
+        target = self.act_on_class(g, self.tree.chart(x)[0][c])
+        return gx.step(self.tree.chart(gx)[1][target])
+
     # --- congruence tests -----------------------------------------------------------
 
     def fix_ball_test(self, x, r):

@@ -1,6 +1,7 @@
 """Universal-cover backend over the doubled-cycle graphs and the strip."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -17,10 +18,12 @@ from treeclose.models import base, build_model
 from treeclose.models.base import take
 from treeclose.models.cover import (
     CycleGraph,
+    FiniteAuto,
     StripAuto,
     StripGraph,
     is_graph_automorphism,
 )
+from treeclose.permgroup import mulclose
 from treeclose.tree_core import (
     ROOT,
     VertexAddr,
@@ -91,18 +94,47 @@ def test_stab_germ_counts_against_strip(c25, strip):
 
 def test_finite_cover_stab_closures_count_their_products(monkeypatch):
     # each closure multiplies the elements there before a kept generator
-    # by it alone; by every kept generator, it took 13,674 products
-    calls = []
+    # by it alone (by every kept generator, it took 13,674 products), and
+    # the generators are 6 transversal elements, not all 32 automorphisms
+    # fixing the base vertex (1,696 germs and 8,480 products)
+    calls, germs = [], []
+    germ_of = base.GroupModel.germ_of
 
     def counted(outer, inner):
         calls.append(None)
         return compose(outer, inner)
 
+    def counted_germ_of(self, g, center, radius):
+        germs.append(None)
+        return germ_of(self, g, center, radius)
+
     monkeypatch.setattr(base, "compose", counted)
+    monkeypatch.setattr(base.GroupModel, "germ_of", counted_germ_of)
     model = build_model({"model": "cover", "graph": "C", "p": 2, "r": 5})
     for v in ball_vertices(ROOT, 3, model.degree):
         model.stab_germ_group(v, 2)
-    assert len(calls) == 8480
+    assert len(calls) == 5088
+    assert len(germs) == 318
+
+
+@pytest.mark.parametrize("p, r", [(2, 3), (2, 4), (2, 5), (2, 7), (3, 5)])
+def test_cycle_graph_stab_autos_are_stabiliser_chain_transversals(p, r):
+    # C(2, 4) is K_{4,4}: its 1,152 automorphisms outnumber the 2r (p!)^r
+    # that permute levels
+    graph = CycleGraph(p, r)
+    verts = graph.vertices()
+    for bv in verts:
+        fixing = {a for a in graph.aut_graph if a.apply(bv) == bv}
+        gens = graph.stab_autos(bv, 1)
+        assert set(mulclose(gens, mul=FiniteAuto.compose)) == fixing
+        # a generator sits on the level of the first vertex it moves, and
+        # sends that vertex where no other generator of its level does
+        images = {v: {v} for v in verts}
+        for a in gens:
+            v = next(v for v in verts if a.apply(v) != v)
+            assert a.apply(v) not in images[v]
+            images[v].add(a.apply(v))
+        assert math.prod(len(t) for t in images.values()) == len(fixing)
 
 
 def test_deck_transformation_fixes_fibers(c25):
@@ -231,10 +263,20 @@ def test_strip_automorphisms_from_json_are_validated(strip, raw):
         strip.element_from_json({"auto": raw, "anchor_image": "ε"})
 
 
+C25_IDENTITY_PAIRS = [[[i, j], [i, j]] for i in range(5) for j in (1, 2)]
+
+
 @pytest.mark.parametrize(
     "raw",
-    [{"pairs": 5}, {"pairs": [[0, 1]]}, {}],
-    ids=["pairs-int", "pair-of-ints", "no-pairs"],
+    [
+        {"pairs": 5},
+        {"pairs": [[0, 1]]},
+        {},
+        # the identity, but for a bool and a float that equal 1
+        {"pairs": [[[0, True], [0, True]]] + C25_IDENTITY_PAIRS[1:]},
+        {"pairs": [[[0, 1.0], [0, 1]]] + C25_IDENTITY_PAIRS[1:]},
+    ],
+    ids=["pairs-int", "pair-of-ints", "no-pairs", "bool-coordinate", "float-coordinate"],
 )
 def test_cycle_graph_automorphisms_from_json_are_validated(c25, raw):
     with pytest.raises(ValidationError):

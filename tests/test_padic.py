@@ -14,6 +14,7 @@ from treeclose.tree_core import (
     VertexAddr,
     ball_size,
     ball_vertices,
+    germ_of_map,
     sphere_vertices,
     tree_distance,
 )
@@ -196,7 +197,7 @@ def test_stab_germs_from_two_generators_match_every_lift(p, k):
 
 @pytest.mark.parametrize("p,k,v", [(2, 3, "0"), (3, 2, "3.1.0")])
 def test_stab_germs_act_twice_per_ball_vertex(p, k, v, monkeypatch):
-    # a germ costs one act per ball vertex, and only the two generator
+    # a germ costs one act, at its centre, and only the two generator
     # germs are built through act
     calls = []
     act = PSL2Model.act
@@ -208,3 +209,25 @@ def test_stab_germs_act_twice_per_ball_vertex(p, k, v, monkeypatch):
     monkeypatch.setattr(PSL2Model, "act", counted)
     PSL2Model(p).stab_germ_group(VertexAddr.parse(v), k)
     assert len(calls) <= 2 * ball_size(p + 1, k)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_germ_of_acts_once_at_the_centre(p, monkeypatch):
+    # image_step steps each child through the charts, so a germ maps only
+    # its centre through act; the germs match the vertex map of act
+    model = PSL2Model(p)
+    elements = [model.element(1, p, 0, 1), model.element(1, 0, p, 1)]
+    elements += [model.transporter(ROOT, VertexAddr.parse(w)) for w in ("1.0", f"{p}.1")]
+    centers = [ROOT, VertexAddr.parse("1"), VertexAddr.parse(f"0.{p}")]
+    cases = [(g, c) for g in elements for c in centers]
+    want = [germ_of_map(lambda u: model.act(g, u), c, 3, p + 1) for g, c in cases]
+    calls = []
+    act = PSL2Model.act
+
+    def counted(self, g, x):
+        calls.append(x)
+        return act(self, g, x)
+
+    monkeypatch.setattr(PSL2Model, "act", counted)
+    assert [model.germ_of(g, c, 3) for g, c in cases] == want
+    assert calls == centers * len(elements)
