@@ -98,16 +98,14 @@ def edge_region(v, w, k, degree):
         raise ValidationError("need k >= 1")
     if not are_adjacent(v, w):
         raise ValidationError(f"{v!r} and {w!r} are not adjacent")
-    union = set(ball_vertices(v, k - 1, degree)) | set(
-        ball_vertices(w, k - 1, degree)
-    )
+    region = thicken((v, w), k - 1, degree)
     if ball_size(degree, k) <= 10**5:
         inter = set(ball_vertices(v, k, degree)) & set(
             ball_vertices(w, k, degree)
         )
-        if union != inter:
+        if set(region) != inter:
             raise ValidationError("edge region identity violated")
-    return tuple(sorted(union, key=lambda x: (len(x.word), x.word)))
+    return region
 
 
 # --- legality ---------------------------------------------------------------

@@ -26,7 +26,6 @@ graph is the base graph; for BS and PSL(2) it is the tree itself.
 from __future__ import annotations
 
 import abc
-import itertools
 
 from ..errors import TooLarge, ValidationError, max_elements
 from ..permgroup import mulclose
@@ -191,10 +190,6 @@ class GroupModel(abc.ABC):
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.describe()!r}>"
-
-
-def take(iterable, n):
-    return list(itertools.islice(iterable, n))
 
 
 class TreeChart:

@@ -25,7 +25,6 @@ from ..tree_core import (
     ball_parents,
     ball_positions,
     ball_vertices,
-    geodesic,
     require_regular,
     tree_distance,
 )
@@ -208,26 +207,6 @@ class BassSerreModel(GroupModel):
             return -sx[-1][1]
         raise ValidationError(f"{x!r} and {y!r} are not adjacent")
 
-    def rho(self, el):
-        """t-exponent sum, a homomorphism onto the integers."""
-        return sum(sign for _, sign in el.segs)
-
-    def fixator_exponent(self, vertices):
-        """m**J * n**I over the deepest t-minus / t counts along root
-        geodesics; a() to this power fixes every listed vertex."""
-        from ..tree_core import ROOT
-
-        i_max = j_max = 0
-        for v in vertices:
-            path = geodesic(ROOT, v)
-            i = sum(
-                1 for x, y in zip(path, path[1:]) if self.edge_label(x, y) == 1
-            )
-            j = len(path) - 1 - i
-            i_max = max(i_max, i)
-            j_max = max(j_max, j)
-        return self.m ** j_max * self.n ** i_max
-
     # --- searches ------------------------------------------------------------------
 
     def iter_elements(self):
@@ -264,22 +243,6 @@ class BassSerreModel(GroupModel):
         radius = max(tree_distance(anchor, v), 1)
         germ = self.germ_of(self.stab_generator(anchor), anchor, radius)
         return _cycle_length(germ, v)
-
-    def valid_base_exponents(self, v):
-        """Residues i (mod the lcm of the neighbor exponents) whose stab
-        generator power fixes at least one neighbor of v; per-neighbor
-        sets are returned too."""
-        germ = self.germ_of(self.stab_generator(v), v, 1)
-        per_edge = {}
-        lcm = 1
-        for w in (v.step(c) for c in range(self.degree)):
-            l = _cycle_length(germ, w)
-            per_edge[w] = l
-            lcm = lcm * l // math.gcd(lcm, l)
-        residues = sorted(
-            {i for w, l in per_edge.items() for i in range(0, lcm, l)}
-        )
-        return lcm, tuple(residues), per_edge
 
     def sigma_base(self, v, radius):
         """The stabilizer generator's germ at (v, radius) and its cycle

@@ -110,10 +110,6 @@ class FullAutModel(GroupModel):
 
         return RigidElement(invert(a.germ))
 
-    def from_germ(self, germ):
-        germ.validate(self.degree)
-        return RigidElement(germ)
-
     def from_word_element(self, word, perm, radius):
         """Rigid truncation of the constant-local element (word, perm);
         exact on the ball of the given radius around the root."""

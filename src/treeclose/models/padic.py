@@ -256,9 +256,6 @@ class PSL2Model(GroupModel):
     def class_of_vertex(self, v):
         return self.tree.obj_of(v)
 
-    def vertex_of_class(self, latt):
-        return self.tree.addr_of(latt)
-
     # --- group operations --------------------------------------------------------
 
     def identity(self):

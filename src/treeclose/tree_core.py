@@ -318,8 +318,10 @@ class Germ:
         the same radius around dst_center."""
         if not isinstance(radius, int) or radius < 0:
             raise ValidationError(f"bad radius {radius!r}")
-        degree = _ball_degree(radius, len(mapping)) if radius else None
-        if degree is None and (radius or len(mapping) != 1):
+        # |B(r)| > 2**r, so n vertices make no ball of radius >= n.bit_length()
+        n = len(mapping)
+        degree = _ball_degree(radius, n) if 0 < radius < n.bit_length() else None
+        if degree is None and (radius or n != 1):
             raise ValidationError("domain is not the source ball")
         index = _ball_table(degree, radius)[2]
         s, t = src_center.word, dst_center.word
@@ -365,10 +367,6 @@ class Germ:
         order = sorted(range(len(dom)), key=lambda i: dom[i].word)
         return tuple((dom[i], img[perm[i]]) for i in order)
 
-    @property
-    def mapping(self):
-        return dict(self.pairs)
-
     def apply(self, v):
         words, addrs, index = _ball_table(self.degree, self.radius)
         i = index.get(_offset(self.src_center.word, v.word))
@@ -378,14 +376,8 @@ class Germ:
         t = self.dst_center.word
         return _addr(word_mul(t, words[j])) if t else addrs[j]
 
-    def domain(self):
-        return tuple(u for u, _ in self.pairs)
-
     def fixes(self, vertices):
         return all(self.apply(v) == v for v in vertices)
-
-    def moved_points(self):
-        return tuple(u for u, w in self.pairs if u != w)
 
     @property
     def is_identity_map(self):

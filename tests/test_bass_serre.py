@@ -7,17 +7,19 @@ depth d needs the exponent divisible by (mn)^d.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
-from treeclose.kclosure import check_k_legal
+from treeclose.kclosure import check_k_legal, plusk_generator_germs
 from treeclose.models import base, build_model
 from treeclose.models.bass_serre import render_britton
-from treeclose.permgroup import induced_perm_group, structure_fingerprint
+from treeclose.permgroup import cycle_table, induced_perm_group, structure_fingerprint
 from treeclose.tree_core import (
     ROOT,
     VertexAddr,
+    ball_positions,
     ball_vertices,
     compose,
     geodesic,
@@ -42,10 +44,14 @@ def test_pinch_rewrites():
     assert render_britton(bs.identity()) == "1"
 
 
+def t_exponent_sum(el):
+    return sum(e for _, e in el.segs)
+
+
 def test_unpinchable_letters_stay(bs23):
     el = bs23.from_britton("t a t^-1")
     assert el.segs  # exponent 1 is not a multiple of m, no pinch
-    assert bs23.rho(el) == 0
+    assert t_exponent_sum(el) == 0
 
 
 def test_normal_form_is_multiplicative(bs23):
@@ -59,15 +65,17 @@ def test_normal_form_is_multiplicative(bs23):
 
 
 def test_rho_is_a_homomorphism(bs23):
-    assert bs23.rho(bs23.from_britton("t")) == 1
-    assert bs23.rho(bs23.from_britton("a t a t a t")) == 3
+    # the relation keeps the t-exponent sum, so the normal form of a
+    # product must carry the t letters of both factors
+    assert t_exponent_sum(bs23.from_britton("t")) == 1
+    assert t_exponent_sum(bs23.from_britton("a t a t a t")) == 3
     rng = random.Random(8)
     letters = ["a", "t", "t^-1", "a^-1"]
     for _ in range(40):
         u = " ".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
         v = " ".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
         eu, ev = bs23.from_britton(u), bs23.from_britton(v)
-        assert bs23.rho(bs23.mul(eu, ev)) == bs23.rho(eu) + bs23.rho(ev)
+        assert t_exponent_sum(bs23.mul(eu, ev)) == t_exponent_sum(eu) + t_exponent_sum(ev)
 
 
 def test_vertex_transitive(bs23):
@@ -103,13 +111,26 @@ def test_powers_of_a_fixing_balls(bs23):
     assert bs23.germ_of(bs23.a_power(216), ROOT, 3).is_identity_map
 
 
+def ball_fixing_exponent(bs, v, radius):
+    """lcm of the cycle lengths of the stabilizer generator at v on B(v, r)."""
+    germ = bs.germ_of(bs.stab_generator(v), v, max(radius, 1))
+    table = cycle_table(germ.perm)
+    spots = ball_positions(v, ball_vertices(v, radius, bs.degree), germ.radius, bs.degree)
+    return math.lcm(*(len(table[i][0]) for i in spots))
+
+
 def test_fixator_exponent_on_balls():
     for (m, n) in ((2, 3), (1, 2), (2, 4)):
         bs = build_model({"model": "bs", "m": m, "n": n})
         for radius in range(4):
             A = ball_vertices(ROOT, radius, bs.degree)
-            N = bs.fixator_exponent(A)
-            assert N == (m * n) ** radius
+            N = ball_fixing_exponent(bs, ROOT, radius)
+            if m == 2 and n == 4:
+                # gcd(m, n) > 1, so the cycle lengths share factors:
+                # 4, 8, 16 against (mn)**r = 8, 64, 512
+                assert (m * n) ** radius % N == 0
+            else:
+                assert N == (m * n) ** radius
             germ = bs.germ_of(bs.a_power(N), ROOT, max(radius, 1))
             assert all(germ.apply(v) == v for v in A)
 
@@ -122,10 +143,10 @@ def test_minimal_fixing_exponent_matches_edge_type(bs23):
 
 
 def test_valid_base_exponents(bs23):
-    lcm, residues, per_edge = bs23.valid_base_exponents(ROOT)
-    assert lcm == 6
-    assert residues == (0, 2, 3, 4)
-    assert sorted(per_edge.values()) == [2, 2, 3, 3, 3]
+    # a**c fixes a neighbor of ε, so the edge 1-region there, exactly for
+    # the residues c mod 6 that the cycle lengths 2 and 3 divide
+    got = set(plusk_generator_germs(bs23, ROOT, 1, 1))
+    assert got == {bs23.germ_of(bs23.a_power(c), ROOT, 1) for c in (0, 2, 3, 4)}
 
 
 def test_one_sided_fixator_triviality_tracks_coprimality():
@@ -142,7 +163,8 @@ def test_legal_germs_preserve_edge_labels(bs23):
         for center in rng.sample(ball_vertices(ROOT, 1, 5), 3):
             germ = bs23.germ_of(el, center, 2)
             assert check_k_legal(bs23, germ, 1)
-            for u, w in itertools.permutations(germ.domain(), 2):
+            domain = [u for u, _ in germ.pairs]
+            for u, w in itertools.permutations(domain, 2):
                 if geodesic(u, w) and len(geodesic(u, w)) == 2:
                     assert bs23.edge_label(u, w) == bs23.edge_label(
                         germ.apply(u), germ.apply(w)
@@ -179,6 +201,28 @@ def _power_loop_stab_germs(model, v, k):
         out.append(cur)
         cur = compose(gen, cur)
     return frozenset(out)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (1, 2), (2, 4)])
+def test_ball_fixators_are_the_powers_of_one_generator_power(m, n):
+    # the stabilizer of v is <s>, so the maps on B(v, r+1) that fix B(v, r)
+    # are the powers of s**l, l the lcm of the cycle lengths of s there
+    bs = build_model({"model": "bs", "m": m, "n": n})
+    for v in map(VertexAddr.parse, ("ε", "1", "0.1")):
+        for r in range(3):
+            tube = ball_vertices(v, r + 1, bs.degree)
+            pinned = ball_vertices(v, r, bs.degree)
+            gen = bs.germ_of(bs.stab_generator(v), v, r + 1)
+            step = identity_germ(v, r + 1, bs.degree)
+            for _ in range(ball_fixing_exponent(bs, v, r)):
+                step = compose(gen, step)
+            pos = {x: p for p, x in enumerate(tube)}
+            want, power = {tuple(range(len(tube)))}, step
+            while not power.is_identity_map:
+                want.add(tuple(pos[power.apply(x)] for x in tube))
+                power = compose(step, power)
+            assert len(want) > 1
+            assert bs.fixator_maps_on(tube, pinned) == want
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])

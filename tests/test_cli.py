@@ -711,11 +711,7 @@ HUGE_LATTICE_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(HUGE_LATTICE_ENTRIES))
-def test_huge_lattice_entries_exit_2_at_once(name, capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("TREECLOSE_MAX_ELEMENTS", raising=False)
-    matrix, kind, message = HUGE_LATTICE_ENTRIES[name]
-
+def _run_scenario_within_10_s(tmp_path, capsys, scenario, name):
     def stop(signum, frame):
         # Failed is no Exception, so the CLI cannot report it as an error
         pytest.fail(f"{name} did not end within 10 s")
@@ -723,16 +719,41 @@ def test_huge_lattice_entries_exit_2_at_once(name, capsys, tmp_path, monkeypatch
     previous = signal.signal(signal.SIGALRM, stop)
     signal.alarm(10)
     try:
-        code, report = _run_scenario(
-            tmp_path, capsys,
-            {"model": {"model": "psl2", "p": 2}, "verb": "lattice", "r": 1,
-             "matrix": matrix},
-        )
+        return _run_scenario(tmp_path, capsys, scenario)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_LATTICE_ENTRIES))
+def test_huge_lattice_entries_exit_2_at_once(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("TREECLOSE_MAX_ELEMENTS", raising=False)
+    matrix, kind, message = HUGE_LATTICE_ENTRIES[name]
+    code, report = _run_scenario_within_10_s(
+        tmp_path, capsys,
+        {"model": {"model": "psl2", "p": 2}, "verb": "lattice", "r": 1,
+         "matrix": matrix},
+        name,
+    )
     assert code == 2
     assert report["error"] == {"type": kind, "message": message}
+
+
+@pytest.mark.parametrize("radius", [10**10, 10**18])
+def test_huge_germ_radius_exits_2_at_once(radius, capsys, tmp_path, monkeypatch):
+    # four pairs make no ball of radius 3 or more, so the germ is rejected
+    # before a ball of this radius is sized
+    monkeypatch.delenv("TREECLOSE_MAX_ELEMENTS", raising=False)
+    pairs = [["ε", "ε"], ["0", "1"], ["1", "0"], ["2", "2"]]
+    code, report = _run_scenario_within_10_s(
+        tmp_path, capsys,
+        {"model": {"model": "constant_local", "d": 3, "F": "sym"}, "verb": "legality",
+         "k": 1, "germ": {"src": "ε", "dst": "ε", "radius": radius, "pairs": pairs}},
+        f"radius {radius}",
+    )
+    assert code == 2
+    assert report["error"] == {"type": "ValidationError",
+                               "message": "domain is not the source ball"}
 
 
 def test_integers_past_the_digit_limit_are_invalid_json(capsys, tmp_path):

@@ -15,7 +15,6 @@ from treeclose.kclosure import (
     nondiscreteness_certificate,
 )
 from treeclose.models import base, build_model
-from treeclose.models.base import take
 from treeclose.models.cover import (
     CycleGraph,
     FiniteAuto,
@@ -190,7 +189,7 @@ def test_strip_products_act_as_composed_maps():
     # level's fiber permutations compose; Sym(2) could not
     model = build_model({"model": "cover", "graph": "strip", "p": 3})
     rng = random.Random(3)
-    pool = take(model.iter_elements(), 2000)
+    pool = list(itertools.islice(model.iter_elements(), 2000))
     for _ in range(100):
         g, h = rng.choice(pool), rng.choice(pool)
         for v in ball_vertices(ROOT, 2, model.degree):

@@ -4,6 +4,7 @@ import pytest
 
 from treeclose.kclosure import check_k_legal, element_germs_at, local_action
 from treeclose.models import build_model
+from treeclose.models.full_aut import RigidElement
 from treeclose.tree_core import (
     ROOT,
     ball_vertices,
@@ -45,7 +46,8 @@ def test_everything_is_legal(fa):
 def test_rigid_extension_is_consistent(fa):
     # the canonical extension of a germ restricts back to that germ
     for germ in list(iterate_ball_germs(3, ROOT, ROOT, 2))[:12]:
-        el = fa.from_germ(germ)
+        germ.validate(3)
+        el = RigidElement(germ)
         wide = fa.germ_of(el, ROOT, 4)
         assert restrict(wide, ROOT, 2, 3) == germ
         wide.validate(3)

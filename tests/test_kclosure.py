@@ -201,8 +201,9 @@ def test_ipk_bs_fails_at_radius_three(bs23):
     verdict = ipk_check(bs23, *EDGE, 1, 3)
     assert verdict.outcome == "fails"
     witness = germ_from_json(verdict.witness["germ"])
-    v_side_moved = [y for y in witness.moved_points() if y.word[:1] != (0,)]
-    w_side_moved = [y for y in witness.moved_points() if y.word[:1] == (0,)]
+    moved = [u for u, w in witness.pairs if u != w]
+    v_side_moved = [y for y in moved if y.word[:1] != (0,)]
+    w_side_moved = [y for y in moved if y.word[:1] == (0,)]
     assert v_side_moved and w_side_moved
 
 

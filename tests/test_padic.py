@@ -36,7 +36,7 @@ def test_valency_is_p_plus_one(p2, p3):
     for model in (p2, p3):
         nbrs = model.ordered_neighbors(model.class_of_vertex(ROOT))
         assert len(nbrs) == model.degree
-        assert len({model.vertex_of_class(c) for c in nbrs}) == model.degree
+        assert len({model.tree.addr_of(c) for c in nbrs}) == model.degree
 
 
 def test_unipotent_fix_ball_boundary(p2, p3):
