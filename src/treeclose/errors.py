@@ -1,5 +1,6 @@
 """Exception types shared across the package, the integer reader that
-scenario and model-descriptor parsing share, and the element limit.
+scenario and model-descriptor parsing share, the element limit and the
+base of the immutable value types.
 
 Everything user-triggerable raises one of these; internal invariant
 violations use plain AssertionError.
@@ -108,3 +109,34 @@ def product_exceeds(factors, limit):
         if count > limit:
             return True
     return False
+
+
+class Record:
+    """An immutable value, as a frozen dataclass is: equal to a record of its
+    own class with equal fields, hashed as the tuple of its fields, printed as
+    Name(field=value, ...). Subclasses list their fields in _fields."""
+
+    _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"

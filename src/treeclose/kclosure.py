@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     DegreeMismatch,
     FactorOutsideGroup,
     RadiusTooSmall,
+    Record,
     TooLarge,
     ValidationError,
     max_elements,
@@ -50,13 +50,11 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    witness: object = None
-    budget_used: int = 0
-    notes: tuple = ()
-    details: dict = field(default_factory=dict)
+class Verdict(Record):
+    _fields = ("outcome", "witness", "budget_used", "notes", "details")
+
+    def __init__(self, outcome, witness=None, budget_used=0, notes=(), details=None):
+        super().__init__(outcome, witness, budget_used, notes, {} if details is None else details)
 
     def to_json(self):
         return {

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from ..errors import BadElement, TooLarge, ValidationError, max_elements
+from ..errors import BadElement, Record, TooLarge, ValidationError, max_elements
 from ..permgroup import cycle_table
 from ..tree_core import (
     Germ,
@@ -31,10 +30,8 @@ from ..tree_core import (
 from .base import GroupModel, TreeChart
 
 
-@dataclass(frozen=True)
-class BSElement:
-    segs: tuple  # ((residue, sign), ...)
-    tail: int
+class BSElement(Record):
+    _fields = ("segs", "tail")  # segs: ((residue, sign), ...)
 
 
 class _Normalizer:

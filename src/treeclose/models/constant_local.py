@@ -11,9 +11,8 @@ each vertex, independently of position.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from ..errors import BadElement, TooLarge, ValidationError, max_elements, product_exceeds
+from ..errors import BadElement, Record, TooLarge, ValidationError, max_elements, product_exceeds
 from ..permgroup import (
     check_perm,
     closure_group,
@@ -34,10 +33,8 @@ from ..tree_core import (
 from .base import GroupModel
 
 
-@dataclass(frozen=True)
-class CLElement:
-    word: tuple
-    perm: tuple
+class CLElement(Record):
+    _fields = ("word", "perm")
 
 
 def _named_perm_group(degree, spec):

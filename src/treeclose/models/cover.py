@@ -31,22 +31,20 @@ comparable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from ..errors import IncompatibleBase, TooLarge, ValidationError, as_int, max_elements, product_exceeds
+from ..errors import IncompatibleBase, Record, TooLarge, ValidationError, as_int, max_elements, product_exceeds
 from ..permgroup import check_perm, identity_perm, invert_perm, perm_from_cycles
 from ..tree_core import ROOT, VertexAddr, geodesic, require_star, sphere_vertices
 from .base import GroupModel, TreeChart
 
 
-@dataclass(frozen=True)
-class CycleGraph:
-    p: int
-    r: int
+class CycleGraph(Record):
+    _fields = ("p", "r")
 
-    def __post_init__(self):
-        if self.p < 1 or self.r < 3:
+    def __init__(self, p, r):
+        super().__init__(p, r)
+        if p < 1 or r < 3:
             raise ValidationError("need p >= 1 fibers and r >= 3 levels")
 
     @property
@@ -134,12 +132,12 @@ class CycleGraph:
         return {"graph": "C", "p": self.p, "r": self.r}
 
 
-@dataclass(frozen=True)
-class StripGraph:
-    p: int
+class StripGraph(Record):
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __init__(self, p):
+        super().__init__(p)
+        if p < 1:
             raise ValidationError("need p >= 1 fibers")
 
     @property
@@ -212,9 +210,8 @@ class StripGraph:
         return {"graph": "strip", "p": self.p, "r": None}
 
 
-@dataclass(frozen=True)
-class FiniteAuto:
-    pairs: tuple
+class FiniteAuto(Record):
+    _fields = ("pairs",)
 
     @cached_property
     def mapping(self):
@@ -238,13 +235,10 @@ class FiniteAuto:
         return {"pairs": [[list(v), list(w)] for v, w in self.pairs]}
 
 
-@dataclass(frozen=True)
-class StripAuto:
+class StripAuto(Record):
     """(i, j) maps to (eps*i + shift, sigma_i(j)); sigma has finite support."""
 
-    eps: int
-    shift: int
-    sigmas: tuple  # ((level, perm), ...) sorted, identity perms dropped
+    _fields = ("eps", "shift", "sigmas")  # sigmas: sorted ((level, perm), ...), no identities
 
     @cached_property
     def sigma_map(self):
@@ -331,10 +325,8 @@ def iterate_graph_autos(graph):
     yield from rec(0)
 
 
-@dataclass(frozen=True)
-class CoverElement:
-    auto: object
-    anchor_image: VertexAddr
+class CoverElement(Record):
+    _fields = ("auto", "anchor_image")
 
 
 class CoverModel(GroupModel):

@@ -17,9 +17,8 @@ Compare germs on a window when map equality is what you mean.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from ..errors import BadElement, TooLarge, ValidationError, max_elements, product_exceeds
+from ..errors import BadElement, Record, TooLarge, ValidationError, max_elements, product_exceeds
 from ..permgroup import identity_perm, perm_from_cycles
 from ..tree_core import (
     ROOT,
@@ -35,6 +34,7 @@ from ..tree_core import (
     iterate_subtree_isos,
     tree_distance,
     word_mul,
+    require_ball,
     require_regular,
 )
 from .base import GroupModel
@@ -52,9 +52,8 @@ def _stab_germ_count_exceeds(degree, k, limit):
     return product_exceeds(factors, limit)
 
 
-@dataclass(frozen=True)
-class RigidElement:
-    germ: Germ
+class RigidElement(Record):
+    _fields = ("germ",)
 
 
 class FullAutModel(GroupModel):
@@ -140,6 +139,7 @@ class FullAutModel(GroupModel):
         got = self._translation_cache.get(key)
         if got is not None:
             return got
+        require_ball(self.degree, window_radius)  # before a word of `amplitude` letters
         word = tuple((0, 1)[i % 2] for i in range(amplitude))
         if amplitude % 2:
             perm = perm_from_cycles(self.degree, [(0, 1)])

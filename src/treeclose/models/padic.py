@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import (
     BadElement,
     NotIntegral,
+    Record,
     SingularBasis,
     TooLarge,
     ValidationError,
@@ -67,12 +67,8 @@ def _in_z_inv_p(x, p):
     return den == p ** _vp_int(den, p)
 
 
-@dataclass(frozen=True)
-class Mat2:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+class Mat2(Record):
+    _fields = ("a", "b", "c", "d")  # Fractions, row by row
 
     @staticmethod
     def of(a, b, c, d):
@@ -121,9 +117,8 @@ def _mat_key(m):
     )
 
 
-@dataclass(frozen=True)
-class PSL2Element:
-    mat: Mat2
+class PSL2Element(Record):
+    _fields = ("mat",)
 
     @staticmethod
     def make(p, mat):
@@ -139,18 +134,15 @@ class PSL2Element:
         return PSL2Element(mat if _mat_key(mat) <= _mat_key(neg) else neg)
 
 
-@dataclass(frozen=True)
-class LatticeClass:
-    p: int
-    alpha: int
-    beta: Fraction
+class LatticeClass(Record):
+    _fields = ("p", "alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
+    def __init__(self, p, alpha, beta):
+        super().__init__(p, alpha, Fraction(beta))
         b = self.beta
-        if b < 0 or b >= Fraction(self.p) ** self.alpha:
-            raise ValidationError(f"beta {b} outside [0, p^{self.alpha})")
-        if b != 0 and not _in_z_inv_p(b, self.p):
+        if b < 0 or b >= Fraction(p) ** alpha:
+            raise ValidationError(f"beta {b} outside [0, p^{alpha})")
+        if b != 0 and not _in_z_inv_p(b, p):
             raise ValidationError(f"beta {b} has a non-p denominator")
 
     def basis(self):

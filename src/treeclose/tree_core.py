@@ -30,7 +30,6 @@ on a tube (GroupModel.fixator_maps_on) are tuples over tube positions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -38,6 +37,7 @@ from .errors import (
     NotContained,
     NotRegular,
     RadiusMismatch,
+    Record,
     TooLarge,
     ValidationError,
     max_elements,
@@ -71,14 +71,13 @@ def word_inv(a):
     return tuple(reversed(a))
 
 
-@dataclass(frozen=True)
-class VertexAddr:
+class VertexAddr(Record):
     """Reduced color word addressing a vertex; the empty word is the root."""
 
-    word: tuple = ()
+    _fields = ("word",)
 
-    def __post_init__(self):
-        w = tuple(self.word)
+    def __init__(self, word=()):
+        w = tuple(word)
         object.__setattr__(self, "word", w)
         for x, y in zip(w, w[1:]):
             if x == y:
@@ -86,6 +85,13 @@ class VertexAddr:
         for x in w:
             if not isinstance(x, int) or x < 0:
                 raise ValidationError(f"bad edge color {x!r}")
+
+    # hot: equal and hashed as Record would make them, without a field tuple
+    def __eq__(self, other):
+        return self.word == other.word if other.__class__ is VertexAddr else NotImplemented
+
+    def __hash__(self):
+        return hash((self.word,))
 
     def step(self, color):
         # a reduced word stays reduced, so only the new color is checked
@@ -171,15 +177,20 @@ def ball_size(degree, radius):
     return 1 + degree * ((degree - 1) ** radius - 1) // (degree - 2)
 
 
+def require_ball(degree, radius):
+    """TooLarge when a ball of this radius passes the element limit."""
+    limit = max_elements()
+    if ball_size(degree, min(radius, limit.bit_length())) > limit:  # |B(r)| >= 2**r
+        raise TooLarge(f"ball of radius {radius} has more than {limit} vertices")
+
+
 @lru_cache(maxsize=None)
 def ball_vertices(center, radius, degree):
     """All vertices within the given distance, sorted by (distance, word)."""
     require_regular(degree)
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
-    limit = max_elements()
-    if ball_size(degree, min(radius, limit.bit_length())) > limit:  # |B(r)| >= 2**r
-        raise TooLarge(f"ball of radius {radius} has more than {limit} vertices")
+    require_ball(degree, radius)
     out = [center]
     seen = {center}
     layer = [center]

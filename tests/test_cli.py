@@ -6,6 +6,7 @@ expected exit codes below are part of the corpus contract.
 
 import hashlib
 import json
+import os
 import shutil
 import signal
 import subprocess
@@ -756,6 +757,25 @@ def test_huge_germ_radius_exits_2_at_once(radius, capsys, tmp_path, monkeypatch)
                                "message": "domain is not the source ball"}
 
 
+@pytest.mark.parametrize("amplitude", [10**9, 10**18])
+def test_huge_commutator_amplitude_exits_2_at_once(amplitude, capsys, tmp_path, monkeypatch):
+    # the translation's window ball is sized before its word of `amplitude`
+    # letters is built; at 10**18 that word ended in a MemoryError
+    monkeypatch.delenv("TREECLOSE_MAX_ELEMENTS", raising=False)
+    code, report = _run_scenario_within_10_s(
+        tmp_path, capsys,
+        {"model": {"model": "full_aut", "d": 3}, "verb": "commutator",
+         "amplitude": amplitude, "z_hi": amplitude},
+        f"amplitude {amplitude}",
+    )
+    assert code == 2
+    # window = max(|z_lo|, z_hi) + amplitude + 1 + R, with R = 2
+    assert report["error"] == {
+        "type": "TooLarge",
+        "message": f"ball of radius {2 * amplitude + 3} has more than 1000000 vertices",
+    }
+
+
 def test_integers_past_the_digit_limit_are_invalid_json(capsys, tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text('{"model": {"model": "full_aut", "d": 3}, "verb": "stab-germs", '
@@ -788,6 +808,23 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("treeclose report")
+
+
+def _modules_after(statement):
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(ROOT_DIR / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_import_leaves_out_dataclasses_and_the_source_tools():
+    # every scenario process pays this import; the difference against a bare
+    # interpreter leaves out what .pth files import at start-up
+    added = _modules_after("import treeclose.cli") - _modules_after("pass")
+    assert "treeclose.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_console_script_installed():
