@@ -82,15 +82,13 @@ def test_records_refuse_assignment(cls, fields, values):
     assert tuple(getattr(a, f) for f in fields) == values
 
 
-@pytest.mark.parametrize("cls, fields, values", CASES[1:], ids=_ids(CASES[1:]))
+# VertexAddr prints its rendered address instead
+DATACLASS_REPR = [case for case in CASES if case[0] is not VertexAddr]
+
+
+@pytest.mark.parametrize("cls, fields, values", DATACLASS_REPR, ids=_ids(DATACLASS_REPR))
 def test_records_print_as_dataclasses(cls, fields, values):
     assert repr(cls(*values)) == repr(_reference(cls.__name__, fields, values))
-
-
-def test_lattice_class_repr():
-    assert repr(LatticeClass(2, 1, Fraction(1, 2))) == (
-        "LatticeClass(p=2, alpha=1, beta=Fraction(1, 2))"
-    )
 
 
 def test_vertex_addr_keeps_its_own_repr_and_default():
