@@ -121,9 +121,7 @@ class Record:
     def __init__(self, *values):
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_key", values)
+        self.__dict__.update(zip(self._fields, values), _key=values)
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented

@@ -403,6 +403,8 @@ def pk_check(model, path, k, R):
     same gate the edge-independence check uses; all other gaps stay
     inconclusive.
     """
+    if k < 1:
+        raise ValidationError("need k >= 1")
     if R < k - 1:
         raise ValidationError("window radius must be at least k - 1")
     path = tuple(path)

@@ -153,11 +153,17 @@ class GroupModel(abc.ABC):
     # --- searches ----------------------------------------------------------
 
     @abc.abstractmethod
-    def iter_elements(self):
-        """Deterministic stream of elements, short data first."""
-
     def nondiscreteness_candidates(self, k):
-        return self.iter_elements()
+        """Deterministic stream of elements that the discreteness search
+        tries in order, for one fixing the k-region of an edge while moving
+        the k-ball on the far side."""
+
+    def iter_elements(self):
+        """The identity, then the candidates at k = 1: the stream
+        perfbench/make_inputs.py draws the PSL(2) and cover legality pool
+        from."""
+        yield self.identity()
+        yield from self.nondiscreteness_candidates(1)
 
     def region_fixator_trivial(self, region):
         """True when the model certifies that only the identity fixes the

@@ -206,22 +206,6 @@ class BassSerreModel(GroupModel):
 
     # --- searches ------------------------------------------------------------------
 
-    def iter_elements(self):
-        gens = [("a", 1), ("a", -1), ("t", 1), ("t", -1)]
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        yield self.identity()
-        while frontier:
-            new = []
-            for el in frontier:
-                for g in gens:
-                    cand = self.mul(el, self.from_letters([g]))
-                    if cand not in seen:
-                        seen.add(cand)
-                        new.append(cand)
-                        yield cand
-            frontier = new
-
     def nondiscreteness_candidates(self, k):
         for j in itertools.count(1):
             yield self.a_power(j)

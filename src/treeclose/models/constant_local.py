@@ -24,7 +24,7 @@ from ..permgroup import (
 from ..tree_core import (
     ROOT,
     VertexAddr,
-    ball_vertices,
+    sphere_vertices,
     word_inv,
     word_mul,
     require_regular,
@@ -113,11 +113,9 @@ class ConstantLocalModel(GroupModel):
         moved = [(tuple(p[c] for c in v.word), p) for p in self.F]
         return [CLElement(word_mul(v.word, word_inv(w)), p) for w, p in moved]
 
-    def iter_elements(self):
+    def nondiscreteness_candidates(self, k):
         for radius in itertools.count(0):
-            for v in ball_vertices(ROOT, radius, self.degree):
-                if v.depth != radius:
-                    continue
+            for v in sphere_vertices(ROOT, radius, self.degree):
                 for p in self.F:
                     yield CLElement(v.word, p)
 

@@ -18,7 +18,7 @@ are unaffected.
 
 Each base graph owns its automorphisms: it names the identity, a
 transporter, the automorphisms that generate a vertex stabiliser
-(stab_autos) and its element streams, and reads automorphisms from
+(stab_autos) and its candidate stream, and reads automorphisms from
 JSON. CoverModel holds the covering map, a TreeChart over the base
 graph, and lifts what the base names, without asking which base it holds.
 
@@ -35,7 +35,7 @@ from functools import cached_property
 
 from ..errors import IncompatibleBase, Record, TooLarge, ValidationError, as_int, max_elements, product_exceeds
 from ..permgroup import check_perm, identity_perm, invert_perm, perm_from_cycles
-from ..tree_core import ROOT, VertexAddr, geodesic, require_star, sphere_vertices
+from ..tree_core import ROOT, VertexAddr, geodesic, require_star
 from .base import GroupModel, TreeChart
 
 
@@ -101,10 +101,6 @@ class CycleGraph(Record):
 
     def is_covered_by(self, bvs):
         return set(bvs) == set(self.vertices())
-
-    def element_autos(self, radius):
-        # every automorphism, at every radius
-        return self.aut_graph
 
     def candidate_autos(self):
         ident, root = self.identity(), self.root
@@ -177,17 +173,6 @@ class StripGraph(Record):
     def is_covered_by(self, bvs):
         # a finite region never covers the infinite strip
         return False
-
-    def element_autos(self, radius):
-        """Both orientations, shifts by at most radius levels, and every
-        fiber permutation on the levels within radius of the root's."""
-        levels = range(-radius, radius + 1)
-        for eps in (1, -1):
-            for shift in levels:
-                for combo in itertools.product(
-                    itertools.permutations(range(self.p)), repeat=len(levels)
-                ):
-                    yield StripAuto.of(eps, shift, dict(zip(levels, combo)))
 
     def candidate_autos(self):
         for bound in itertools.count(1):
@@ -406,16 +391,6 @@ class CoverModel(GroupModel):
         # covers the base (finite or strip), so the covering argument
         # above forces any pointwise fixator of it to be the identity
         return True
-
-    def iter_elements(self):
-        # radius by radius, the lifts of the base's automorphisms at each
-        # vertex of that sphere over the image of the base root
-        for radius in itertools.count(0):
-            for auto in self.base.element_autos(radius):
-                target = auto.apply(self.base.root)
-                for w in sphere_vertices(ROOT, radius, self.degree):
-                    if self.base_of(w) == target:
-                        yield CoverElement(auto, w)
 
     def nondiscreteness_candidates(self, k):
         return (self.lift_at(a, ROOT, ROOT) for a in self.base.candidate_autos())

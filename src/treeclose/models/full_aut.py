@@ -171,12 +171,6 @@ class FullAutModel(GroupModel):
             iterate_subtree_isos(self.degree, tube, root, tube, root, pins=pins)
         )
 
-    def iter_elements(self):
-        for radius in itertools.count(0):
-            for dst in ball_vertices(ROOT, radius, self.degree):
-                for germ in iterate_ball_germs(self.degree, ROOT, dst, radius):
-                    yield RigidElement(germ)
-
     def nondiscreteness_candidates(self, k):
         # fix a ball of growing radius pointwise, twist just outside it
         for s in itertools.count(max(k - 1, 0)):

@@ -330,18 +330,13 @@ class PSL2Model(GroupModel):
 
     # --- searches ------------------------------------------------------------------------
 
-    def iter_elements(self):
-        yield self.identity()
+    def nondiscreteness_candidates(self, k):
+        # no elementary matrix with an entry unit * p^j is the identity
         for j in itertools.count(1):
             for unit in range(1, self.p):
                 x = unit * self.p**j
                 yield self.element(1, x, 0, 1)
                 yield self.element(1, 0, x, 1)
-
-    def nondiscreteness_candidates(self, k):
-        for g in self.iter_elements():
-            if g != self.identity():
-                yield g
 
     def one_sided_fixators_trivial(self, edge):
         # an element fixing a half-tree pointwise fixes the infinitely

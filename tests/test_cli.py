@@ -537,6 +537,9 @@ MALFORMED = {
     # ε is counted twice: a fiber product over a path that does not exist
     "pk-path-turns-back": {"model": {"model": "full_aut", "d": 3}, "verb": "pk",
                            "path": ["ε", "0", "ε"], "k": 1, "R": 1},
+    # checked before the path region is thickened at radius k - 1
+    "pk-k-zero": {"model": {"model": "full_aut", "d": 3}, "verb": "pk",
+                  "path": ["ε", "0"], "k": 0, "R": 1},
     # a JSON number is no vertex: str() would read 10.20 as the vertex 10.2
     "vertex-float": {"model": {"model": "full_aut", "d": 30}, "verb": "stab-germs",
                      "vertex": 10.20, "k": 1},
@@ -590,6 +593,7 @@ def test_malformed_scenario_values_exit_2(name, capsys, tmp_path):
     ("k-bool", "'k' must be an integer"),
     ("commutator-amplitude-past-z-hi", "need z_lo <= 0 < amplitude <= z_hi"),
     ("pk-path-turns-back", "the path turns back: it must be a geodesic"),
+    ("pk-k-zero", "need k >= 1"),
     ("vertex-float", "cannot parse vertex address 10.2"),
     ("edge-entry-float", "cannot parse vertex address 0.0"),
     ("cover-graph-unknown", 'unknown cover graph \'Q\': use "C" or "strip"'),

@@ -31,6 +31,8 @@ from treeclose.tree_core import (
     sphere_vertices,
 )
 
+from sampling import element_pool
+
 
 @pytest.fixture(scope="module")
 def c25():
@@ -189,7 +191,7 @@ def test_strip_products_act_as_composed_maps():
     # level's fiber permutations compose; Sym(2) could not
     model = build_model({"model": "cover", "graph": "strip", "p": 3})
     rng = random.Random(3)
-    pool = list(itertools.islice(model.iter_elements(), 2000))
+    pool = element_pool(model)
     for _ in range(100):
         g, h = rng.choice(pool), rng.choice(pool)
         for v in ball_vertices(ROOT, 2, model.degree):

@@ -1,6 +1,8 @@
 """Axioms every group-model backend must satisfy."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -17,6 +19,8 @@ from treeclose.tree_core import (
     identity_germ,
     tree_distance,
 )
+
+from sampling import element_pool
 
 DESCRIPTORS = [
     {"model": "constant_local", "d": 3, "F": "sym"},
@@ -44,8 +48,35 @@ def model(request):
 
 
 def _sample_elements(model, count, rng):
-    pool = list(itertools.islice(model.iter_elements(), 60))
+    pool = element_pool(model)
     return [rng.choice(pool) for _ in range(count)]
+
+
+# SHA-256 of the first 50 discreteness candidates at k = 1 and k = 2, in
+# DESCRIPTORS order; C(2, 5) has 31. Each stream is the same at both k.
+STREAM_SHA256 = [
+    ("42691665c7ea773edc49216dd6b71b199cdc022ef0d0a9017f7983e303187cef",) * 2,
+    ("0ae990268d7e69dc628c12afa92295e1aad4b9be6c7d027604c859e36fcc0f57",
+     "750eabf1ce6c7f3bc21ae346a108461ed69998ca7145c44662d4b20e2255eaf5"),
+    ("9b2c1ad2d65f8d1b939ca3d29160e7c9ac35bf9620510758322e70f07ff864b4",) * 2,
+    ("56fe1017f9b300afbf07f3f7e0a7275541ff9b80aeaeb5759cce3d8e83e1ad9e",) * 2,
+    ("bc2d566973cc9422fc9eec3258e872afabdbcb884c8e17654e64d6abe57d7410",) * 2,
+    ("b501132d9914022048ddc893fd555d859b3359b71481b2dcb79edce16542436b",) * 2,
+    ("012b28797a6830a77697f90c9239dbc92072d052d613fced241c8c6f5a41b68b",) * 2,
+]
+
+
+@pytest.mark.parametrize(
+    "descriptor, digests",
+    zip(DESCRIPTORS, STREAM_SHA256),
+    ids=[_descriptor_id(d) for d in DESCRIPTORS],
+)
+def test_nondiscreteness_candidates_are_pinned(descriptor, digests):
+    model = build_model(descriptor)
+    for k, digest in zip((1, 2), digests):
+        stream = itertools.islice(model.nondiscreteness_candidates(k), 50)
+        data = json.dumps([model.element_to_json(g) for g in stream], sort_keys=True)
+        assert hashlib.sha256(data.encode()).hexdigest() == digest, k
 
 
 def test_build_model_rejects_unknown():
@@ -109,16 +140,7 @@ def test_germ_of_matches_the_vertex_map_reference(descriptor):
     # the shell-by-shell builder against the germ of the vertex map act
     model = build_model(descriptor)
     degree = model.degree
-    pool = list(itertools.islice(model.iter_elements(), 60))
-    elements = random.Random(11).sample(pool, 4)
-    if model.name == "cover":
-        # C(2, 4) lifts its 144 automorphisms fixing the base root at the
-        # root first, so its first moving lifts come later in the stream
-        moved = [
-            g for g in itertools.islice(model.iter_elements(), 400) if g.anchor_image != ROOT
-        ]
-        assert moved
-        elements += moved[:2]
+    elements = random.Random(11).sample(element_pool(model), 6)
     centers = (ROOT, VertexAddr((1,)), VertexAddr((0, 2)))
     for g in elements:
         for center in centers:
