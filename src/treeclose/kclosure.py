@@ -630,39 +630,38 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
 def plusk_generator_germs(model, v, k, radius=None, samples=0, rng_seed=0):
     """Germs generating the subgroup built from edge k-region fixators.
 
-    The union runs over all edges at the anchor. Models with a stabilizer
-    power construction contribute one germ per base exponent that fixes
-    the region (plus optional twisted samples); other models contribute
-    the fixator maps on B(v, radius) (fixator_maps_on) as germs. TooLarge
-    when the candidates would pass the element limit.
+    The union runs over all edges at the anchor: every model contributes
+    its fixator maps on B(v, radius) (fixator_maps_on) as germs. BS adds
+    `samples` twisted stabilizer powers per base exponent, each one kept
+    if it fixes some region; other models refuse samples. TooLarge when
+    the candidates would pass the element limit.
     """
     radius = k + 1 if radius is None else radius
     if radius < k:
         raise ValidationError("radius must be at least k")
+    if samples and not hasattr(model, "sigma_construction"):
+        raise ValidationError(f"the {model.name} model draws no twisted samples")
     deg = model.degree
     regions = [edge_region(v, v.step(c), k, deg) for c in range(deg)]
-    if not hasattr(model, "sigma_construction"):
-        # on the canonical ball a tube map is a germ's perm
-        ball = ball_addresses(v, radius, deg)
-        maps = {m for region in regions for m in model.fixator_maps_on(ball, region)}
-        return sorted_germs(Germ(v, v, radius, m, deg) for m in maps)
-    # the candidates do not depend on the edge: build them once and keep
-    # each one that fixes some edge region
-    base = model.sigma_base(v, radius)
-    rng = random.Random(rng_seed)
-    twist_targets = [y for y in ball_vertices(v, radius - 1, deg) if y != v]
-    order, limit = perm_order(base[0].perm), max_elements()
-    if order * (1 + samples) > limit:
-        raise TooLarge(f"more than {limit} generator candidates")
-    candidates = []
-    for c in range(order):
-        candidates.append(model.sigma_construction(v, c, {}, radius, base))
-        for _ in range(samples):
-            twists = {y: rng.randrange(0, 3) for y in twist_targets}
-            candidates.append(model.sigma_construction(v, c, twists, radius, base, k))
-    return sorted_germs(
-        g for g in candidates if any(g.fixes(region) for region in regions)
-    )
+    # on the canonical ball a tube map is a germ's perm
+    ball = ball_addresses(v, radius, deg)
+    maps = {m for region in regions for m in model.fixator_maps_on(ball, region)}
+    germs = [Germ(v, v, radius, m, deg) for m in maps]
+    if samples:
+        # the twisted candidates do not depend on the edge: build them once
+        base = model.sigma_base(v, radius)
+        rng = random.Random(rng_seed)
+        twist_targets = [y for y in ball_vertices(v, radius - 1, deg) if y != v]
+        order, limit = perm_order(base[0].perm), max_elements()
+        if order * (1 + samples) > limit:
+            raise TooLarge(f"more than {limit} generator candidates")
+        for c in range(order):
+            for _ in range(samples):
+                twists = {y: rng.randrange(0, 3) for y in twist_targets}
+                g = model.sigma_construction(v, c, twists, radius, base, k)
+                if any(g.fixes(region) for region in regions):
+                    germs.append(g)
+    return sorted_germs(germs)
 
 
 # --- commutator solving ----------------------------------------------------------

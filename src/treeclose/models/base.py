@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 
 from ..errors import TooLarge, ValidationError, max_elements
-from ..permgroup import mulclose
+from ..permgroup import mulclose, perm_order
 from ..tree_core import (
     ROOT,
     _addr,
@@ -118,11 +118,15 @@ class GroupModel(abc.ABC):
         ident = identity_germ(v, k, self.degree)
         # mulclose would multiply by an identity generator too, and the
         # closure of a finite group holds the identity anyway
-        germs = (x for x in (self.germ_of(g, v, k) for g in gens) if x != ident)
+        germs = [x for x in (self.germ_of(g, v, k) for g in gens) if x != ident]
+        limit = max_elements()
+        # each generator's powers lie in the group
+        if any(perm_order(x.perm) > limit for x in germs):
+            raise TooLarge(f"stabilizer germ group exceeded {limit}")
         try:
             return mulclose(germs, mul=compose) or (ident,)
         except TooLarge:
-            raise TooLarge(f"stabilizer germ group exceeded {max_elements()}") from None
+            raise TooLarge(f"stabilizer germ group exceeded {limit}") from None
 
     def fixator_maps_on(self, tube, pinned):
         """Restrictions to the tube of all elements fixing `pinned` pointwise.

@@ -3,9 +3,9 @@
 Vertices are homothety classes of rank-2 lattices. A class is stored in
 the canonical shape with basis columns (p^alpha, 0) and (beta, 1): alpha
 any integer, beta a rational with p-power denominator and 0 <= beta <
-p^alpha. Canonicalization runs through an exact integer column Hermite
-form, so no approximation ever enters; all matrix entries live in Z[1/p]
-as exact Fractions.
+p^alpha: the ball beta + p^alpha Z_p of Q_p, whose neighbours and parent
+read off alpha and beta. Canonicalization is one Z_p column operation on
+exact Fractions with entries in Z[1/p], so no approximation ever enters.
 
 Group elements are 2x2 matrices of determinant exactly 1 with Z[1/p]
 entries, normalized by sign (a matrix and its negative act identically).
@@ -178,72 +178,42 @@ class PSL2Model(GroupModel):
             for i, e in enumerate(col, 1):
                 if not _in_z_inv_p(e, p):
                     raise ValidationError(f"basis entry ({i}, {j}) is not in Z[1/{p}]")
-        scale = p ** max(
-            _vp_int(e.denominator, p) for col in cols for e in col
-        )
-        (x1, y1), (x2, y2) = (
-            (int(col[0] * scale), int(col[1] * scale)) for col in cols
-        )
-        if x1 * y2 - x2 * y1 == 0:
+        (a, c), (b, d) = cols
+        det = a * d - b * c
+        if det == 0:
             raise SingularBasis("the two vectors do not span")
-        c1, c2 = (x1, y1), (x2, y2)
-        while c1[1] != 0:
-            if c2[1] != 0:
-                k = c2[1] // c1[1]
-                c2 = (c2[0] - k * c1[0], c2[1] - k * c1[1])
-            c1, c2 = c2, c1
-        A, _ = c1
-        B, D = c2
-        if A < 0:
-            A = -A
-        if D < 0:
-            B, D = -B, -D
-        B %= A
-        a_v = _vp_int(A, p)
-        d_v = _vp_int(D, p)
-        alpha = a_v - d_v
-        if B == 0:
-            beta = Fraction(0)
-        else:
-            b_v = _vp_int(B, p)
-            if b_v - d_v >= alpha:
-                beta = Fraction(0)
-            else:
-                s = alpha - (b_v - d_v)
-                u_b = B // p**b_v
-                u_d = D // p**d_v
-                cc = (u_b * pow(u_d, -1, p**s)) % p**s
-                beta = Fraction(cc) * Fraction(p) ** (b_v - d_v)
-        return LatticeClass(p, alpha, beta)
+        # pivot on the second-row entry d of least valuation: a Z_p column
+        # operation clears the other one, so alpha = v(det) - 2 v(d), and
+        # the class is the ball b/d + p^alpha Z_p
+        v_c, v_d = vp(c, p), vp(d, p)
+        if v_c < v_d:
+            b, d, v_d = a, c, v_c
+        alpha = vp(det, p) - 2 * v_d
+        x = b / d
+        v_num, v_den = _vp_int(x.numerator, p), _vp_int(x.denominator, p)
+        e = v_num - v_den
+        if e >= alpha:
+            return LatticeClass(p, alpha, 0)
+        # x = p^e n/m with n, m prime to p; beta is x mod p^alpha Z_p
+        q = p ** (alpha - e)
+        unit = x.numerator // p**v_num * pow(x.denominator // p**v_den, -1, q)
+        return LatticeClass(p, alpha, unit % q * Fraction(p) ** e)
 
     def ordered_neighbors(self, latt):
-        p = self.p
-        basis = latt.basis()
-        g1 = (basis.a, basis.c)
-        g2 = (basis.b, basis.d)
-        out = []
-        for f in range(p):
-            out.append(
-                self.lattice_canonical(
-                    (p * g1[0], p * g1[1]), (g2[0] + f * g1[0], g2[1] + f * g1[1])
-                )
-            )
-        out.append(self.lattice_canonical(g1, (p * g2[0], p * g2[1])))
-        return out
-
-    def lattice_distance(self, l1, l2):
-        n = l1.basis().inv().mul(l2.basis())
-        vals = [vp(e, self.p) for e in n.entries() if e != 0]
-        return vp(n.det(), self.p) - 2 * min(vals)
+        """The p classes inside the lattice's ball, then the one around it."""
+        p, alpha, beta = self.p, latt.alpha, latt.beta
+        q = Fraction(p) ** alpha
+        inner = [LatticeClass(p, alpha + 1, beta + f * q) for f in range(p)]
+        return inner + [LatticeClass(p, alpha - 1, beta % (q / p))]
 
     def parent_of(self, latt):
         if latt == self.root_class:
             return None
-        target = self.lattice_distance(latt, self.root_class) - 1
-        for nb in self.ordered_neighbors(latt):
-            if self.lattice_distance(nb, self.root_class) == target:
-                return nb
-        raise ValidationError(f"no parent found for {latt!r}")
+        p, alpha, beta = self.p, latt.alpha, latt.beta
+        # a ball around Z_p steps down towards it, any other ball up
+        if beta == 0 and alpha < 0:
+            return LatticeClass(p, alpha + 1, 0)
+        return LatticeClass(p, alpha - 1, beta % Fraction(p) ** (alpha - 1))
 
     def class_of_vertex(self, v):
         return self.tree.obj_of(v)

@@ -6,6 +6,8 @@ isomorphism type; structure_fingerprint returns invariants only.
 
 from __future__ import annotations
 
+import math
+
 from .errors import NotStabilized, TooLarge, ValidationError, max_elements
 
 
@@ -46,13 +48,7 @@ def check_perm(p, n):
 
 
 def perm_order(p):
-    k = 1
-    q = p
-    ident = identity_perm(len(p))
-    while q != ident:
-        q = compose_perm(p, q)
-        k += 1
-    return k
+    return math.lcm(*{len(cycle) for cycle, _ in cycle_table(p)})
 
 
 def cycle_table(p):

@@ -12,10 +12,10 @@ import random
 
 import pytest
 
-from treeclose.kclosure import check_k_legal, plusk_generator_germs
+from treeclose.kclosure import check_k_legal, edge_region, plusk_generator_germs
 from treeclose.models import base, build_model
 from treeclose.models.bass_serre import render_britton
-from treeclose.permgroup import cycle_table, induced_perm_group, structure_fingerprint
+from treeclose.permgroup import cycle_table, induced_perm_group, perm_order, structure_fingerprint
 from treeclose.tree_core import (
     ROOT,
     VertexAddr,
@@ -24,6 +24,7 @@ from treeclose.tree_core import (
     compose,
     geodesic,
     identity_germ,
+    sorted_germs,
 )
 
 
@@ -147,6 +148,31 @@ def test_valid_base_exponents(bs23):
     # the residues c mod 6 that the cycle lengths 2 and 3 divide
     got = set(plusk_generator_germs(bs23, ROOT, 1, 1))
     assert got == {bs23.germ_of(bs23.a_power(c), ROOT, 1) for c in (0, 2, 3, 4)}
+
+
+PLUSK_GRID = [
+    (m, n, v, k, radius)
+    for m, n in ((2, 3), (1, 2), (2, 4), (3, 2))
+    for v in ("ε", "1", "0.1", "1.2")
+    for k in (1, 2, 3)
+    for radius in range(k, min(k + 2, 4) + 1)
+]
+
+
+@pytest.mark.parametrize("m, n, v, k, radius", PLUSK_GRID)
+def test_plusk_fixator_maps_are_the_untwisted_generator_powers(m, n, v, k, radius):
+    # the untwisted candidates of the twisted construction: every power of
+    # the stabilizer generator, kept when it fixes some edge k-region at v
+    model = build_model({"model": "bs", "m": m, "n": n})
+    v = VertexAddr.parse(v)
+    regions = [edge_region(v, v.step(c), k, model.degree) for c in range(model.degree)]
+    base = model.sigma_base(v, radius)
+    powers = (
+        model.sigma_construction(v, c, {}, radius, base)
+        for c in range(perm_order(base[0].perm))
+    )
+    want = sorted_germs(g for g in powers if any(g.fixes(r) for r in regions))
+    assert plusk_generator_germs(model, v, k, radius) == want
 
 
 def test_one_sided_fixator_triviality_tracks_coprimality():

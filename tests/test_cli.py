@@ -359,6 +359,10 @@ OVERSIZED = {
     # a valid window whose translation needs a ball of radius 60,003
     "commutator-amplitude-30000": {"model": _AUT3, "verb": "commutator",
                                    "amplitude": 30000, "z_hi": 30000},
+    # the stabiliser generator acts on B(ε, 8) with order 6^8 = 1,679,616
+    "bs-stab-germs-k8": {"model": _BS23, "verb": "stab-germs", "k": 8},
+    "bs-plusk-generators-r8": {"model": _BS23, "verb": "plusk-generators",
+                               "k": 1, "radius": 8},
 }
 
 
@@ -483,6 +487,16 @@ def test_plusk_radius_must_hold_the_edge_regions(model, capsys, tmp_path):
         "type": "ValidationError", "message": "radius must be at least k"}
     code, _ = _run_scenario(tmp_path, capsys, {**scenario, "k": 1})
     assert code != 2
+
+
+def test_plusk_samples_need_the_twisted_construction(capsys, tmp_path):
+    scenario = {"model": {"model": "constant_local", "d": 3, "F": "sym"},
+                "verb": "plusk-generators", "k": 2, "radius": 3, "samples": 1}
+    assert _window_error(tmp_path, capsys, scenario) == {
+        "type": "ValidationError",
+        "message": "the constant_local model draws no twisted samples"}
+    code, _ = _run_scenario(tmp_path, capsys, {**scenario, "samples": 0})
+    assert code == 0
 
 
 _CL3 = {"model": "constant_local", "d": 3, "F": "sym"}

@@ -1,13 +1,16 @@
 """Lattice-class tree backend for the determinant-one matrix group."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treeclose.errors import NotIntegral
 from treeclose.models import build_model
-from treeclose.models.padic import Mat2, PSL2Element, PSL2Model
+from treeclose.models.padic import Mat2, PSL2Element, PSL2Model, vp
 from treeclose.permgroup import structure_fingerprint, induced_perm_group
 from treeclose.tree_core import (
     ROOT,
@@ -28,6 +31,9 @@ def p2():
 @pytest.fixture(scope="module")
 def p3():
     return build_model({"model": "psl2", "p": 3})
+
+
+PSL2_MODELS = {p: build_model({"model": "psl2", "p": p}) for p in (2, 3, 5)}
 
 
 def test_valency_is_p_plus_one(p2, p3):
@@ -83,22 +89,74 @@ def test_identity_lattice_class(p2):
 
 
 def test_sublattice_is_adjacent(p2):
-    v = p2.class_of_vertex(ROOT)
     lp = p2.lattice_canonical((2, 0), (0, 1))
-    assert p2.lattice_distance(v, lp) == 1
+    assert tree_distance(ROOT, p2.tree.addr_of(lp)) == 1
 
 
 def test_index_four_classes_at_distance_two(p2):
-    v = p2.class_of_vertex(ROOT)
     classes = [p2.lattice_canonical((4, 0), (beta, 1)) for beta in range(4)]
     assert len(set(classes)) == 4
     for cls in classes:
-        assert p2.lattice_distance(v, cls) == 2
+        assert tree_distance(ROOT, p2.tree.addr_of(cls)) == 2
 
 
-def test_lattice_distance_is_zero_on_equal_classes(p2):
+def test_root_class_is_at_distance_zero(p2):
     v = p2.class_of_vertex(ROOT)
-    assert p2.lattice_distance(v, v) == 0
+    assert tree_distance(ROOT, p2.tree.addr_of(v)) == 0
+
+
+def _z_inv_p(p):
+    """Strategy for elements of Z[1/p], zero included."""
+    nonzero = st.builds(
+        lambda sign, unit, i, j: Fraction(sign * unit * p**i, p**j),
+        st.sampled_from((-1, 1)), st.integers(1, 50), st.integers(0, 4), st.integers(0, 4),
+    )
+    return st.one_of(st.just(Fraction(0)), nonzero)
+
+
+@st.composite
+def _column_pairs(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    a, b, c, d = (draw(_z_inv_p(p)) for _ in range(4))
+    assume(a * d - b * c != 0)
+    return p, (a, c), (b, d)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_column_pairs())
+def test_canonical_class_is_homothetic_to_the_input(pair):
+    # with m the least entry valuation of N = B^-1 M, N / p^m is integral,
+    # and v(det N) = 2m makes its determinant a unit: N / p^m lies in
+    # GL2(Z_p), so B and M span homothetic lattices
+    p, (a, c), (b, d) = pair
+    basis = PSL2_MODELS[p].lattice_canonical((a, c), (b, d)).basis()
+    change = basis.inv().mul(Mat2.of(a, b, c, d))
+    least = min(vp(e, p) for e in change.entries())
+    assert vp(change.det(), p) == 2 * least
+
+
+# SHA-256 of each vertex's address, class, parent, neighbour list and address
+# round trip over a ball, as computed by the integer Hermite reduction that
+# the valuation reduction replaced
+CHART_DIGESTS = {
+    (2, 5): "d4bd0ba40bb18523416cee68d2f83b63c1cd295e519e46df7bcbda6b3779ac59",
+    (3, 3): "0de6bb6ef2cd37387e844a84ca489ed663a3e8ee60baac9ab8ccd028815f381d",
+    (5, 2): "62ba04aff1da64343d30e2d056974469c72b8f927515021148c43be7162ae888",
+}
+
+
+@pytest.mark.parametrize("p, radius", sorted(CHART_DIGESTS))
+def test_chart_matches_its_digest(p, radius):
+    model = build_model({"model": "psl2", "p": p})
+    lines = []
+    for v in ball_vertices(ROOT, radius, model.degree):
+        cls = model.tree.obj_of(v)
+        lines.append(repr((
+            v.word, cls, model.parent_of(cls), model.ordered_neighbors(cls),
+            model.tree.addr_of(cls) == v,
+        )))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CHART_DIGESTS[(p, radius)]
 
 
 def test_two_orbits_by_parity(p2):
