@@ -12,6 +12,7 @@ runs for equal (scenario, seed); wall clock is reported as 0 unless
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -39,7 +40,7 @@ from .kclosure import (
     solve_commutator,
 )
 from .models import build_model
-from .tree_core import ROOT, VertexAddr, sorted_germs
+from .tree_core import ROOT, Germ, VertexAddr
 
 SCENARIO_SCHEMA = "treeclose.scenario/v1"
 REPORT_SCHEMA = "treeclose.report/v1"
@@ -74,13 +75,12 @@ def _optional_int(scenario, key):
     return None if scenario.get(key) is None else read_int(scenario, key)
 
 
-def _germ_listing(germs):
-    out = {"count": len(germs)}
-    if len(germs) <= GERM_LIST_CAP:
-        out["germs"] = [germ_to_json(g) for g in germs]
-    else:
+def _germ_listing(count, germs):
+    """The count, and the first GERM_LIST_CAP of the germs listed in order."""
+    out = {"count": count}
+    if count > GERM_LIST_CAP:
         out["germs_truncated_to"] = GERM_LIST_CAP
-        out["germs"] = [germ_to_json(g) for g in germs[:GERM_LIST_CAP]]
+    out["germs"] = [germ_to_json(g) for g in itertools.islice(germs, GERM_LIST_CAP)]
     return out
 
 
@@ -94,7 +94,10 @@ def _verb_stab_germs(model, scenario, budget, seed):
     v = _vertex(model, scenario)
     k = read_int(scenario, "k")
     result = {"vertex": v.render(), "k": k}
-    result.update(_germ_listing(sorted_germs(model.stab_germ_group(v, k))))
+    chain = model.stab_germ_chain(v, k)
+    # the chain lists the germs in sorted_germs order
+    germs = (Germ(v, v, k, p, model.degree) for p in chain.elements())
+    result.update(_germ_listing(chain.order(), germs))
     return result, EXIT_OK, [], 0
 
 
@@ -192,7 +195,7 @@ def _verb_plusk_generators(model, scenario, budget, seed):
     legal = all(check_k_legal(model, g, k, cache) for g in closed)
     result = {"vertex": v.render(), "k": k, "closure_count": len(closed),
               "closure_all_k_legal": legal}
-    result.update(_germ_listing(germs))
+    result.update(_germ_listing(len(germs), germs))
     return result, EXIT_OK if legal else EXIT_FAILS, [], 0
 
 

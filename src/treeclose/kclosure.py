@@ -25,7 +25,7 @@ from .errors import (
     max_elements,
     read_int,
 )
-from .permgroup import induced_perm_group, mulclose, perm_order, structure_fingerprint
+from .permgroup import StabChain, induced_perm_group, mulclose, perm_order, structure_fingerprint
 from .tree_core import (
     ROOT,
     Germ,
@@ -283,26 +283,53 @@ def discreteness_certificate(model, k):
 # --- independence properties -------------------------------------------------
 
 
-def tube_order(tube, maps):
-    """Maps on the tube, as int tuples over tube positions, sorted by their
-    image words taken in the word order of the tube."""
-    by_word = sorted(range(len(tube)), key=lambda p: tube[p].word)
-    rank = [0] * len(tube)
-    for r, p in enumerate(by_word):
-        rank[p] = r
-    return tuple(sorted(maps, key=lambda m: [rank[m[p]] for p in by_word]))
+_NO_FACTORIZATION = (
+    "the model certifies both one-sided fixators are "
+    "trivial, yet the region fixator is not; no "
+    "factorization exists"
+)
 
 
-def _map_trivial_on(m, side):
-    return all(m[p] == p for p in side)
+def _fixing_order(maps, points):
+    """Order of the subgroup of the chain's group that fixes the points."""
+    first = set(points)
+    rebased = StabChain(
+        maps.generators(), list(points) + [b for b in maps.base if b not in first]
+    )
+    return rebased.order(len(points))
+
+
+def _two_sided_witness(maps, tube, v, w, R, deg):
+    """A non-identity map of the fixator chain as a germ on B(v, R): the
+    first in its listing that moves both sides of the edge inside that
+    ball, else the first that is not the identity."""
+    # the witness germ is serialized on B(v,R) only, so prefer a map
+    # whose two-sided movement is visible inside that ball
+    near = {v: [], w: []}
+    for p, x in enumerate(tube):
+        dv, dw = tree_distance(x, v), tree_distance(x, w)
+        if dv != dw and dv <= R:
+            near[v if dv < dw else w].append(p)
+    ident = tuple(range(len(tube)))
+    pick = None
+    for m in maps.elements():
+        if m == ident:
+            continue
+        pick = pick or m
+        if all(any(m[p] != p for p in side) for side in near.values()):
+            pick = m
+            break
+    pos = {x: p for p, x in enumerate(tube)}
+    return germ_of_map(lambda x: tube[pick[pos[x]]], v, R, deg)
 
 
 def ipk_check(model, v, w, k, R):
     """Window test of the edge-independence property at (v, w).
 
-    The fixator of the edge k-region is enumerated as maps on the tube
-    B(v,R) ∪ B(w,R). Independence predicts every such map factors as
-    (trivial on the w half) after (trivial on the v half). Product
+    The fixator F of the edge k-region acts on the tube B(v,R) ∪ B(w,R),
+    as a stabiliser chain. Independence predicts every element of F
+    factors as (trivial on the w half) after (trivial on the v half); the
+    counts below are orders of pointwise stabilisers in F. Product
     equality gives Holds, saturated at this window. On a product gap
     the verdict is Fails only when the model certifies that the true
     one-sided fixators are both trivial; the factorization would then
@@ -318,27 +345,28 @@ def ipk_check(model, v, w, k, R):
     region = edge_region(v, w, k, deg)
     tube = thicken([v, w], R, deg)
     maps = model.fixator_maps_on(tube, region)
-    # maps are int tuples over tube positions (see fixator_maps_on)
+    # maps act on tube positions (see fixator_maps_on)
     dist = [(tree_distance(x, v), tree_distance(x, w)) for x in tube]
     w_side = [p for p, (dv, dw) in enumerate(dist) if dw < dv]
     v_side = [p for p, (dv, dw) in enumerate(dist) if dv < dw]
-    left_window = [m for m in maps if _map_trivial_on(m, w_side)]
-    right_window = [m for m in maps if _map_trivial_on(m, v_side)]
+    fixator_count = maps.order()
+    left_window = _fixing_order(maps, w_side)
+    right_window = _fixing_order(maps, v_side)
     certified = bool(model.one_sided_fixators_trivial((v, w)))
     if certified:
         left_count = right_count = 1
     else:
-        left_count, right_count = len(left_window), len(right_window)
-    # L and R are subgroups of the group F = maps, and every tube vertex is
-    # strictly nearer v or strictly nearer w, so L ∩ R = {id} and L·R is a
-    # subset of F with |L|·|R| elements
-    missing_count = len(maps) - left_count * right_count
+        left_count, right_count = left_window, right_window
+    # L and R are subgroups of F, and every tube vertex is strictly nearer
+    # v or strictly nearer w, so L ∩ R = {id} and L·R is a subset of F
+    # with |L|·|R| elements
+    missing_count = fixator_count - left_count * right_count
     details = {
-        "fixator_count": len(maps),
+        "fixator_count": fixator_count,
         "fixing_w_side_count": left_count,
         "fixing_v_side_count": right_count,
-        "w_side_window_count": len(left_window),
-        "v_side_window_count": len(right_window),
+        "w_side_window_count": left_window,
+        "v_side_window_count": right_window,
         "one_sided_trivial_certified": certified,
         "missing_count": missing_count,
         "window_radius": R,
@@ -355,31 +383,12 @@ def ipk_check(model, v, w, k, R):
         )
     if certified:
         # L = R = {id}: every non-identity map is missing
-        missing = tube_order(tube, maps - {tuple(range(len(tube)))})
-        # the witness germ is serialized on B(v,R) only, so prefer a map
-        # whose two-sided movement is visible inside that ball
-        near_w = [p for p in w_side if dist[p][0] <= R]
-        near_v = [p for p in v_side if dist[p][0] <= R]
-        pick = next(
-            (
-                m
-                for m in missing
-                if not _map_trivial_on(m, near_w)
-                and not _map_trivial_on(m, near_v)
-            ),
-            missing[0],
-        )
-        pos = {x: p for p, x in enumerate(tube)}
-        witness = germ_of_map(lambda x: tube[pick[pos[x]]], v, R, deg)
+        witness = _two_sided_witness(maps, tube, v, w, R, deg)
         return Verdict(
             FAILS,
             witness={"germ": germ_to_json(witness)},
             details=details,
-            notes=(
-                "the model certifies both one-sided fixators are "
-                "trivial, yet the region fixator is not; no "
-                "factorization exists",
-            ),
+            notes=(_NO_FACTORIZATION,),
         )
     return Verdict(
         INCONCLUSIVE,
@@ -397,11 +406,13 @@ def pk_check(model, path, k, R):
 
     Fixators of the thickened path region are restricted to the fibers
     over each path vertex; independence predicts the full fixator set is
-    the product of its fiber marginals, checked by exhaustive
-    reconstruction. A gap on a single edge is reported as a failure when
-    the model certifies the true one-sided fixators are trivial, the
-    same gate the edge-independence check uses; all other gaps stay
-    inconclusive.
+    the product of its fiber marginals. The marginal of fiber X has
+    |F| / |F_(X)| elements, F_(X) the maps fixing X; a product of at most
+    10^4 is re-verified by exhaustive reconstruction. On a single edge
+    whose one-sided fixators the model certifies trivial, the property
+    forces F = {id}, as in the edge-independence check: a gap fails with
+    the count of unrealized combinations, any other nontrivial F with
+    that check's witness germ. All other gaps stay inconclusive.
     """
     if k < 1:
         raise ValidationError("need k >= 1")
@@ -419,28 +430,37 @@ def pk_check(model, path, k, R):
     region = thicken(path, k - 1, deg)
     tube = thicken(path, R, deg)
     maps = model.fixator_maps_on(tube, region)
+    fixator_count = maps.order()
     fibers = {x: [] for x in path}
     for p, y in enumerate(tube):
         fibers[project_to_path(y, path)].append(p)
-    # a fiber's marginal of a map is the images of the fiber's positions;
-    # the fibers partition the tube, so a map is the tuple of its marginals
-    marginal_of = [itemgetter(*fibers[x]) for x in path]
-    marginals = [set(map(get, maps)) for get in marginal_of]
+    counts = [fixator_count // _fixing_order(maps, fibers[x]) for x in path]
     product_count = 1
-    for seen in marginals:
-        product_count *= len(seen)
+    for count in counts:
+        product_count *= count
     details = {
-        "fixator_count": len(maps),
-        "fiber_counts": {x.render(): len(seen) for x, seen in zip(path, marginals)},
+        "fixator_count": fixator_count,
+        "fiber_counts": {x.render(): count for x, count in zip(path, counts)},
         "product_count": product_count,
         "window_radius": R,
         "k": k,
         "path": [x.render() for x in path],
     }
-    if product_count == len(maps):
+    certified = len(path) == 2 and bool(
+        model.one_sided_fixators_trivial((path[0], path[1]))
+    )
+    if product_count == fixator_count and not (certified and fixator_count > 1):
         if product_count <= 10**4:
-            realized = {tuple([get(m) for get in marginal_of]) for m in maps}
-            if set(itertools.product(*marginals)) != realized:
+            # a fiber's marginal of a map is the images of the fiber's
+            # positions; the fibers partition the tube, so a map is the
+            # tuple of its marginals
+            marginal_of = [itemgetter(*fibers[x]) for x in path]
+            listing = list(maps.elements())
+            marginals = [set(map(get, listing)) for get in marginal_of]
+            realized = {tuple([get(m) for get in marginal_of]) for m in listing}
+            if [len(seen) for seen in marginals] != counts or set(
+                itertools.product(*marginals)
+            ) != realized:
                 raise ValidationError("fiber reconstruction inconsistency")
             details["reconstruction"] = "exhaustive"
         return Verdict(
@@ -451,20 +471,25 @@ def pk_check(model, path, k, R):
                 f"at window radius {R}",
             ),
         )
-    certified = len(path) == 2 and bool(
-        model.one_sided_fixators_trivial((path[0], path[1]))
-    )
     details["one_sided_trivial_certified"] = certified
-    if certified:
+    if certified and product_count != fixator_count:
         return Verdict(
             FAILS,
-            witness={"unrealized_combinations": product_count - len(maps)},
+            witness={"unrealized_combinations": product_count - fixator_count},
             details=details,
             notes=(
                 "fiber marginals admit combinations no region fixator "
                 "realizes, and the model certifies both one-sided "
                 "fixators are trivial",
             ),
+        )
+    if certified:
+        witness = _two_sided_witness(maps, tube, path[0], path[1], R, deg)
+        return Verdict(
+            FAILS,
+            witness={"germ": germ_to_json(witness)},
+            details=details,
+            notes=(_NO_FACTORIZATION,),
         )
     return Verdict(
         INCONCLUSIVE,
@@ -645,7 +670,12 @@ def plusk_generator_germs(model, v, k, radius=None, samples=0, rng_seed=0):
     regions = [edge_region(v, v.step(c), k, deg) for c in range(deg)]
     # on the canonical ball a tube map is a germ's perm
     ball = ball_addresses(v, radius, deg)
-    maps = {m for region in regions for m in model.fixator_maps_on(ball, region)}
+    maps = set()
+    for region in regions:
+        chain = model.fixator_maps_on(ball, region)
+        # every map is listed, so check the listing's size before it starts
+        chain.check_listing()
+        maps.update(chain.elements())
     germs = [Germ(v, v, radius, m, deg) for m in maps]
     if samples:
         # the twisted candidates do not depend on the edge: build them once

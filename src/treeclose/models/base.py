@@ -13,9 +13,13 @@ is act(g, y); a family that reads its local action off cheaply (covers
 and PSL(2) through their charts, constant local actions by permutation)
 overrides image_step to step from gx instead, and never germ_of itself.
 
-Stabiliser germs come from one closure: stab_generators(v, k) names
-elements fixing v whose radius-k germs generate the stabiliser germ group,
-and _stab_germs closes those germs. Only full Aut enumerates its germs.
+Stabiliser germs come from one set of generators: stab_generators(v, k)
+names elements fixing v whose radius-k germs generate the stabiliser germ
+group. stab_chain builds a stabiliser chain from those germs, which counts
+and lists the group (stab-germs) and its fixators (fixator_maps_on, for
+ipk, pk and plusk-generators); _stab_germs closes them into the frozenset
+that legality, closure comparison, local actions and discreteness read.
+Only full Aut enumerates that frozenset instead.
 
 BS(m,n), PSL(2,Q_p) and covers colour their tree through one TreeChart:
 the d-regular tree covering a graph, with the graph vertex under each
@@ -28,13 +32,15 @@ from __future__ import annotations
 import abc
 
 from ..errors import TooLarge, ValidationError, max_elements
-from ..permgroup import mulclose, perm_order
+from ..permgroup import StabChain, check_entries, mulclose, perm_order
 from ..tree_core import (
     ROOT,
+    Germ,
     _addr,
     ball_addresses,
     ball_parents,
     ball_positions,
+    ball_word_ranks,
     compose,
     germ_from_images,
     identity_germ,
@@ -113,46 +119,79 @@ class GroupModel(abc.ABC):
 
     def _stab_germs(self, v, k):
         """The composition closure of the radius-k germs of stab_generators(v, k)."""
-        gens = self.stab_generators(v, k)
-        # built before any germ, so a ball past the element limit says so
-        ident = identity_germ(v, k, self.degree)
-        # mulclose would multiply by an identity generator too, and the
-        # closure of a finite group holds the identity anyway
-        germs = [x for x in (self.germ_of(g, v, k) for g in gens) if x != ident]
+        germs = [Germ(v, v, k, p, self.degree) for p in self._stab_perms(v, k)]
         limit = max_elements()
         # each generator's powers lie in the group
         if any(perm_order(x.perm) > limit for x in germs):
             raise TooLarge(f"stabilizer germ group exceeded {limit}")
         try:
-            return mulclose(germs, mul=compose) or (ident,)
+            return mulclose(germs, mul=compose) or (identity_germ(v, k, self.degree),)
         except TooLarge:
             raise TooLarge(f"stabilizer germ group exceeded {limit}") from None
+
+    def stab_germ_chain(self, v, k):
+        """stab_chain(v, k), whose listing is in sorted_germs order, for a
+        caller that lists the group: TooLarge past the element limit."""
+        limit = max_elements()
+        # each generator's powers lie in the group
+        if any(perm_order(p) > limit for p in self._stab_perms(v, k)):
+            raise TooLarge(f"stabilizer germ group exceeded {limit}")
+        chain = self.stab_chain(v, k)
+        if chain.order() > limit:
+            raise TooLarge(f"stabilizer germ group exceeded {limit}")
+        return chain
+
+    def stab_chain(self, v, k, pinned=()):
+        """The radius-k germ group at v as a StabChain over canonical ball
+        positions: its base is the positions of `pinned`, then the other
+        positions in the word order of the ball."""
+        degree = self.degree
+        ranks = ball_word_ranks(v.word, k, degree)
+        pins = ball_positions(v, pinned, k, degree)
+        rest = set(range(len(ranks))) - set(pins)
+        return StabChain(self._stab_perms(v, k), pins + sorted(rest, key=ranks.__getitem__))
+
+    def _stab_perms(self, v, k):
+        """Perms of the radius-k germs of stab_generators(v, k) other than
+        the identity; cached per (v, k)."""
+        cache = self.__dict__.setdefault("_stab_perm_cache", {})
+        got = cache.get((v, k))
+        if got is None:
+            # built before any germ, so a ball past the element limit says so
+            ident = identity_germ(v, k, self.degree).perm
+            got = []
+            for g in self.stab_generators(v, k):
+                perm = self.germ_of(g, v, k).perm
+                if perm != ident:
+                    got.append(perm)
+                    check_entries(len(got) * len(ident), "stabilizer chain")
+            cache[(v, k)] = got
+        return got
 
     def fixator_maps_on(self, tube, pinned):
         """Restrictions to the tube of all elements fixing `pinned` pointwise.
 
-        A frozenset of int tuples over tube positions: entry p of a map is
-        the position of the image of tube[p]. The default reads them off
-        the stabilizer germs at the pinned vertex whose ball covers the
-        tube with the least radius, ties broken by word; every pinned
-        center whose ball covers the tube gives the same restrictions.
-        Backends with cheaper exact enumerations override this.
+        A StabChain over tube positions: entry p of a map is the position
+        of the image of tube[p]. Its base is the pinned positions, then the
+        rest of the tube in word order, so its listing comes sorted by
+        image words taken in the word order of the tube. It restricts the
+        stabilizer germs at the pinned vertex whose ball covers the tube
+        with the least radius, ties broken by word; every pinned center
+        whose ball covers the tube gives the same restrictions.
         """
         pinned = tuple(pinned)
         tube = tuple(tube)
         reach = {c: max(tree_distance(c, x) for x in tube) for c in pinned}
         center = min(pinned, key=lambda c: (reach[c], c.word))
         radius = reach[center]
-        pins = ball_positions(center, pinned, radius, self.degree)
         spots = ball_positions(center, tube, radius, self.degree)
         # tubes thicken a pinned path, so every map keeps the tube in place
         back = dict(zip(spots, range(len(tube))))
-        maps = set()
-        for g in self.stab_germ_group(center, radius):
-            perm = g.perm
-            if all(perm[i] == i for i in pins):
-                maps.add(tuple([back[perm[i]] for i in spots]))
-        return frozenset(maps)
+        fixing = self.stab_chain(center, radius, pinned)
+        gens = [tuple([back[g[i]] for i in spots]) for g in fixing.generators(len(pinned))]
+        pins = [back[i] for i in fixing.base[: len(pinned)]]
+        rest = set(range(len(tube))) - set(pins)
+        return StabChain(gens, pins + sorted(rest, key=lambda p: tube[p].word))
 
     # --- searches ----------------------------------------------------------
 

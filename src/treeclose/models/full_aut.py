@@ -24,6 +24,7 @@ from ..tree_core import (
     ROOT,
     Germ,
     VertexAddr,
+    ball_addresses,
     ball_size,
     ball_vertices,
     edge_color,
@@ -31,7 +32,6 @@ from ..tree_core import (
     germ_of_map,
     identity_germ,
     iterate_ball_germs,
-    iterate_subtree_isos,
     tree_distance,
     word_mul,
     require_ball,
@@ -154,22 +154,40 @@ class FullAutModel(GroupModel):
     def transporter(self, u, w):
         return RigidElement(Germ.from_mapping(u, w, 0, {u: w}))
 
-    def _stab_germs(self, v, k):
+    def stab_generators(self, v, k):
+        # the swaps of adjacent sibling subtrees at each vertex x of B(v, k-1)
+        # generate Aut(B(v, k))_v, an iterated wreath product; the swap sends
+        # x.c.w to x.c'.w' with the colours c and c' exchanged in w as well
+        degree = self.degree
+        words = [u.word for u in ball_addresses(ROOT, k, degree)]
+        index = {u: i for i, u in enumerate(words)}
+        for x in words:
+            if len(x) == k:
+                break
+            depth = len(x)
+            kids = [c for c in range(degree) if not x or c != x[-1]]
+            for c, d in zip(kids, kids[1:]):
+                swap = {c: d, d: c}
+                perm = [
+                    index[x + tuple(swap.get(a, a) for a in u[depth:])]
+                    if u[:depth] == x and len(u) > depth and u[depth] in swap
+                    else i
+                    for i, u in enumerate(words)
+                ]
+                yield RigidElement(Germ(v, v, k, tuple(perm), degree))
+
+    def _check_stab_count(self, k):
         limit = max_elements()
         if k > 0 and _stab_germ_count_exceeds(self.degree, k, limit):
             raise TooLarge(f"stabilizer germ group exceeded {limit}")
-        return iterate_ball_germs(self.degree, v, v, k)
 
-    def fixator_maps_on(self, tube, pinned):
-        # every automorphism of the tube subtree extends to the whole tree,
-        # so direct enumeration is both exact and complete
-        pinned = tuple(pinned)
-        tube = tuple(tube)
-        root = pinned[0]
-        pins = {x: x for x in pinned}
-        return frozenset(
-            iterate_subtree_isos(self.degree, tube, root, tube, root, pins=pins)
-        )
+    def stab_germ_chain(self, v, k):
+        self._check_stab_count(k)
+        return super().stab_germ_chain(v, k)
+
+    def _stab_germs(self, v, k):
+        self._check_stab_count(k)
+        return iterate_ball_germs(self.degree, v, v, k)
 
     def nondiscreteness_candidates(self, k):
         # fix a ball of growing radius pointwise, twist just outside it

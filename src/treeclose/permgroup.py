@@ -1,7 +1,10 @@
 """Small exact permutation-group utilities.
 
 Permutations are tuples of images on 0..n-1. Nothing here claims an
-isomorphism type; structure_fingerprint returns invariants only.
+isomorphism type; structure_fingerprint returns invariants only. StabChain
+holds a group as a stabiliser chain, so that orders of pointwise
+stabilisers are read off without listing the group, and it lists the group
+in a fixed order only as far as a caller asks.
 """
 
 from __future__ import annotations
@@ -107,6 +110,179 @@ def mulclose(generators, mul=compose_perm):
                         new.append((c, gens))
             frontier = new
     return tuple(els)
+
+
+# a chain, or a listing of its elements, may hold this many entries (perms
+# held times positions) for each element the limit allows
+ENTRIES_PER_ELEMENT = 100
+
+
+def check_entries(entries, what):
+    """TooLarge when `entries` pass the entry cap of the element limit."""
+    limit = max_elements()
+    if entries > ENTRIES_PER_ELEMENT * limit:
+        raise TooLarge(f"{what} holds more than {ENTRIES_PER_ELEMENT} x {limit} entries")
+
+
+class StabChain:
+    """Pointwise stabiliser chain of a permutation group, with a prescribed
+    base: deterministic Schreier-Sims (Sims 1970; Seress, *Permutation
+    Group Algorithms*, 2003, ch. 4).
+
+    Perms are int tuples on 0..n-1, and the base lists every point. Level i
+    is the stabiliser of base[:i] acting on the orbit of base[i]. Only
+    levels whose orbit has more than one point are stored; each keeps its
+    strong generators, and for every orbit point x an element sending
+    base[i] to x with its inverse. TooLarge once the perms held times the
+    positions pass the entry cap.
+    """
+
+    def __init__(self, generators, base):
+        self.base = tuple(base)
+        self._pos = [0] * len(self.base)
+        for i, b in enumerate(self.base):
+            self._pos[b] = i
+        self._ident = tuple(range(len(self.base)))
+        # base index -> [strong generators as (g, g^-1) pairs, {x: u_x},
+        # {x: u_x^-1}, {x: how many generators were tested at x}]
+        self._levels = {}
+        self._held = 0
+        for g in dict.fromkeys(generators):
+            if g != self._ident:
+                self._add(g, -1, self._first_moved(g, 0))
+        self._complete()
+
+    def _hold(self, count):
+        self._held += count
+        check_entries(self._held * len(self.base), "stabilizer chain")
+
+    def _first_moved(self, g, start):
+        base = self.base
+        for j in range(start, len(base)):
+            if g[base[j]] != base[j]:
+                return j
+        return None
+
+    def _sift(self, g, start):
+        """(residue, index of the first base point it moves), or None when
+        g sifts to the identity."""
+        while True:
+            j = self._first_moved(g, start)
+            if j is None:
+                return None
+            level = self._levels.get(j)
+            inv = level and level[2].get(g[self.base[j]])
+            if inv is None:
+                return g, j
+            g = tuple(map(inv.__getitem__, g))
+            start = j + 1
+
+    def _add(self, h, above, j):
+        """Make h, which fixes base[:j], a strong generator of every level
+        with a base index in (above, j]."""
+        self._hold(1)
+        # the inverse takes its entries from the identity, so it shares
+        # their int objects instead of making one per position
+        inverse = list(self._ident)
+        for i, x in zip(self._ident, h):
+            inverse[x] = i
+        pair = (h, tuple(inverse))
+        if j not in self._levels:
+            # the strong generators fixing base[:j] include the next level's
+            deeper = min((i for i in self._levels if i > j), default=None)
+            gens = [] if deeper is None else list(self._levels[deeper][0])
+            b = self.base[j]
+            self._levels[j] = [gens, {b: self._ident}, {b: self._ident}, {}]
+        for i, level in self._levels.items():
+            if above < i <= j:
+                level[0].append(pair)
+                self._grow(level, [pair])
+
+    def _grow(self, level, new):
+        """Extend the orbit of a level by its new generators."""
+        gens, trans, invs, _ = level
+        frontier = [(x, new) for x in trans]
+        for x, by in frontier:
+            for s, s_inv in by:
+                y = s[x]
+                if y not in trans:
+                    trans[y] = tuple(map(s.__getitem__, trans[x]))
+                    invs[y] = tuple(map(invs[x].__getitem__, s_inv))
+                    self._hold(2)
+                    frontier.append((y, gens))
+
+    def _complete(self):
+        """Sift every untested Schreier generator, deepest level first; a
+        residue becomes a strong generator, and the walk restarts at the
+        level it reached."""
+        index = max(self._levels, default=-1)
+        while index >= 0:
+            gens, trans, invs, tested = self._levels[index]
+            restart = None
+            for x in list(trans):
+                ux = trans[x]
+                for t in range(tested.get(x, 0), len(gens)):
+                    s = gens[t][0]
+                    sux = tuple(map(s.__getitem__, ux))
+                    y = s[x]
+                    if sux == trans[y]:
+                        continue
+                    found = self._sift(tuple(map(invs[y].__getitem__, sux)), index + 1)
+                    if found is not None:
+                        tested[x] = t
+                        self._add(found[0], index, found[1])
+                        restart = found[1]
+                        break
+                if restart is not None:
+                    break
+                tested[x] = len(gens)
+            if restart is None:
+                restart = max((i for i in self._levels if i < index), default=-1)
+            index = restart
+
+    def order(self, prefix=0):
+        """Order of the pointwise stabiliser of base[:prefix]."""
+        return math.prod(len(lv[1]) for i, lv in self._levels.items() if i >= prefix)
+
+    def generators(self, prefix=0):
+        """Strong generators of the pointwise stabiliser of base[:prefix]."""
+        first = min((i for i in self._levels if i >= prefix), default=None)
+        return [] if first is None else [s for s, _ in self._levels[first][0]]
+
+    def check_listing(self, count=None):
+        """TooLarge when a listing of `count` elements, by default all of
+        them, passes the element limit or the entry cap."""
+        count = self.order() if count is None else count
+        limit = max_elements()
+        if count > limit:
+            raise TooLarge(f"listing exceeded {limit} elements")
+        check_entries(count * len(self.base), "listing")
+
+    def elements(self):
+        """Every element, lazily, in lexicographic order of the base
+        positions of the images of base[0], base[1], ..., checked by
+        check_listing as it goes."""
+        levels = [self._levels[i][1] for i in sorted(self._levels)]
+        count = 0
+        # branch[i] yields the products u_0 ... u_(i-1) under one parent
+        branch = [iter((self._ident,))]
+        while branch:
+            prefix = next(branch[-1], None)
+            if prefix is None:
+                branch.pop()
+            elif len(branch) <= len(levels):
+                branch.append(self._children(levels[len(branch) - 1], prefix))
+            else:
+                count += 1
+                self.check_listing(count)
+                yield prefix
+
+    def _children(self, trans, prefix):
+        """prefix after each transversal element of a level, ordered by the
+        base position of the image of that level's point."""
+        pos = self._pos
+        for z in sorted(trans, key=lambda z: pos[prefix[z]]):
+            yield tuple(map(prefix.__getitem__, trans[z]))
 
 
 def closure_group(generators, n):

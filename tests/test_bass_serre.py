@@ -248,7 +248,7 @@ def test_ball_fixators_are_the_powers_of_one_generator_power(m, n):
                 want.add(tuple(pos[power.apply(x)] for x in tube))
                 power = compose(step, power)
             assert len(want) > 1
-            assert bs.fixator_maps_on(tube, pinned) == want
+            assert set(bs.fixator_maps_on(tube, pinned).elements()) == want
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])

@@ -27,12 +27,15 @@ SCENARIO_DIR = ROOT_DIR / "scenarios"
 # 0 = property holds / computation succeeded, 10 = property fails with a
 # certificate, 20 = inconclusive at the configured budget
 EXPECTED_EXIT = {
+    "bs12-pk-edge-k1-r1.json": 10,
     "bs23-discreteness-k1.json": 0,
     "bs23-ipk-k1-r3.json": 10,
     "bs23-ipk-k1-r4.json": 10,
     "bs23-local-action.json": 0,
     "bs23-normal-form.json": 0,
     "bs23-pk-edge.json": 10,
+    "bs23-pk-edge-k1-r1.json": 10,
+    "bs23-pk-edge-k2-r2.json": 10,
     "bs23-plusk-k1.json": 0,
     "bs23-stab-germs-k1.json": 0,
     "cl-discreteness-k2.json": 20,
@@ -41,10 +44,14 @@ EXPECTED_EXIT = {
     "cl-legality-k2-fails.json": 10,
     "cl-plusk-k2.json": 0,
     "cl-stab-germs-k1.json": 0,
+    "cover-c24-pk-edge-k1-r1.json": 10,
     "cover-c25-discreteness-k2.json": 0,
     "cover-c25-local-action.json": 0,
+    "cover-c25-pk-edge-k1-r1.json": 10,
     "cover-compare-k1.json": 0,
     "cover-compare-k3.json": 10,
+    "cover-strip-pk-edge-k1-r1.json": 10,
+    "cover-strip-pk-edge-k2-r2.json": 10,
     "full-aut-commutator-a1.json": 0,
     "full-aut-ipk-k1.json": 0,
     "full-aut-local-action.json": 0,
@@ -52,12 +59,16 @@ EXPECTED_EXIT = {
     "psl2-discreteness-k2.json": 0,
     "psl2-lattice-r1.json": 0,
     "psl2-lattice-r2.json": 10,
+    "psl2-pk-edge-k1-r1.json": 10,
+    "psl2-pk-edge-k2-r2.json": 10,
     "psl2-stab-germs-k1.json": 0,
 }
 
 
 # SHA-256 of each `--format json` report: the benchmark's golden digests,
-# plus the two R=4 files the benchmark does not run
+# plus the files the benchmark does not run: the two R=4 files, and the
+# one-edge pk windows where the fixator is nontrivial yet equals the product
+# of its two marginals (IP_k fails there with a witness germ, so P_k does)
 REPORT_SHA256 = {
     name: entry["sha256"]
     for name, entry in json.loads(
@@ -68,6 +79,15 @@ REPORT_SHA256 = {
 REPORT_SHA256.update({
     "bs23-ipk-k1-r4.json": "2a7fcb40e2d8ede68b4f5a047d31b8e23bc8ce2c320168c63c53db3567552352",
     "bs23-pk-edge.json": "c351c9823b279b0be21c918d15a46f63050a95a896b5709dd6ee3dc8fc72ce60",
+    "bs12-pk-edge-k1-r1.json": "2d732580c921d4e5cb6447dc5a25d30ff4d4933bb6204ddf5757bc0dae770660",
+    "bs23-pk-edge-k1-r1.json": "2bce28bacaaf476820e4c40e346cdd0056980998339e17fa9a76292d58133b13",
+    "bs23-pk-edge-k2-r2.json": "76f7db8db233718b3293ec37b9c638bd4f934b9a5972b2e338ed6360dc59b18f",
+    "cover-c25-pk-edge-k1-r1.json": "c7644240ed86097c283459b9a4e3d6e7a620258aa7f4cc10a86e489ef702885d",
+    "psl2-pk-edge-k1-r1.json": "6cfcc35cb942e2f6a6d08d7fe03981657f3228e3b597d743c5a48b31f27c72ff",
+    "psl2-pk-edge-k2-r2.json": "6ccfa625d4bb58615068afc0bdeb32c87836e33b706d5788263731c4d52e836c",
+    "cover-strip-pk-edge-k1-r1.json": "91d4b84b03a34a9f3170bd4059b504fedbe92cdd05e30f289dc25cb8960c68b4",
+    "cover-strip-pk-edge-k2-r2.json": "474dffa581133aa7ce926311dc1839c420201ed53bfa9c3caee944edbe502d0b",
+    "cover-c24-pk-edge-k1-r1.json": "25f5971c53284d2011db8fd5a956b85d7fafea66729d52a5c0690c45bcd5c1fa",
 })
 
 
@@ -267,8 +287,16 @@ def _corpus(name):
 # one scenario per enumeration that reads TREECLOSE_MAX_ELEMENTS, with a
 # limit that this enumeration passes first: (scenario, limit, message)
 LIMIT_SITES = {
-    "iterate_subtree_isos": (_corpus("full-aut-ipk-k1.json"), 10,
-                             "more than 10 isomorphisms"),
+    # pk lists the 128 maps of its fixator chain to re-verify the product;
+    # no scenario reaches iterate_subtree_isos's own limit first any more
+    # (test_germ_core checks that one directly)
+    "chain_listing": (_corpus("full-aut-pk-len2.json"), 100,
+                      "listing exceeded 100 elements"),
+    # 47 swaps generate the radius-5 germ group, whose chain holds 143
+    # perms of 94 positions; the ipk verdict counts 2**30 maps
+    "stabilizer_chain": ({"model": _AUT3, "verb": "ipk", "edge": ["ε", "0"],
+                          "k": 1, "R": 4}, 100,
+                         "stabilizer chain holds more than 100 x 100 entries"),
     "stab_germ_group": (_corpus("psl2-stab-germs-k1.json"), 5,
                         "stabilizer germ group exceeded 5"),
     # SL2(Z/4) over its two scalars: 24 germs, in the other orbit

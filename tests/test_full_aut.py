@@ -80,4 +80,4 @@ def test_word_element_acts_by_its_permutations(fa):
 def test_ball_fixators_are_nontrivial(fa):
     tube = ball_vertices(ROOT, 2, 3)
     maps = fa.fixator_maps_on(tube, ball_vertices(ROOT, 1, 3))
-    assert any(m != tuple(range(len(tube))) for m in maps)
+    assert any(m != tuple(range(len(tube))) for m in maps.elements())

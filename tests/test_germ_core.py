@@ -28,7 +28,7 @@ from treeclose.errors import (
     TooLarge,
     ValidationError,
 )
-from treeclose.kclosure import edge_region, germ_to_json, tube_order
+from treeclose.kclosure import edge_region, germ_to_json
 from treeclose.models import BassSerreModel, FullAutModel
 from treeclose.tree_core import (
     ROOT,
@@ -193,8 +193,9 @@ def test_fixator_maps_on_matches_the_dict_reference(model, edge):
         if all(g.apply(x) == x for x in pinned):
             m = {x: g.apply(x) for x in tube}
             seen.setdefault(tuple(sorted((a.word, b.word) for a, b in m.items())), m)
-    # a map is an int tuple: entry p is the tube position of the image of tube[p]
-    maps = tube_order(tube, model.fixator_maps_on(tube, pinned))
+    # a map is an int tuple: entry p is the tube position of the image of
+    # tube[p]; the chain lists them by image words in the tube's word order
+    maps = list(model.fixator_maps_on(tube, pinned).elements())
     got = [{x: tube[m[p]] for p, x in enumerate(tube)} for m in maps]
     assert got == [seen[k] for k in sorted(seen)]
 

@@ -8,6 +8,7 @@ of the edge and 2 toward the other.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -40,7 +41,9 @@ from treeclose.tree_core import (
     VertexAddr,
     ball_vertices,
     compose,
+    germ_of_map,
     iterate_ball_germs,
+    iterate_subtree_isos,
     project_to_path,
     restrict,
     thicken,
@@ -254,8 +257,39 @@ def test_ipk_rejects_bad_windows(fa):
         ipk_check(fa, *EDGE, 2, 1)
 
 
-# windows on which ipk_check's counts are checked against the product set
-# they replace: (descriptor, k, R) on the edge ε–0
+def tube_order(tube, maps):
+    """Maps on the tube sorted by their image words taken in the word order
+    of the tube: the order the fixator maps were listed in before they
+    became a chain."""
+    by_word = sorted(range(len(tube)), key=lambda p: tube[p].word)
+    rank = [0] * len(tube)
+    for r, p in enumerate(by_word):
+        rank[p] = r
+    return tuple(sorted(maps, key=lambda m: [rank[m[p]] for p in by_word]))
+
+
+def _old_fixator_maps(model, tube, pinned):
+    """The fixator maps as a set, listed as before they became a chain:
+    full Aut enumerated the tube's isomorphisms fixing the pins, every other
+    family filtered its stabilizer germs at the pinned vertex of least
+    reach."""
+    tube, pinned = tuple(tube), tuple(pinned)
+    if model.name == "full_aut":
+        root = pinned[0]
+        pins = {x: x for x in pinned}
+        return frozenset(iterate_subtree_isos(model.degree, tube, root, tube, root, pins=pins))
+    reach = {c: max(tree_distance(c, x) for x in tube) for c in pinned}
+    center = min(pinned, key=lambda c: (reach[c], c.word))
+    pos = {x: p for p, x in enumerate(tube)}
+    return frozenset(
+        tuple(pos[g.apply(x)] for x in tube)
+        for g in model.stab_germ_group(center, reach[center])
+        if g.fixes(pinned)
+    )
+
+
+# windows on which ipk_check's and pk_check's counts are checked against
+# the listing they replace: (descriptor, k, R) on the edge ε–0
 COUNTING_WINDOWS = {
     "full-aut-k1-r2": ({"model": "full_aut", "d": 3}, 1, 2),
     "full-aut-k1-r3": ({"model": "full_aut", "d": 3}, 1, 3),
@@ -274,8 +308,11 @@ def test_independence_counts_match_the_sets_they_replace(name):
     descriptor, k, radius = COUNTING_WINDOWS[name]
     model = build_model(descriptor)
     v, w = EDGE
-    tube = thicken([v, w], radius, model.degree)
-    maps = model.fixator_maps_on(tube, edge_region(v, w, k, model.degree))
+    deg = model.degree
+    tube = thicken([v, w], radius, deg)
+    region = edge_region(v, w, k, deg)
+    maps = _old_fixator_maps(model, tube, region)
+    assert set(model.fixator_maps_on(tube, region).elements()) == maps
     near_w = [p for p, x in enumerate(tube) if tree_distance(x, w) < tree_distance(x, v)]
     near_v = [p for p, x in enumerate(tube) if tree_distance(x, v) < tree_distance(x, w)]
     left = [m for m in maps if all(m[p] == p for p in near_w)]
@@ -291,18 +328,38 @@ def test_independence_counts_match_the_sets_they_replace(name):
     product = products["certified" if certified else "window"]
     missing = [m for m in maps if m not in product]
     verdict = ipk_check(model, v, w, k, radius)
+    assert verdict.details["fixator_count"] == len(maps)
+    assert verdict.details["w_side_window_count"] == len(left)
+    assert verdict.details["v_side_window_count"] == len(right)
     assert verdict.details["missing_count"] == len(missing)
     if not missing:
         assert verdict.outcome == "holds"
     else:
         assert verdict.outcome == ("fails" if certified else "inconclusive")
+    if verdict.outcome == "fails":
+        # the witness was the first missing map in tube order that moves
+        # both sides inside B(v, R)
+        in_ball = [p for p, x in enumerate(tube) if tree_distance(x, v) <= radius]
+        sides = [set(near_w) & set(in_ball), set(near_v) & set(in_ball)]
+        listed = tube_order(tube, maps - {ident})
+        pick = next(
+            (m for m in listed if all(any(m[p] != p for p in side) for side in sides)),
+            listed[0],
+        )
+        pos = {x: p for p, x in enumerate(tube)}
+        want = germ_of_map(lambda x: tube[pick[pos[x]]], v, radius, deg)
+        assert verdict.witness == {"germ": germ_to_json(want)}
     # the fibers over the edge partition the tube, so marginals tell maps apart
     fibers = {v: [], w: []}
     for p, y in enumerate(tube):
         fibers[project_to_path(y, [v, w])].append(p)
     marginals = {tuple(tuple(m[p] for p in fibers[x]) for x in (v, w)) for m in maps}
     assert len(marginals) == len(maps)
-    assert pk_check(model, [v, w], k, radius).details["fixator_count"] == len(maps)
+    got = pk_check(model, [v, w], k, radius).details
+    assert got["fixator_count"] == len(maps)
+    fiber_counts = {x.render(): len({tuple(m[p] for p in fibers[x]) for m in maps}) for x in (v, w)}
+    assert got["fiber_counts"] == fiber_counts
+    assert got["product_count"] == math.prod(fiber_counts.values())
 
 
 # --- path independence -----------------------------------------------------------
@@ -416,16 +473,16 @@ def test_fixator_maps_on_matches_the_old_center(name):
     assert reach[pinned[len(pinned) // 2]] > least
     maps = model.fixator_maps_on(tube, pinned)
     # one stabilizer germ group is read, at a pinned vertex of least reach
-    ((center, used),) = model._stab_cache
+    ((center, used),) = model._stab_perm_cache
     assert used == least == reach[center]
-    assert maps == frozenset(_old_default_maps(model, tube, pinned))
+    assert tuple(maps.elements()) == _old_default_maps(model, tube, pinned)
 
 
 def test_pk_reads_psl2_stabilizer_germs_at_the_path_center():
     # the middle pinned vertex, 2, would need 768 germs of radius 4
     model = build_model({"model": "psl2", "p": 2})
     pk_check(model, EDGE, 2, 2)
-    assert set(model._stab_cache) == {(ROOT, 3)}
+    assert set(model._stab_perm_cache) == {(ROOT, 3)}
 
 
 PLUSK_FAMILIES = {

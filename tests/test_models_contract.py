@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -13,10 +14,13 @@ from treeclose.models.base import GroupModel, TreeChart
 from treeclose.models.cover import CycleGraph
 from treeclose.tree_core import (
     ROOT,
+    Germ,
     VertexAddr,
+    ball_size,
     ball_vertices,
     germ_of_map,
     identity_germ,
+    sorted_germs,
     tree_distance,
 )
 
@@ -226,6 +230,36 @@ def test_stab_germ_group_is_cached_and_sorted(model):
     germs = model.stab_germ_group(ROOT, 1)
     assert model.stab_germ_group(ROOT, 1) is germs
     assert isinstance(germs, frozenset)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("v", ["ε", "0", "1.2"])
+def test_stab_chain_lists_the_stabilizer_germ_group(model, v, k):
+    # the chain against the closure (full Aut: the ball enumeration) it
+    # replaces for the stab-germs listing
+    v = VertexAddr.parse(v)
+    group = model.stab_germ_group(v, k)
+    chain = model.stab_germ_chain(v, k)
+    assert chain.order() == len(group)
+    listed = tuple(Germ(v, v, k, p, model.degree) for p in chain.elements())
+    assert listed == sorted_germs(group)
+
+
+@pytest.mark.parametrize("degree, k", [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5, 2)])
+def test_full_aut_chain_order_is_the_wreath_product_order(degree, k):
+    # d! * ((d-1)!)^(|B(k-1)| - 1): 12,582,912 for d = 3, k = 4, past the
+    # element limit, so it is counted and never listed
+    chain = FullAutModel(degree).stab_chain(VertexAddr.parse("1.2"), k)
+    want = math.factorial(degree) * math.factorial(degree - 1) ** (ball_size(degree, k - 1) - 1)
+    assert chain.order() == want
+    if (degree, k) == (3, 4):
+        assert want == 12582912
+
+
+def test_strip_chain_keeps_every_strong_generator_on_its_levels():
+    # a level that drops the strong generators added below it gives 1,024
+    chain = build_model({"model": "cover", "graph": "strip", "p": 3}).stab_chain(ROOT, 2)
+    assert chain.order() == 5184
 
 
 @pytest.mark.parametrize(

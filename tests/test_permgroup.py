@@ -8,6 +8,7 @@ import pytest
 
 from treeclose.errors import TooLarge
 from treeclose.permgroup import (
+    StabChain,
     closure_group,
     compose_perm,
     identity_perm,
@@ -144,3 +145,70 @@ def test_fingerprint_invariant_under_conjugation():
     assert fa["abelian"] == fb["abelian"]
     assert sorted(fa["element_orders"]) == sorted(fb["element_orders"])
     assert fa["transitive"] == fb["transitive"]
+
+
+# --- stabiliser chains -----------------------------------------------------------
+
+
+def _random_group(rng, n):
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        p = list(range(n))
+        moved = rng.sample(range(n), rng.randint(0, n))
+        images = moved[:]
+        rng.shuffle(images)
+        for a, b in zip(moved, images):
+            p[a] = b
+        gens.append(tuple(p))
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chain_against_the_closure(seed):
+    # order of every base prefix's pointwise stabiliser, its generators, and
+    # the listing in lexicographic order of the base positions of the images
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    gens = _random_group(rng, n)
+    group = set(mulclose(gens + [identity_perm(n)]))
+    base = list(range(n))
+    rng.shuffle(base)
+    chain = StabChain(gens, base)
+    pos = {b: i for i, b in enumerate(base)}
+    assert list(chain.elements()) == sorted(group, key=lambda g: [pos[g[b]] for b in base])
+    for prefix in range(n + 1):
+        fixing = {g for g in group if all(g[b] == b for b in base[:prefix])}
+        assert chain.order(prefix) == len(fixing)
+        assert set(mulclose(chain.generators(prefix) + [identity_perm(n)])) == fixing
+
+
+def test_chain_orders_past_any_listing():
+    # Sym(12) from a transposition and a 12-cycle, and its point stabilisers
+    n = 12
+    chain = StabChain([perm_from_cycles(n, [(0, 1)]), perm_from_cycles(n, [tuple(range(n))])],
+                      range(n))
+    assert [chain.order(i) for i in range(n + 1)] == [
+        math.factorial(n - i) for i in range(n + 1)
+    ]
+
+
+def test_chain_listing_stops_at_the_element_limit(monkeypatch):
+    chain = StabChain([perm_from_cycles(5, [(0, 1)]), perm_from_cycles(5, [(0, 1, 2, 3, 4)])],
+                      range(5))
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "100")
+    listing = chain.elements()
+    assert len(list(itertools.islice(listing, 100))) == 100
+    with pytest.raises(TooLarge, match="^listing exceeded 100 elements$"):
+        next(listing)
+
+
+def test_chain_entry_cap(monkeypatch):
+    # the chain of Sym(10) holds 100 perms of 10 positions (45 transversal
+    # elements, their inverses and 10 strong generators): past 100 x 2
+    # entries, and exactly 100 x 10, which the cap allows
+    gens = [perm_from_cycles(10, [(0, 1)]), perm_from_cycles(10, [tuple(range(10))])]
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "2")
+    with pytest.raises(TooLarge, match=r"^stabilizer chain holds more than 100 x 2 entries$"):
+        StabChain(gens, range(10))
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "10")
+    assert StabChain(gens, range(10)).order() == math.factorial(10)
