@@ -25,7 +25,7 @@ from .errors import (
     max_elements,
     read_int,
 )
-from .permgroup import StabChain, induced_perm_group, mulclose, perm_order, structure_fingerprint
+from .permgroup import induced_perm_group, mulclose, perm_order, structure_fingerprint
 from .tree_core import (
     ROOT,
     Germ,
@@ -290,16 +290,7 @@ _NO_FACTORIZATION = (
 )
 
 
-def _fixing_order(maps, points):
-    """Order of the subgroup of the chain's group that fixes the points."""
-    first = set(points)
-    rebased = StabChain(
-        maps.generators(), list(points) + [b for b in maps.base if b not in first]
-    )
-    return rebased.order(len(points))
-
-
-def _two_sided_witness(maps, tube, v, w, R, deg):
+def _two_sided_witness(fixator, tube, v, w, R, deg):
     """A non-identity map of the fixator chain as a germ on B(v, R): the
     first in its listing that moves both sides of the edge inside that
     ball, else the first that is not the identity."""
@@ -312,7 +303,7 @@ def _two_sided_witness(maps, tube, v, w, R, deg):
             near[v if dv < dw else w].append(p)
     ident = tuple(range(len(tube)))
     pick = None
-    for m in maps.elements():
+    for m in fixator.elements():
         if m == ident:
             continue
         pick = pick or m
@@ -344,14 +335,14 @@ def ipk_check(model, v, w, k, R):
     deg = model.degree
     region = edge_region(v, w, k, deg)
     tube = thicken([v, w], R, deg)
-    maps = model.fixator_maps_on(tube, region)
-    # maps act on tube positions (see fixator_maps_on)
+    # a chain of maps on tube positions (see fixator_maps_on)
+    fixator = model.fixator_maps_on(tube, region)
     dist = [(tree_distance(x, v), tree_distance(x, w)) for x in tube]
     w_side = [p for p, (dv, dw) in enumerate(dist) if dw < dv]
     v_side = [p for p, (dv, dw) in enumerate(dist) if dv < dw]
-    fixator_count = maps.order()
-    left_window = _fixing_order(maps, w_side)
-    right_window = _fixing_order(maps, v_side)
+    fixator_count = fixator.order()
+    left_window = fixator.fixing_order(w_side)
+    right_window = fixator.fixing_order(v_side)
     certified = bool(model.one_sided_fixators_trivial((v, w)))
     if certified:
         left_count = right_count = 1
@@ -383,7 +374,7 @@ def ipk_check(model, v, w, k, R):
         )
     if certified:
         # L = R = {id}: every non-identity map is missing
-        witness = _two_sided_witness(maps, tube, v, w, R, deg)
+        witness = _two_sided_witness(fixator, tube, v, w, R, deg)
         return Verdict(
             FAILS,
             witness={"germ": germ_to_json(witness)},
@@ -429,12 +420,12 @@ def pk_check(model, path, k, R):
     deg = model.degree
     region = thicken(path, k - 1, deg)
     tube = thicken(path, R, deg)
-    maps = model.fixator_maps_on(tube, region)
-    fixator_count = maps.order()
+    fixator = model.fixator_maps_on(tube, region)
+    fixator_count = fixator.order()
     fibers = {x: [] for x in path}
     for p, y in enumerate(tube):
         fibers[project_to_path(y, path)].append(p)
-    counts = [fixator_count // _fixing_order(maps, fibers[x]) for x in path]
+    counts = [fixator_count // fixator.fixing_order(fibers[x]) for x in path]
     product_count = 1
     for count in counts:
         product_count *= count
@@ -455,7 +446,7 @@ def pk_check(model, path, k, R):
             # positions; the fibers partition the tube, so a map is the
             # tuple of its marginals
             marginal_of = [itemgetter(*fibers[x]) for x in path]
-            listing = list(maps.elements())
+            listing = list(fixator.elements())
             marginals = [set(map(get, listing)) for get in marginal_of]
             realized = {tuple([get(m) for get in marginal_of]) for m in listing}
             if [len(seen) for seen in marginals] != counts or set(
@@ -484,7 +475,7 @@ def pk_check(model, path, k, R):
             ),
         )
     if certified:
-        witness = _two_sided_witness(maps, tube, path[0], path[1], R, deg)
+        witness = _two_sided_witness(fixator, tube, path[0], path[1], R, deg)
         return Verdict(
             FAILS,
             witness={"germ": germ_to_json(witness)},

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from ..errors import BadElement, Record, TooLarge, ValidationError, max_elements, product_exceeds
-from ..permgroup import identity_perm, perm_from_cycles
+from ..permgroup import check_entries, identity_perm, perm_from_cycles
 from ..tree_core import (
     ROOT,
     Germ,
@@ -160,6 +160,10 @@ class FullAutModel(GroupModel):
         # x.c.w to x.c'.w' with the colours c and c' exchanged in w as well
         degree = self.degree
         words = [u.word for u in ball_addresses(ROOT, k, degree)]
+        # the chain holds every one of them, so refuse before building one
+        inner = sum(len(x) < k for x in words)
+        count = degree - 1 + (inner - 1) * (degree - 2) if inner else 0
+        check_entries(count * len(words), "stabilizer chain")
         index = {u: i for i, u in enumerate(words)}
         for x in words:
             if len(x) == k:

@@ -112,8 +112,8 @@ def mulclose(generators, mul=compose_perm):
     return tuple(els)
 
 
-# a chain, or a listing of its elements, may hold this many entries (perms
-# held times positions) for each element the limit allows
+# a chain may build, and a listing of its elements hold, this many entries
+# (perms times positions) for each element the limit allows
 ENTRIES_PER_ELEMENT = 100
 
 
@@ -121,7 +121,7 @@ def check_entries(entries, what):
     """TooLarge when `entries` pass the entry cap of the element limit."""
     limit = max_elements()
     if entries > ENTRIES_PER_ELEMENT * limit:
-        raise TooLarge(f"{what} holds more than {ENTRIES_PER_ELEMENT} x {limit} entries")
+        raise TooLarge(f"{what} exceeded {ENTRIES_PER_ELEMENT} x {limit} entries")
 
 
 class StabChain:
@@ -133,8 +133,9 @@ class StabChain:
     is the stabiliser of base[:i] acting on the orbit of base[i]. Only
     levels whose orbit has more than one point are stored; each keeps its
     strong generators, and for every orbit point x an element sending
-    base[i] to x with its inverse. TooLarge once the perms held times the
-    positions pass the entry cap.
+    base[i] to x with its inverse. TooLarge once the perms it builds, kept
+    or not, times the positions pass the entry cap: that bounds its memory
+    and its time.
     """
 
     def __init__(self, generators, base):
@@ -146,15 +147,15 @@ class StabChain:
         # base index -> [strong generators as (g, g^-1) pairs, {x: u_x},
         # {x: u_x^-1}, {x: how many generators were tested at x}]
         self._levels = {}
-        self._held = 0
+        self._built = 0
         for g in dict.fromkeys(generators):
             if g != self._ident:
                 self._add(g, -1, self._first_moved(g, 0))
         self._complete()
 
-    def _hold(self, count):
-        self._held += count
-        check_entries(self._held * len(self.base), "stabilizer chain")
+    def _build(self, count):
+        self._built += count
+        check_entries(self._built * len(self.base), "stabilizer chain")
 
     def _first_moved(self, g, start):
         base = self.base
@@ -175,12 +176,13 @@ class StabChain:
             if inv is None:
                 return g, j
             g = tuple(map(inv.__getitem__, g))
+            self._build(1)
             start = j + 1
 
     def _add(self, h, above, j):
         """Make h, which fixes base[:j], a strong generator of every level
         with a base index in (above, j]."""
-        self._hold(1)
+        self._build(2)
         # the inverse takes its entries from the identity, so it shares
         # their int objects instead of making one per position
         inverse = list(self._ident)
@@ -208,7 +210,7 @@ class StabChain:
                 if y not in trans:
                     trans[y] = tuple(map(s.__getitem__, trans[x]))
                     invs[y] = tuple(map(invs[x].__getitem__, s_inv))
-                    self._hold(2)
+                    self._build(2)
                     frontier.append((y, gens))
 
     def _complete(self):
@@ -224,9 +226,11 @@ class StabChain:
                 for t in range(tested.get(x, 0), len(gens)):
                     s = gens[t][0]
                     sux = tuple(map(s.__getitem__, ux))
+                    self._build(1)
                     y = s[x]
                     if sux == trans[y]:
                         continue
+                    self._build(1)
                     found = self._sift(tuple(map(invs[y].__getitem__, sux)), index + 1)
                     if found is not None:
                         tested[x] = t
@@ -243,6 +247,13 @@ class StabChain:
     def order(self, prefix=0):
         """Order of the pointwise stabiliser of base[:prefix]."""
         return math.prod(len(lv[1]) for i, lv in self._levels.items() if i >= prefix)
+
+    def fixing_order(self, points):
+        """Order of the pointwise stabiliser of the points, read off the
+        chain rebuilt with those points first in its base."""
+        first = set(points)
+        rest = [b for b in self.base if b not in first]
+        return StabChain(self.generators(), list(points) + rest).order(len(points))
 
     def generators(self, prefix=0):
         """Strong generators of the pointwise stabiliser of base[:prefix]."""

@@ -180,6 +180,8 @@ def test_chain_against_the_closure(seed):
         fixing = {g for g in group if all(g[b] == b for b in base[:prefix])}
         assert chain.order(prefix) == len(fixing)
         assert set(mulclose(chain.generators(prefix) + [identity_perm(n)])) == fixing
+        points = rng.sample(range(n), prefix)
+        assert chain.fixing_order(points) == sum(all(g[x] == x for x in points) for g in group)
 
 
 def test_chain_orders_past_any_listing():
@@ -203,12 +205,12 @@ def test_chain_listing_stops_at_the_element_limit(monkeypatch):
 
 
 def test_chain_entry_cap(monkeypatch):
-    # the chain of Sym(10) holds 100 perms of 10 positions (45 transversal
-    # elements, their inverses and 10 strong generators): past 100 x 2
-    # entries, and exactly 100 x 10, which the cap allows
+    # the chain of Sym(10) builds 495 perms of 10 positions, transversal
+    # elements, their inverses and the Schreier generators it sifts:
+    # past 100 x 49 entries, and within 100 x 50
     gens = [perm_from_cycles(10, [(0, 1)]), perm_from_cycles(10, [tuple(range(10))])]
-    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "2")
-    with pytest.raises(TooLarge, match=r"^stabilizer chain holds more than 100 x 2 entries$"):
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "49")
+    with pytest.raises(TooLarge, match=r"^stabilizer chain exceeded 100 x 49 entries$"):
         StabChain(gens, range(10))
-    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "10")
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "50")
     assert StabChain(gens, range(10)).order() == math.factorial(10)

@@ -60,9 +60,11 @@ def test_ipk_does_not_see_the_edge_direction(descriptor, k, R):
 def test_ipk_is_invariant_under_the_group(descriptor, k, R):
     model = build_model(descriptor)
     want = ipk_check(model, *EDGE, k, R)
-    # vertices at distance 2 from the root share its orbit in every family
-    for target in ("1.0", "2.1"):
-        t = model.transporter(ROOT, VertexAddr.parse(target))
+    # the transporters to the root's neighbours, where the root's orbit
+    # holds them, and to a vertex at distance 2, which it always holds
+    targets = [ROOT.step(c) for c in range(model.degree)] + [VertexAddr.parse("1.0")]
+    moves = [model.transporter(ROOT, x) for x in targets]
+    for t in [t for t in moves if t is not None]:
         v, w = (model.act(t, x) for x in EDGE)
         got = ipk_check(model, v, w, k, R)
         assert (got.outcome, got.details) == (want.outcome, want.details)
