@@ -157,10 +157,11 @@ class GroupModel(abc.ABC):
         cache = self.__dict__.setdefault("_stab_perm_cache", {})
         got = cache.get((v, k))
         if got is None:
+            gens = self.stab_generators(v, k)
             # built before any germ, so a ball past the element limit says so
             ident = identity_germ(v, k, self.degree).perm
             got = []
-            for g in self.stab_generators(v, k):
+            for g in gens:
                 perm = self.germ_of(g, v, k).perm
                 if perm != ident:
                     got.append(perm)
