@@ -162,16 +162,15 @@ class FullAutModel(GroupModel):
         words = [u.word for u in ball_addresses(ROOT, k, degree)]
         # the chain holds every one of them, so refuse before building one
         inner = sum(len(x) < k for x in words)
-        count = degree - 1 + (inner - 1) * (degree - 2) if inner else 0
-        check_entries(count * len(words), "stabilizer chain")
+        check_entries((degree - 1 + (inner - 1) * (degree - 2)) * len(words), "stabilizer chain")
         index = {u: i for i, u in enumerate(words)}
         for x in words:
             if len(x) == k:
                 break
             depth = len(x)
             kids = [c for c in range(degree) if not x or c != x[-1]]
-            for c, d in zip(kids, kids[1:]):
-                swap = {c: d, d: c}
+            for c, c2 in zip(kids, kids[1:]):
+                swap = {c: c2, c2: c}
                 perm = [
                     index[x + tuple(swap.get(a, a) for a in u[depth:])]
                     if u[:depth] == x and len(u) > depth and u[depth] in swap
