@@ -148,6 +148,8 @@ class StabChain:
         # {x: u_x^-1}, {x: how many generators were tested at x}]
         self._levels = {}
         self._built = 0
+        # past this many entries built, check_entries raises
+        self._cap = ENTRIES_PER_ELEMENT * max_elements()
         for g in dict.fromkeys(generators):
             if g != self._ident:
                 self._add(g, -1, self._first_moved(g, 0))
@@ -155,7 +157,8 @@ class StabChain:
 
     def _build(self, count):
         self._built += count
-        check_entries(self._built * len(self.base), "stabilizer chain")
+        if self._built * len(self.base) > self._cap:
+            check_entries(self._built * len(self.base), "stabilizer chain")
 
     def _first_moved(self, g, start):
         base = self.base
@@ -274,6 +277,9 @@ class StabChain:
         positions of the images of base[0], base[1], ..., checked by
         check_listing as it goes."""
         levels = [self._levels[i][1] for i in sorted(self._levels)]
+        # past this many, check_listing raises
+        limit = max_elements()
+        allowed = min(limit, ENTRIES_PER_ELEMENT * limit // max(len(self.base), 1))
         count = 0
         # branch[i] yields the products u_0 ... u_(i-1) under one parent
         branch = [iter((self._ident,))]
@@ -285,7 +291,8 @@ class StabChain:
                 branch.append(self._children(levels[len(branch) - 1], prefix))
             else:
                 count += 1
-                self.check_listing(count)
+                if count > allowed:
+                    self.check_listing(count)
                 yield prefix
 
     def _children(self, trans, prefix):
