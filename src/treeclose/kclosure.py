@@ -25,7 +25,7 @@ from .errors import (
     max_elements,
     read_int,
 )
-from .permgroup import induced_perm_group, mulclose, perm_order, structure_fingerprint
+from .permgroup import StabChain, closure_chain, induced_perm_group, perm_order, structure_fingerprint
 from .tree_core import (
     ROOT,
     Germ,
@@ -115,9 +115,10 @@ def check_k_legal(model, germ, k, cache=None, explain=False):
     The germ is k-legal when, around every vertex u whose k-ball sits
     inside the domain, it agrees with some model element: the center must
     stay in the model orbit of u and the recentered k-germ must land in
-    the coset (transporter germ) ∘ (stabilizer germs at u). The cache
-    maps (u, germ(u)) to the inverse transporter germ at radius k, so
-    calls share one only for the same model and k.
+    the coset (transporter germ) ∘ (stabilizer germs at u), which is a
+    sift through the model's stab_germ_chain(u, k). The cache maps
+    (u, germ(u)) to the inverse transporter germ at radius k, so calls
+    share one only for the same model and k.
     """
     if k < 1:
         raise ValidationError("need k >= 1")
@@ -137,7 +138,7 @@ def check_k_legal(model, germ, k, cache=None, explain=False):
             back = invert(model.germ_of(t, u, k))
             cache[u, x] = back
         local = compose(back, restrict(germ, u, k, deg))
-        if local not in model.stab_germ_group(u, k):
+        if local.perm not in model.stab_germ_chain(u, k):
             return (False, u) if explain else False
     return (True, None) if explain else True
 
@@ -167,8 +168,16 @@ def closure_germs_at_targets(model, center, radius, k, targets=None):
 
 
 def germ_closure(germs):
-    """Composition closure of germs sharing one center and radius, as a frozenset."""
-    return frozenset(mulclose(germs, mul=compose))
+    """Composition closure of germs that all fix one center at one radius,
+    as a frozenset; TooLarge past the element limit."""
+    germs = list(germs)
+    if not germs:
+        return frozenset()
+    v, radius, deg = germs[0].src_center, germs[0].radius, germs[0].degree
+    if any((g.src_center, g.dst_center, g.radius) != (v, v, radius) for g in germs):
+        raise ValidationError("closure germs must all fix one center at one radius")
+    chain = closure_chain([g.perm for g in germs], len(germs[0].perm))
+    return frozenset(Germ(v, v, radius, p, deg) for p in chain.elements())
 
 
 def local_action(model, v):
@@ -495,21 +504,27 @@ def pk_check(model, path, k, R):
 # --- closure comparison -------------------------------------------------------
 
 
-def germ_group_difference(group_a, group_b):
-    """Least germ in just one of two germ groups, from group_a's first; None if equal."""
-    if group_a == group_b:
+def germ_group_difference(chain_a, chain_b):
+    """First element of chain_a's listing outside chain_b, else of
+    chain_b's outside chain_a; None when the groups are equal. For two
+    stab_germ_chain results at one vertex and radius, that is the least
+    germ of (a - b) or else (b - a) in sorted_germs order."""
+    if chain_a.order() == chain_b.order() and all(g in chain_b for g in chain_a.generators()):
         return None
-    return sorted_germs((group_a - group_b) or (group_b - group_a))[0]
+    for one, other in ((chain_a, chain_b), (chain_b, chain_a)):
+        for p in one.elements():
+            if p not in other:
+                return p
 
 
 def first_stab_germ_difference(model_a, model_b, v=ROOT, kmax=4):
     """Smallest radius at which the stabilizer germ sets differ, with a
     distinguishing germ; None if none up to kmax."""
     for k in range(1, kmax + 1):
-        ga, gb = model_a.stab_germ_group(v, k), model_b.stab_germ_group(v, k)
-        diff = germ_group_difference(ga, gb)
+        chain_a = model_a.stab_germ_chain(v, k)
+        diff = germ_group_difference(chain_a, model_b.stab_germ_chain(v, k))
         if diff is not None:
-            return k, diff
+            return k, Germ(v, v, k, diff, model_a.degree)
     return None
 
 
@@ -565,16 +580,16 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
     reps = tuple(dict.fromkeys(model_a.orbit_reps() + model_b.orbit_reps()))
     stab_orders = {}
     for u in reps:
-        group_a = model_a.stab_germ_group(u, k)
-        stab_orders[u.render()] = len(group_a)
-        diff = germ_group_difference(group_a, model_b.stab_germ_group(u, k))
+        chain_a = model_a.stab_germ_chain(u, k)
+        stab_orders[u.render()] = chain_a.order()
+        diff = germ_group_difference(chain_a, model_b.stab_germ_chain(u, k))
         if diff is not None:
             return Verdict(
                 FAILS,
                 witness={
                     "kind": "stab_germ",
                     "vertex": u.render(),
-                    "germ": germ_to_json(diff),
+                    "germ": germ_to_json(Germ(u, u, k, diff, deg)),
                 },
                 notes=(
                     f"stabilizer germ sets at radius {k} differ, and the "
@@ -863,7 +878,8 @@ def solve_commutator(model, amplitude, f_maps, R, z_lo=-4, z_hi=4, free_choices=
 class KClosureOracleModel:
     """Truncation oracle whose stabilizer germs at radius k are the
     k-legal germs of the base model, enumerated independently. Lets the
-    legality check run against the closure itself."""
+    legality check run against the closure itself, through a chain over
+    those germs as for a model."""
 
     def __init__(self, base, k):
         self.base = base
@@ -878,24 +894,15 @@ class KClosureOracleModel:
     def germ_of(self, g, center, radius):
         return self.base.germ_of(g, center, radius)
 
-    def stab_germ_group(self, v, radius):
+    def stab_germ_chain(self, v, radius):
         if radius > self.k:
             raise ValidationError(
                 "the closure oracle only enumerates up to its own truncation"
             )
-        key = (v, radius)
-        got = self._cache.get(key)
+        got = self._cache.get((v, radius))
         if got is None:
-            full = self._cache.get((v, self.k))
-            if full is None:
-                full = frozenset(
-                    closure_germs_at_targets(self.base, v, self.k, self.k, (v,))
-                )
-                self._cache[(v, self.k)] = full
-            if radius == self.k:
-                got = full
-            else:
-                # shallower radii restrict the enumerated truncation
-                got = frozenset(restrict(g, v, radius, self.degree) for g in full)
-            self._cache[key] = got
+            full = closure_germs_at_targets(self.base, v, self.k, self.k, (v,))
+            # shallower radii restrict the enumerated truncation
+            perms = [restrict(g, v, radius, self.degree).perm for g in full]
+            got = self._cache[(v, radius)] = StabChain(perms, range(len(perms[0])))
         return got

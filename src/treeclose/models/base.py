@@ -15,11 +15,13 @@ overrides image_step to step from gx instead, and never germ_of itself.
 
 Stabiliser germs come from one set of generators: stab_generators(v, k)
 names elements fixing v whose radius-k germs generate the stabiliser germ
-group. stab_chain builds a stabiliser chain from those germs, which counts
-and lists the group (stab-germs) and its fixators (fixator_maps_on, for
-ipk, pk and plusk-generators); _stab_germs closes them into the frozenset
-that legality, closure comparison, local actions and discreteness read.
-Only full Aut enumerates that frozenset instead.
+group. stab_chain builds a stabiliser chain from those germs, the one
+representation of that group. stab_germ_chain bounds and caches it: it
+counts and lists the group (stab-germs), answers membership for legality
+and decides closure comparison. Its pinned form gives the fixators
+(fixator_maps_on, for ipk, pk and plusk-generators), and stab_germ_group
+lists it once into the frozenset that local actions and element germs
+read. Only full Aut adds a count pre-flight before any chain.
 
 BS(m,n), PSL(2,Q_p) and covers colour their tree through one TreeChart:
 the d-regular tree covering a graph, with the graph vertex under each
@@ -32,7 +34,7 @@ from __future__ import annotations
 import abc
 
 from ..errors import TooLarge, ValidationError, max_elements
-from ..permgroup import StabChain, check_entries, mulclose, perm_order
+from ..permgroup import StabChain, check_entries, perm_order
 from ..tree_core import (
     ROOT,
     Germ,
@@ -41,7 +43,6 @@ from ..tree_core import (
     ball_parents,
     ball_positions,
     ball_word_ranks,
-    compose,
     germ_from_images,
     identity_germ,
     require_star,
@@ -100,46 +101,34 @@ class GroupModel(abc.ABC):
     # --- germ data ---------------------------------------------------------
 
     def stab_germ_group(self, v, k):
-        """Frozenset of all radius-k germs of elements fixing v. Exact.
-
-        Cached per (v, k); TooLarge past the element limit of distinct germs.
-        """
+        """Frozenset of all radius-k germs of elements fixing v, listed off
+        stab_germ_chain. Exact; cached per (v, k)."""
         # created here because families do not call super().__init__
         cache = self.__dict__.setdefault("_stab_cache", {})
         got = cache.get((v, k))
         if got is None:
-            limit = max_elements()
-            germs = set()
-            for germ in self._stab_germs(v, k):
-                germs.add(germ)
-                if len(germs) > limit:
-                    raise TooLarge(f"stabilizer germ group exceeded {limit}")
-            got = cache[(v, k)] = frozenset(germs)
+            chain = self.stab_germ_chain(v, k)
+            got = cache[(v, k)] = frozenset(
+                Germ(v, v, k, p, self.degree) for p in chain.elements()
+            )
         return got
 
-    def _stab_germs(self, v, k):
-        """The composition closure of the radius-k germs of stab_generators(v, k)."""
-        germs = [Germ(v, v, k, p, self.degree) for p in self._stab_perms(v, k)]
-        limit = max_elements()
-        # each generator's powers lie in the group
-        if any(perm_order(x.perm) > limit for x in germs):
-            raise TooLarge(f"stabilizer germ group exceeded {limit}")
-        try:
-            return mulclose(germs, mul=compose) or (identity_germ(v, k, self.degree),)
-        except TooLarge:
-            raise TooLarge(f"stabilizer germ group exceeded {limit}") from None
-
     def stab_germ_chain(self, v, k):
-        """stab_chain(v, k), whose listing is in sorted_germs order, for a
-        caller that lists the group: TooLarge past the element limit."""
-        limit = max_elements()
-        # each generator's powers lie in the group
-        if any(perm_order(p) > limit for p in self._stab_perms(v, k)):
-            raise TooLarge(f"stabilizer germ group exceeded {limit}")
-        chain = self.stab_chain(v, k)
-        if chain.order() > limit:
-            raise TooLarge(f"stabilizer germ group exceeded {limit}")
-        return chain
+        """stab_chain(v, k), whose listing is in sorted_germs order; its
+        perms are those of germs v -> v. Cached per (v, k); TooLarge past
+        the element limit."""
+        cache = self.__dict__.setdefault("_stab_chain_cache", {})
+        got = cache.get((v, k))
+        if got is None:
+            limit = max_elements()
+            # each generator's powers lie in the group
+            if any(perm_order(p) > limit for p in self._stab_perms(v, k)):
+                raise TooLarge(f"stabilizer germ group exceeded {limit}")
+            got = self.stab_chain(v, k)
+            if got.order() > limit:
+                raise TooLarge(f"stabilizer germ group exceeded {limit}")
+            cache[(v, k)] = got
+        return got
 
     def stab_chain(self, v, k, pinned=()):
         """The radius-k germ group at v as a StabChain over canonical ball

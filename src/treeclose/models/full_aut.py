@@ -179,18 +179,12 @@ class FullAutModel(GroupModel):
                 ]
                 yield RigidElement(Germ(v, v, k, tuple(perm), degree))
 
-    def _check_stab_count(self, k):
+    def stab_germ_chain(self, v, k):
+        # the wreath product's order is known, so refuse before any chain
         limit = max_elements()
         if k > 0 and _stab_germ_count_exceeds(self.degree, k, limit):
             raise TooLarge(f"stabilizer germ group exceeded {limit}")
-
-    def stab_germ_chain(self, v, k):
-        self._check_stab_count(k)
         return super().stab_germ_chain(v, k)
-
-    def _stab_germs(self, v, k):
-        self._check_stab_count(k)
-        return iterate_ball_germs(self.degree, v, v, k)
 
     def nondiscreteness_candidates(self, k):
         # fix a ball of growing radius pointwise, twist just outside it

@@ -2,9 +2,11 @@
 
 Permutations are tuples of images on 0..n-1. Nothing here claims an
 isomorphism type; structure_fingerprint returns invariants only. StabChain
-holds a group as a stabiliser chain, so that orders of pointwise
-stabilisers are read off without listing the group, and it lists the group
-in a fixed order only as far as a caller asks.
+is the one representation of a group generated by perms: orders of
+pointwise stabilisers are read off it without listing the group,
+membership is a sift through it, and it lists the group in a fixed order
+only as far as a caller asks. closure_chain and closure_group close
+generators through it.
 """
 
 from __future__ import annotations
@@ -71,47 +73,6 @@ def cycle_table(p):
     return out
 
 
-def mulclose(generators, mul=compose_perm):
-    """Closure under the product, in no particular order.
-
-    Works for any hashable elements. In a finite setting the semigroup
-    generated this way is the full group. A generator already in the
-    closure of the ones before it is dropped; each one kept at least
-    doubles the closure, so at most log2 of its size are kept, and only
-    those are multiplied by: the elements there before a kept generator
-    by it alone, the ones it adds by every kept generator. TooLarge past
-    the element limit.
-    """
-    limit = max_elements()
-    gens = []
-    els = {}
-
-    def add(c):
-        els[c] = None
-        if len(els) > limit:
-            raise TooLarge(f"closure exceeded {limit} elements")
-
-    for g in generators:
-        if g in els:
-            continue
-        gens.append(g)
-        # the current elements are closed under the earlier generators, so
-        # they need the new one only; each new element needs every kept one
-        frontier = [(a, (g,)) for a in els]
-        add(g)
-        frontier.append((g, gens))
-        while frontier:
-            new = []
-            for a, by in frontier:
-                for b in by:
-                    c = mul(a, b)
-                    if c not in els:
-                        add(c)
-                        new.append((c, gens))
-            frontier = new
-    return tuple(els)
-
-
 # a chain may build, and a listing of its elements hold, this many entries
 # (perms times positions) for each element the limit allows
 ENTRIES_PER_ELEMENT = 100
@@ -135,7 +96,11 @@ class StabChain:
     strong generators, and for every orbit point x an element sending
     base[i] to x with its inverse. TooLarge once the perms it builds, kept
     or not, times the positions pass the entry cap: that bounds its memory
-    and its time.
+    and its time. Each generator is sifted through the chain of the ones
+    before it, which is complete, and only a residue other than the
+    identity is kept, so a generator of a group it already holds adds
+    nothing. Membership sifts too, but its perms are dropped and count
+    toward no cap.
     """
 
     def __init__(self, generators, base):
@@ -151,9 +116,10 @@ class StabChain:
         # past this many entries built, check_entries raises
         self._cap = ENTRIES_PER_ELEMENT * max_elements()
         for g in dict.fromkeys(generators):
-            if g != self._ident:
-                self._add(g, -1, self._first_moved(g, 0))
-        self._complete()
+            residue, j = self._sift(g, 0)
+            if residue is not None:
+                self._add(residue, -1, j)
+                self._complete(j)
 
     def _build(self, count):
         self._built += count
@@ -167,19 +133,24 @@ class StabChain:
                 return j
         return None
 
-    def _sift(self, g, start):
-        """(residue, index of the first base point it moves), or None when
-        g sifts to the identity."""
+    def __contains__(self, g):
+        return self._sift(g, 0, build=False)[0] is None
+
+    def _sift(self, g, start, build=True):
+        """(residue, index of the first base point it moves), or (None,
+        None) when g sifts to the identity. The perms it makes count toward
+        the entry cap when `build` is set."""
         while True:
             j = self._first_moved(g, start)
             if j is None:
-                return None
+                return None, None
             level = self._levels.get(j)
             inv = level and level[2].get(g[self.base[j]])
             if inv is None:
                 return g, j
             g = tuple(map(inv.__getitem__, g))
-            self._build(1)
+            if build:
+                self._build(1)
             start = j + 1
 
     def _add(self, h, above, j):
@@ -216,11 +187,10 @@ class StabChain:
                     self._build(2)
                     frontier.append((y, gens))
 
-    def _complete(self):
-        """Sift every untested Schreier generator, deepest level first; a
-        residue becomes a strong generator, and the walk restarts at the
-        level it reached."""
-        index = max(self._levels, default=-1)
+    def _complete(self, index):
+        """Sift every untested Schreier generator of the levels up to
+        index, deepest first; a residue becomes a strong generator, and the
+        walk restarts at the level it reached."""
         while index >= 0:
             gens, trans, invs, tested = self._levels[index]
             restart = None
@@ -234,11 +204,11 @@ class StabChain:
                     if sux == trans[y]:
                         continue
                     self._build(1)
-                    found = self._sift(tuple(map(invs[y].__getitem__, sux)), index + 1)
-                    if found is not None:
+                    residue, j = self._sift(tuple(map(invs[y].__getitem__, sux)), index + 1)
+                    if residue is not None:
                         tested[x] = t
-                        self._add(found[0], index, found[1])
-                        restart = found[1]
+                        self._add(residue, index, j)
+                        restart = j
                         break
                 if restart is not None:
                     break
@@ -303,9 +273,20 @@ class StabChain:
             yield tuple(map(prefix.__getitem__, trans[z]))
 
 
+def closure_chain(generators, n):
+    """The group the perms on 0..n-1 generate, as a chain with base
+    0..n-1, which lists it in sorted order; TooLarge past the element
+    limit."""
+    chain = StabChain(generators, range(n))
+    limit = max_elements()
+    if chain.order() > limit:
+        raise TooLarge(f"closure exceeded {limit} elements")
+    return chain
+
+
 def closure_group(generators, n):
     gens = [check_perm(p, n) for p in generators]
-    return tuple(sorted(mulclose(gens + [identity_perm(n)])))
+    return tuple(closure_chain(gens, n).elements())
 
 
 def is_closed(perms):

@@ -13,9 +13,15 @@ import random
 import pytest
 
 from treeclose.kclosure import check_k_legal, edge_region, plusk_generator_germs
-from treeclose.models import base, build_model
+from treeclose.models import build_model
 from treeclose.models.bass_serre import render_britton
-from treeclose.permgroup import cycle_table, induced_perm_group, perm_order, structure_fingerprint
+from treeclose.permgroup import (
+    compose_perm,
+    cycle_table,
+    induced_perm_group,
+    perm_order,
+    structure_fingerprint,
+)
 from treeclose.tree_core import (
     ROOT,
     VertexAddr,
@@ -260,16 +266,21 @@ def test_stab_germs_match_the_generator_powers(k):
 
 
 @pytest.mark.parametrize("v, k, order", [("ε", 3, 216), ("1.2", 4, 1296)])
-def test_stab_germ_closure_composes_once_per_germ(v, k, order, monkeypatch):
-    # the closure of one generator multiplies each new power by it once;
-    # an identity generator in front would double that
-    calls = []
-
-    def counted(outer, inner):
-        calls.append(None)
-        return compose(outer, inner)
-
-    monkeypatch.setattr(base, "compose", counted)
+def test_stab_germ_closure_composes_once_per_germ(v, k, order):
+    # one generator germ spans the group; its chain keeps one strong
+    # generator per level, each a power of it, and builds fewer perms than
+    # a third of the group, where a closure makes one product per germ
     model = build_model({"model": "bs", "m": 2, "n": 3})
-    assert len(model.stab_germ_group(VertexAddr.parse(v), k)) == order
-    assert len(calls) <= order
+    v = VertexAddr.parse(v)
+    (gen,) = model._stab_perms(v, k)
+    powers, power = set(), gen
+    while power not in powers:
+        powers.add(power)
+        power = compose_perm(gen, power)
+    chain = model.stab_germ_chain(v, k)
+    assert chain.order() == len(powers) == order
+    for prefix in range(len(chain.base)):
+        assert len(chain.generators(prefix)) <= 1
+        assert set(chain.generators(prefix)) <= powers
+    assert set(chain.elements()) == powers
+    assert chain._built <= order // 3

@@ -391,6 +391,9 @@ OVERSIZED = {
     "bs-stab-germs-k8": {"model": _BS23, "verb": "stab-germs", "k": 8},
     "bs-plusk-generators-r8": {"model": _BS23, "verb": "plusk-generators",
                                "k": 1, "radius": 8},
+    # its closure is counted on a chain before any germ of it is listed
+    "bs-plusk-closure-vertex-0-r3": {"model": _BS23, "verb": "plusk-generators",
+                                     "vertex": "0", "k": 1, "radius": 3, "samples": 2},
 }
 
 

@@ -10,6 +10,7 @@ from treeclose.errors import ValidationError
 from treeclose.kclosure import (
     discreteness_certificate,
     first_stab_germ_difference,
+    germ_group_difference,
     kclosure_equal,
     local_action,
     nondiscreteness_certificate,
@@ -22,15 +23,16 @@ from treeclose.models.cover import (
     StripGraph,
     is_graph_automorphism,
 )
-from treeclose.permgroup import mulclose
 from treeclose.tree_core import (
     ROOT,
+    Germ,
     VertexAddr,
     ball_vertices,
-    compose,
+    sorted_germs,
     sphere_vertices,
 )
 
+from germ_reference import mulclose, stab_germs
 from sampling import element_pool
 
 
@@ -94,27 +96,23 @@ def test_stab_germ_counts_against_strip(c25, strip):
 
 
 def test_finite_cover_stab_closures_count_their_products(monkeypatch):
-    # each closure multiplies the elements there before a kept generator
-    # by it alone (by every kept generator, it took 13,674 products), and
-    # the generators are 6 transversal elements, not all 32 automorphisms
-    # fixing the base vertex (1,696 germs and 8,480 products)
-    calls, germs = [], []
+    # the generators are 6 transversal elements per vertex, not all 32
+    # automorphisms fixing the base vertex (1,696 germs), and their chains
+    # build 4,507 perms in all
+    germs = []
     germ_of = base.GroupModel.germ_of
-
-    def counted(outer, inner):
-        calls.append(None)
-        return compose(outer, inner)
 
     def counted_germ_of(self, g, center, radius):
         germs.append(None)
         return germ_of(self, g, center, radius)
 
-    monkeypatch.setattr(base, "compose", counted)
     monkeypatch.setattr(base.GroupModel, "germ_of", counted_germ_of)
     model = build_model({"model": "cover", "graph": "C", "p": 2, "r": 5})
+    built = 0
     for v in ball_vertices(ROOT, 3, model.degree):
         model.stab_germ_group(v, 2)
-    assert len(calls) == 5088
+        built += model.stab_germ_chain(v, 2)._built
+    assert built == 4507
     assert len(germs) == 318
 
 
@@ -163,6 +161,20 @@ def test_first_stab_germ_difference(c25, strip):
     k, germ = found
     assert k == 3
     assert germ.radius == 3
+
+
+@pytest.mark.parametrize("r, first", [(5, 3), (7, 4)])
+def test_chain_difference_is_the_least_germ_of_the_set_difference(r, first, strip):
+    # the cover-compare scenarios' pair C(2,5) and the strip, then C(2,7);
+    # the groups first differ at radius `first`
+    cover = build_model({"model": "cover", "graph": "C", "p": 2, "r": r})
+    for k in range(1, first + 1):
+        for a, b in ((cover, strip), (strip, cover)):
+            ga, gb = stab_germs(a, ROOT, k), stab_germs(b, ROOT, k)
+            want = None if ga == gb else sorted_germs((ga - gb) or (gb - ga))[0]
+            got = germ_group_difference(a.stab_germ_chain(ROOT, k), b.stab_germ_chain(ROOT, k))
+            assert (got if got is None else Germ(ROOT, ROOT, k, got, 4)) == want
+        assert (want is None) == (k < first)
 
 
 def test_models_compare_equal_to_themselves(c25):

@@ -38,6 +38,7 @@ from treeclose.kclosure import (
 from treeclose.models import build_model
 from treeclose.tree_core import (
     ROOT,
+    Germ,
     VertexAddr,
     ball_vertices,
     compose,
@@ -548,8 +549,9 @@ def test_oracle_model_idempotence(cl):
 def test_oracle_model_is_its_own_closure(cl):
     oracle = KClosureOracleModel(cl, 2)
     want = closure_germs_at_targets(cl, ROOT, 2, 2)
-    got = oracle.stab_germ_group(ROOT, 2)
+    got = [Germ(ROOT, ROOT, 2, p, 3) for p in oracle.stab_germ_chain(ROOT, 2).elements()]
     assert {g.sort_key() for g in got} <= {g.sort_key() for g in want}
+    assert len(got) == len([g for g in want if g.dst_center == ROOT])
 
 
 # --- generator germs --------------------------------------------------------------

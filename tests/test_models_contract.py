@@ -8,7 +8,9 @@ import random
 
 import pytest
 
+from treeclose import permgroup
 from treeclose.errors import TooLarge, ValidationError
+from treeclose.kclosure import random_ball_germ
 from treeclose.models import FullAutModel, build_model
 from treeclose.models.base import GroupModel, TreeChart
 from treeclose.models.cover import CycleGraph
@@ -20,10 +22,12 @@ from treeclose.tree_core import (
     ball_vertices,
     germ_of_map,
     identity_germ,
+    iterate_ball_germs,
     sorted_germs,
     tree_distance,
 )
 
+from germ_reference import stab_germs
 from sampling import element_pool
 
 DESCRIPTORS = [
@@ -173,10 +177,17 @@ def test_germ_of_is_defined_once():
 
 
 def test_stab_germs_are_defined_once():
-    # every family but full Aut names stab_generators and shares the closure
+    # every family names stab_generators and shares the one chain path; only
+    # full Aut adds its count pre-flight in front of stab_germ_chain
     found = list(_families())
     assert len(found) >= 5
-    assert [cls for cls in found if "_stab_germs" in vars(cls)] == [FullAutModel]
+    for cls in found:
+        own = {"stab_germ_group", "stab_chain", "_stab_perms", "_stab_germs"} & set(vars(cls))
+        assert not own, f"{cls.__name__} defines {sorted(own)}"
+        assert not [name for name in vars(cls) if "closure" in name or "mulclose" in name]
+    assert [cls for cls in found if "stab_germ_chain" in vars(cls)] == [FullAutModel]
+    assert not hasattr(GroupModel, "_stab_germs")
+    assert not hasattr(permgroup, "mulclose")
 
 
 def test_transporter_identity_case(model):
@@ -235,14 +246,36 @@ def test_stab_germ_group_is_cached_and_sorted(model):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("v", ["ε", "0", "1.2"])
 def test_stab_chain_lists_the_stabilizer_germ_group(model, v, k):
-    # the chain against the closure (full Aut: the ball enumeration) it
-    # replaces for the stab-germs listing
+    # the chain against the reference closure (full Aut: the ball
+    # enumeration)
     v = VertexAddr.parse(v)
-    group = model.stab_germ_group(v, k)
+    group = stab_germs(model, v, k)
     chain = model.stab_germ_chain(v, k)
     assert chain.order() == len(group)
     listed = tuple(Germ(v, v, k, p, model.degree) for p in chain.elements())
     assert listed == sorted_germs(group)
+    assert model.stab_germ_group(v, k) == group
+
+
+@pytest.mark.parametrize("v", ["ε", "0", "1.2"])
+def test_sifting_agrees_with_membership_in_the_reference(model, v):
+    # every ball germ fixing v at radius 1; at radius 2 the group's own
+    # germs and seeded random germs fixing v, most of them outside it
+    v = VertexAddr.parse(v)
+    rng = random.Random(11)
+    degree = model.degree
+    at_1 = list(iterate_ball_germs(degree, v, v, 1))
+    at_2 = sorted_germs(stab_germs(model, v, 2)) + tuple(
+        random_ball_germ(degree, v, v, 2, rng) for _ in range(100)
+    )
+    for k, germs in ((1, at_1), (2, at_2)):
+        group = stab_germs(model, v, k)
+        chain = model.stab_germ_chain(v, k)
+        answers = [g.perm in chain for g in germs]
+        assert answers == [g in group for g in germs]
+        assert any(answers)
+    if model.name != "full_aut":
+        assert not all(answers)
 
 
 @pytest.mark.parametrize("degree, k", [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5, 2)])

@@ -16,11 +16,12 @@ from treeclose.permgroup import (
     is_abelian,
     is_closed,
     is_transitive,
-    mulclose,
     perm_from_cycles,
     perm_order,
     structure_fingerprint,
 )
+
+from germ_reference import mulclose
 
 
 def test_closure_of_nothing_is_trivial():
@@ -205,12 +206,43 @@ def test_chain_listing_stops_at_the_element_limit(monkeypatch):
 
 
 def test_chain_entry_cap(monkeypatch):
-    # the chain of Sym(10) builds 495 perms of 10 positions, transversal
-    # elements, their inverses and the Schreier generators it sifts:
-    # past 100 x 49 entries, and within 100 x 50
+    # the chain of Sym(10) builds 502 perms of 10 positions, transversal
+    # elements, their inverses, the Schreier generators it sifts and the
+    # sifts of its two input generators: past 100 x 50 entries, and within
+    # 100 x 51
     gens = [perm_from_cycles(10, [(0, 1)]), perm_from_cycles(10, [tuple(range(10))])]
-    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "49")
-    with pytest.raises(TooLarge, match=r"^stabilizer chain exceeded 100 x 49 entries$"):
-        StabChain(gens, range(10))
     monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "50")
+    with pytest.raises(TooLarge, match=r"^stabilizer chain exceeded 100 x 50 entries$"):
+        StabChain(gens, range(10))
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "51")
     assert StabChain(gens, range(10)).order() == math.factorial(10)
+
+
+def test_membership_builds_nothing_toward_the_entry_cap(monkeypatch):
+    # within 100 x 51 entries the Sym(10) chain is built (see above); each
+    # membership sift makes up to 9 more perms of 10 positions, so 10,000
+    # of them would pass the cap a hundred times over if they counted
+    gens = [perm_from_cycles(10, [(0, 1)]), perm_from_cycles(10, [tuple(range(10))])]
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "51")
+    chain = StabChain(gens, range(10))
+    rng = random.Random(4)
+    for _ in range(10000):
+        p = list(range(10))
+        rng.shuffle(p)
+        assert tuple(p) in chain
+    # and a sift leaves out what the group does not hold
+    even = StabChain([perm_from_cycles(10, [(0, 1, 2)]), perm_from_cycles(10, [tuple(range(1, 10))])],
+                     range(10))
+    assert even.order() == math.factorial(10) // 2
+    assert perm_from_cycles(10, [(0, 1)]) not in even
+    assert perm_from_cycles(10, [(0, 1), (2, 3)]) in even
+
+
+def test_generators_are_sifted_before_they_are_kept():
+    # every element of Sym(4) given as a generator: only the three that
+    # leave a residue through the chain of the ones before them become
+    # strong generators, not all 23 non-identity ones
+    s4 = list(itertools.permutations(range(4)))
+    chain = StabChain(s4, range(4))
+    assert chain.order() == 24
+    assert chain.generators() == [(0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3)]
