@@ -19,19 +19,19 @@ from __future__ import annotations
 import itertools
 
 from ..errors import BadElement, Record, TooLarge, ValidationError, max_elements, product_exceeds
-from ..permgroup import check_entries, identity_perm, perm_from_cycles
+from ..permgroup import identity_perm, perm_from_cycles
 from ..tree_core import (
     ROOT,
     Germ,
     VertexAddr,
-    ball_addresses,
     ball_size,
+    ball_swaps,
     ball_vertices,
     edge_color,
     geodesic,
     germ_of_map,
     identity_germ,
-    iterate_ball_germs,
+    invert,
     tree_distance,
     word_mul,
     require_ball,
@@ -50,6 +50,23 @@ def _stab_germ_count_exceeds(degree, k, limit):
         range(2, degree + 1), (f for _ in range(inner) for f in range(2, degree))
     )
     return product_exceeds(factors, limit)
+
+
+def _twists(blocks):
+    """One permutation of each block, concatenated, in itertools.product
+    order, lazily: product would first list all d! permutations at a root."""
+    choice = [itertools.permutations(b) for b in blocks]
+    current = [next(it) for it in choice]
+    while True:
+        yield tuple(itertools.chain.from_iterable(current))
+        i = len(blocks) - 1
+        while (step := next(choice[i], None)) is None:
+            if i == 0:
+                return
+            choice[i] = itertools.permutations(blocks[i])
+            current[i] = next(choice[i])
+            i -= 1
+        current[i] = step
 
 
 class RigidElement(Record):
@@ -105,8 +122,6 @@ class FullAutModel(GroupModel):
         return RigidElement(Germ.from_mapping(cb, mapping[cb], radius, mapping))
 
     def inv(self, a):
-        from ..tree_core import invert
-
         return RigidElement(invert(a.germ))
 
     def from_word_element(self, word, perm, radius):
@@ -155,29 +170,9 @@ class FullAutModel(GroupModel):
         return RigidElement(Germ.from_mapping(u, w, 0, {u: w}))
 
     def stab_generators(self, v, k):
-        # the swaps of adjacent sibling subtrees at each vertex x of B(v, k-1)
-        # generate Aut(B(v, k))_v, an iterated wreath product; the swap sends
-        # x.c.w to x.c'.w' with the colours c and c' exchanged in w as well
-        degree = self.degree
-        words = [u.word for u in ball_addresses(ROOT, k, degree)]
-        # the chain holds every one of them, so refuse before building one
-        inner = sum(len(x) < k for x in words)
-        check_entries((degree - 1 + (inner - 1) * (degree - 2)) * len(words), "stabilizer chain")
-        index = {u: i for i, u in enumerate(words)}
-        for x in words:
-            if len(x) == k:
-                break
-            depth = len(x)
-            kids = [c for c in range(degree) if not x or c != x[-1]]
-            for c, c2 in zip(kids, kids[1:]):
-                swap = {c: c2, c2: c}
-                perm = [
-                    index[x + tuple(swap.get(a, a) for a in u[depth:])]
-                    if u[:depth] == x and len(u) > depth and u[depth] in swap
-                    else i
-                    for i, u in enumerate(words)
-                ]
-                yield RigidElement(Germ(v, v, k, tuple(perm), degree))
+        # the swaps of adjacent sibling subtrees generate Aut(B(v, k))_v
+        for perm in ball_swaps(self.degree, k):
+            yield RigidElement(Germ(v, v, k, perm, self.degree))
 
     def stab_germ_chain(self, v, k):
         # the wreath product's order is known, so refuse before any chain
@@ -187,12 +182,20 @@ class FullAutModel(GroupModel):
         return super().stab_germ_chain(v, k)
 
     def nondiscreteness_candidates(self, k):
-        # fix a ball of growing radius pointwise, twist just outside it
+        # fix B(s) pointwise for s = k - 1, k, ... and permute the children
+        # of each sphere-s vertex, the blocks of the last canonical positions
+        degree = self.degree
+        limit = max_elements()
         for s in itertools.count(max(k - 1, 0)):
-            pins = {x: x for x in ball_vertices(ROOT, s, self.degree)}
-            for germ in iterate_ball_germs(self.degree, ROOT, ROOT, s + 1, pins=pins):
-                if not germ.is_identity_map:
-                    yield RigidElement(germ)
+            require_ball(degree, s + 1)
+            first, size = ball_size(degree, s), ball_size(degree, s + 1)
+            width = degree if s == 0 else degree - 1
+            twists = _twists([range(i, i + width) for i in range(first, size, width)])
+            next(twists)  # the identity, counted toward the limit
+            for count, twist in enumerate(twists, 2):
+                if count > limit:
+                    raise TooLarge(f"more than {limit} discreteness candidates")
+                yield RigidElement(Germ(ROOT, ROOT, s + 1, tuple(range(first)) + twist, degree))
 
     # --- serialization ----------------------------------------------------------------
 

@@ -19,17 +19,10 @@ same way, and a germ is stored as (source center, image center, radius,
 perm): perm[i] is the number of the image of vertex i. Composition and
 inversion are int-tuple indexing; restriction reads index tables keyed by
 (degree, radius, smaller radius, offset word), shared by all centers.
-
-Maps between finite subtrees use the same idea with the caller's own
-vertex lists: iterate_subtree_isos yields int tuples whose entry i is the
-position in the target list of the image of the i-th source vertex. On
-canonical ball lists such a tuple is a germ's perm, and the fixator maps
-on a tube (GroupModel.fixator_maps_on) are tuples over tube positions.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .errors import (
@@ -42,6 +35,7 @@ from .errors import (
     ValidationError,
     max_elements,
 )
+from .permgroup import StabChain, check_entries
 
 
 def require_regular(degree):
@@ -535,118 +529,38 @@ def germ_of_map(func, center, radius, degree):
 
 
 # ---------------------------------------------------------------------------
-# enumeration of tree isomorphisms on finite pieces
+# enumeration of ball germs
 
 
-def _subtree_layout(degree, pos, root):
-    """Positions of a rooted subtree's vertices (the keys of pos) by
-    (distance, word), and each position's children positions by word."""
-    depth = {v: tree_distance(v, root) for v in pos}
-    order = sorted(pos, key=lambda v: (depth[v], v.word))
-    children = {}
-    for v in order:
-        if v != root and geodesic(v, root)[1] not in pos:
-            raise ValidationError(f"{v!r} is disconnected from the root")
-        kids = [w for w in v.neighbors(degree) if depth.get(w) == depth[v] + 1]
-        kids.sort(key=lambda x: x.word)
-        children[pos[v]] = tuple(pos[w] for w in kids)
-    return [pos[v] for v in order], children
+def ball_swaps(degree, radius):
+    """The swaps of adjacent sibling subtrees at each vertex x of B(ROOT,
+    radius - 1), as perms of its canonical positions; they generate the
+    center's stabiliser in Aut(B(r)). The swap sends x.c.w to x.c'.w' with
+    the colours c and c' exchanged in w as well."""
+    words, _, index = _ball_table(degree, radius)
+    # inner vertices come first; a chain holds every swap, so refuse first
+    inner = sum(len(x) < radius for x in words)
+    check_entries((degree - 1 + (inner - 1) * (degree - 2)) * len(words), "stabilizer chain")
+    out = []
+    for x in words[:inner]:
+        depth = len(x)
+        kids = [c for c in range(degree) if not x or c != x[-1]]
+        for c, c2 in zip(kids, kids[1:]):
+            swap = {c: c2, c2: c}
+            out.append(tuple([
+                index[x + tuple(swap.get(a, a) for a in u[depth:])]
+                if u[:depth] == x and len(u) > depth and u[depth] in swap
+                else i
+                for i, u in enumerate(words)
+            ]))
+    return out
 
 
-def iterate_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root, pins=None):
-    """All graph isomorphisms between two finite subtrees, root to root.
-
-    Each map is an int tuple: entry i is the position in dst_vertices of
-    the image of src_vertices[i]. pins maps source vertices to forced
-    images; each pin also pins the ancestors of its source to those of its
-    image, so inconsistent branches are pruned where they start. Maps come
-    in a fixed order: source vertices taken by (distance, word), the
-    children of each matched to the image's children (both sorted by word)
-    in itertools.permutations order. Every yielded map extends to a full
-    tree automorphism: matching subtree degrees leave matching ambient
-    degrees free on both sides. TooLarge past the element limit.
-    """
-    require_regular(degree)
-    limit = max_elements()
-    src_pos = {v: i for i, v in enumerate(src_vertices)}
-    dst_pos = {v: i for i, v in enumerate(dst_vertices)}
-    if src_root not in src_pos or dst_root not in dst_pos:
-        raise ValidationError("root not contained in its vertex set")
-    wanted = {}
-    for a, b in dict(pins or {}).items():
-        if a not in src_pos:
-            raise ValidationError(f"pin source {a!r} outside the domain")
-        wanted[src_pos[a]] = dst_pos.get(b, -1)
-    root, image_root = src_pos[src_root], dst_pos[dst_root]
-    if len(src_pos) != len(dst_pos) or wanted.get(root, image_root) != image_root:
-        return
-    src_order, src_children = _subtree_layout(degree, src_pos, src_root)
-    dst_children = _subtree_layout(degree, dst_pos, dst_root)[1]
-    # a pin x -> y sends the geodesic from the root to x onto the one to
-    # y, so each ancestor of x is pinned to the ancestor of y at the same
-    # depth (-1 when there is none); pins no map meets clash on the way or
-    # pin the root away from image_root
-    src_up = {a: v for v, kids in src_children.items() for a in kids}
-    dst_up = {b: w for w, kids in dst_children.items() for b in kids}
-    for a, b in list(wanted.items()):
-        while a != root:
-            a, b = src_up[a], dst_up.get(b, -1)
-            if a in wanted:
-                if wanted[a] != b:
-                    return
-                break  # its own walk covers the rest
-            wanted[a] = b
-    if wanted.get(root, image_root) != image_root:
-        return
-
-    # A complete map is a bijection, so it sends leaves to leaves: only
-    # the root and the internal vertices need a choice. Each step is
-    # (vertex, children, pinned (child index, forced image) pairs).
-    steps = []
-    for v in src_order:
-        kids = src_children[v]
-        if kids or v == root:
-            pinned = tuple((j, wanted[a]) for j, a in enumerate(kids) if a in wanted)
-            steps.append((v, kids, pinned))
-    image = [-1] * len(src_pos)
-    image[root] = image_root
-    last = len(steps) - 1
-    count = 0
-
-    def choices(step):
-        v, kids, _ = step
-        targets = dst_children[image[v]]
-        return itertools.permutations(targets) if len(targets) == len(kids) else iter(())
-
-    # one permutations iterator per step on the current branch
-    stack = [choices(steps[0])]
-    while stack:
-        i = len(stack) - 1
-        _, kids, pinned = steps[i]
-        for choice in stack[i]:
-            if not pinned or all(choice[j] == b for j, b in pinned):
-                break
-        else:
-            stack.pop()
-            continue
-        for a, b in zip(kids, choice):
-            image[a] = b
-        if i < last:
-            stack.append(choices(steps[i + 1]))
-            continue
-        count += 1
-        if count > limit:
-            raise TooLarge(f"more than {limit} isomorphisms")
-        yield tuple(image)
-
-
-def iterate_ball_germs(degree, src_center, dst_center, radius, pins=None):
-    """All germs between the two balls.
-
-    Unpinned there are d! * ((d-1)!)^(|B(r-1)| - 1) of them: d! choices at
-    the center, (d-1)! at every other vertex of the radius r-1 ball.
-    """
-    src = ball_addresses(src_center, radius, degree)
-    dst = ball_addresses(dst_center, radius, degree)
-    for perm in iterate_subtree_isos(degree, src, src_center, dst, dst_center, pins=pins):
+def iterate_ball_germs(degree, src_center, dst_center, radius):
+    """All d! * ((d-1)!)^(|B(r-1)| - 1) germs between the two balls: left
+    multiplication numbers both balls alike, so their perms are the
+    elements of the chain of ball_swaps, listed in lexicographic order.
+    TooLarge past the element limit, as the listing reaches it."""
+    chain = StabChain(ball_swaps(degree, radius), range(ball_size(degree, radius)))
+    for perm in chain.elements():
         yield Germ(src_center, dst_center, radius, perm, degree)

@@ -1,15 +1,24 @@
-"""Reference closures that the stabiliser chains are checked against.
+"""Reference enumerations that the stabiliser chains are checked against.
 
-The library holds every germ group as a permgroup.StabChain. These are
-the direct enumerations it replaced: the composition closure of
-generators, and the stabiliser germ group built from it (full Aut: every
-ball germ fixing the centre).
+The library holds every germ group as a permgroup.StabChain, and lists
+ball germs off one. These are the direct enumerations it replaced: the
+composition closure of generators, the isomorphisms between two finite
+subtrees as vertex dicts, and the stabiliser germ group built from them
+(full Aut: every ball isomorphism fixing the centre).
 """
+
+import itertools
 
 from treeclose.errors import TooLarge, max_elements
 from treeclose.models import FullAutModel
 from treeclose.permgroup import compose_perm
-from treeclose.tree_core import compose, identity_germ, iterate_ball_germs
+from treeclose.tree_core import (
+    Germ,
+    ball_vertices,
+    compose,
+    identity_germ,
+    tree_distance,
+)
 
 
 def mulclose(generators, mul=compose_perm):
@@ -53,11 +62,57 @@ def mulclose(generators, mul=compose_perm):
     return tuple(els)
 
 
+def ref_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root, pins=None):
+    """Every isomorphism between two finite subtrees, root to root, as a
+    vertex dict, by recursion: source vertices taken by (distance, word),
+    the children of each matched to the image's children (both sorted by
+    word) in itertools.permutations order. A pin x -> y keeps only maps
+    sending x to y."""
+    src_set, dst_set = frozenset(src_vertices), frozenset(dst_vertices)
+    pins = dict(pins or {})
+    if len(src_set) != len(dst_set) or pins.get(src_root, dst_root) != dst_root:
+        return
+
+    def layout(vertices, root):
+        depth = {v: tree_distance(v, root) for v in vertices}
+        order = sorted(vertices, key=lambda v: (depth[v], v.word))
+        children = {}
+        for v in order:
+            kids = [x for x in v.neighbors(degree) if x in vertices and depth[x] == depth[v] + 1]
+            children[v] = sorted(kids, key=lambda x: x.word)
+        return order, children
+
+    src_order, src_children = layout(src_set, src_root)
+    _, dst_children = layout(dst_set, dst_root)
+    mapping = {src_root: dst_root}
+
+    def rec(i):
+        if i == len(src_order):
+            yield dict(mapping)
+            return
+        cs = src_children[src_order[i]]
+        ct = dst_children[mapping[src_order[i]]]
+        if len(cs) != len(ct):
+            return
+        for perm in itertools.permutations(ct):
+            if any(pins.get(a, b) != b for a, b in zip(cs, perm)):
+                continue
+            mapping.update(zip(cs, perm))
+            yield from rec(i + 1)
+            for a in cs:
+                del mapping[a]
+
+    yield from rec(0)
+
+
 def stab_germs(model, v, k):
     """Frozenset of the radius-k germs of the elements of the model fixing v:
     for full Aut every germ of B(v, k) fixing v, for every other family the
     closure of the germs of stab_generators(v, k)."""
     if isinstance(model, FullAutModel):
-        return frozenset(iterate_ball_germs(model.degree, v, v, k))
+        ball = ball_vertices(v, k, model.degree)
+        return frozenset(
+            Germ.from_mapping(v, v, k, m) for m in ref_subtree_isos(model.degree, ball, v, ball, v)
+        )
     germs = [model.germ_of(g, v, k) for g in model.stab_generators(v, k)]
     return frozenset(mulclose(germs, mul=compose)) | {identity_germ(v, k, model.degree)}

@@ -288,8 +288,8 @@ def _corpus(name):
 # limit that this enumeration passes first: (scenario, limit, message)
 LIMIT_SITES = {
     # pk lists the 128 maps of its fixator chain to re-verify the product;
-    # no scenario reaches iterate_subtree_isos's own limit first any more
-    # (test_germ_core checks that one directly)
+    # ball-germ listings and full Aut's discreteness candidates stop at the
+    # limit too (test_germ_core checks both directly)
     "chain_listing": (_corpus("full-aut-pk-len2.json"), 100,
                       "listing exceeded 100 elements"),
     # 47 swaps generate the radius-5 germ group, whose chain builds about

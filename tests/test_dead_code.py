@@ -1,4 +1,5 @@
-"""No definition in src/ without a caller, apart from the ones tests need."""
+"""No definition in src/ without a caller, apart from the ones tests need,
+and no import there that its module never uses."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,25 @@ def unreferenced_definitions(root):
 
 def test_every_definition_has_a_caller_in_src():
     assert unreferenced_definitions(SRC_DIR) == TEST_ONLY | BENCH_ONLY
+
+
+def unused_imports(root):
+    """(file, name) for each name a module under root imports and never
+    refers to; `from __future__` imports left out."""
+    out = set()
+    for path in sorted(root.rglob("*.py")):
+        imported, used = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                # `import a.b` binds a
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        out.update((path.relative_to(root).as_posix(), name) for name in imported - used)
+    return out
+
+
+def test_every_import_is_used_in_src():
+    assert unused_imports(SRC_DIR) == set()

@@ -1,17 +1,22 @@
 """Full automorphism group backend: rigid germ extensions and translations."""
 
+import itertools
+
 import pytest
 
 from treeclose.kclosure import check_k_legal, element_germs_at, local_action
-from treeclose.models import build_model
+from treeclose.models import FullAutModel, build_model
 from treeclose.models.full_aut import RigidElement
 from treeclose.tree_core import (
     ROOT,
+    Germ,
     ball_vertices,
     iterate_ball_germs,
     restrict,
     tree_distance,
 )
+
+from germ_reference import ref_subtree_isos
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +86,30 @@ def test_ball_fixators_are_nontrivial(fa):
     tube = ball_vertices(ROOT, 2, 3)
     maps = fa.fixator_maps_on(tube, ball_vertices(ROOT, 1, 3))
     assert any(m != tuple(range(len(tube))) for m in maps.elements())
+
+
+def _pinned_reference(degree, k):
+    """The ball germs fixing B(s) pointwise in B(s + 1), for s = k - 1,
+    k, ..., in the dict reference's order, the identity left out."""
+    for s in itertools.count(k - 1):
+        ball = ball_vertices(ROOT, s + 1, degree)
+        pins = {x: x for x in ball_vertices(ROOT, s, degree)}
+        for m in ref_subtree_isos(degree, ball, ROOT, ball, ROOT, pins=pins):
+            germ = Germ.from_mapping(ROOT, ROOT, s + 1, m)
+            if not germ.is_identity_map:
+                yield germ
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_candidates_match_the_pinned_dict_reference(degree, k):
+    stream = FullAutModel(degree).nondiscreteness_candidates(k)
+    got = [g.germ for g in itertools.islice(stream, 200)]
+    assert got == list(itertools.islice(_pinned_reference(degree, k), 200))
+
+
+def test_candidates_start_without_listing_every_root_permutation():
+    # d = 20 has 20! permutations of the root's children; the first
+    # candidate swaps the last two
+    first = next(FullAutModel(20).nondiscreteness_candidates(1))
+    assert first.germ.perm == tuple(range(19)) + (20, 19)

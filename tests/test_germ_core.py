@@ -4,17 +4,15 @@ RefGerm keeps a germ as its (source, image) pairs sorted by source word,
 which is how germs, their sort order and their JSON were defined before
 germs became permutations of canonical ball indices. Every germ operation
 must agree with it exactly, on random germs between non-root centers.
-ref_subtree_isos is the recursive dict enumerator that iterate_subtree_isos
-replaced; the int-tuple maps must be the same maps in the same order.
+Ball germs, listed off a stabiliser chain, must be the maps that the
+recursive dict enumerator of germ_reference finds, and in its order at
+the centre.
 """
 
 import itertools
 import json
 import math
-import os
 import random
-import signal
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,19 +32,19 @@ from treeclose.tree_core import (
     ROOT,
     Germ,
     VertexAddr,
-    ball_addresses,
     ball_size,
     ball_vertices,
     compose,
     geodesic,
     invert,
-    iterate_subtree_isos,
+    iterate_ball_germs,
     restrict,
     sorted_germs,
-    sphere_vertices,
     thicken,
     tree_distance,
 )
+
+from germ_reference import ref_subtree_isos
 
 
 class RefGerm:
@@ -200,63 +198,15 @@ def test_fixator_maps_on_matches_the_dict_reference(model, edge):
     assert got == [seen[k] for k in sorted(seen)]
 
 
-# --- subtree isomorphism enumeration ------------------------------------------
+# --- ball germ listings ------------------------------------------------------
 
 
-def ref_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root, pins=None, guard=None):
-    """The recursive dict enumerator that iterate_subtree_isos replaced."""
-    src_set, dst_set = frozenset(src_vertices), frozenset(dst_vertices)
-    pins = dict(pins or {})
-    if len(src_set) != len(dst_set) or pins.get(src_root, dst_root) != dst_root:
-        return
-
-    def layout(vertices, root):
-        depth = {v: tree_distance(v, root) for v in vertices}
-        order = sorted(vertices, key=lambda v: (depth[v], v.word))
-        children = {}
-        for v in order:
-            kids = [x for x in v.neighbors(degree) if x in vertices and depth[x] == depth[v] + 1]
-            children[v] = sorted(kids, key=lambda x: x.word)
-        return order, children
-
-    src_order, src_children = layout(src_set, src_root)
-    _, dst_children = layout(dst_set, dst_root)
-    mapping = {src_root: dst_root}
-    count = 0
-
-    def rec(i):
-        nonlocal count
-        if i == len(src_order):
-            count += 1
-            if guard is not None and count > guard:
-                raise TooLarge(f"more than {guard} isomorphisms")
-            yield dict(mapping)
-            return
-        cs = src_children[src_order[i]]
-        ct = dst_children[mapping[src_order[i]]]
-        if len(cs) != len(ct):
-            return
-        for perm in itertools.permutations(ct):
-            if any(pins.get(a, b) != b for a, b in zip(cs, perm)):
-                continue
-            mapping.update(zip(cs, perm))
-            yield from rec(i + 1)
-            for a in cs:
-                del mapping[a]
-
-    yield from rec(0)
-
-
-def _first_isos(enumerate_isos, degree, src, dst, pins, limit=300):
-    """The first maps, as dicts, from roots src[0] to dst[0]."""
-    out = []
-    for m in enumerate_isos(degree, src, src[0], dst, dst[0], pins=pins):
-        if not isinstance(m, dict):
-            m = {x: dst[j] for x, j in zip(src, m)}
-        out.append(m)
-        if len(out) == limit:
-            break
-    return out
+def _ref_germs(degree, src, dst, radius, pins=None):
+    """The dict reference's maps between B(src, r) and B(dst, r) as germs,
+    in its order."""
+    a, b = ball_vertices(src, radius, degree), ball_vertices(dst, radius, degree)
+    for m in ref_subtree_isos(degree, a, src, b, dst, pins=pins):
+        yield Germ.from_mapping(src, dst, radius, m)
 
 
 def _ball_pins(rng, degree, a, b, radius):
@@ -270,118 +220,91 @@ def _ball_pins(rng, degree, a, b, radius):
         pins.update((y, real[y]) for y in geodesic(a, x))
     if radius and rng.random() < 0.25:
         pins[a.step(rng.randrange(degree))] = b
-    return pins or None
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(3, 5), st.integers(0, 3), st.integers(0, 2**32 - 1))
-def test_subtree_isos_match_the_dict_reference_on_balls(degree, radius, seed):
-    rng = random.Random(seed)
-    a, b = random_vertex(degree, rng), random_vertex(degree, rng)
-    src, dst = ball_addresses(a, radius, degree), ball_addresses(b, radius, degree)
-    pins = _ball_pins(rng, degree, a, b, radius)
-    want = _first_isos(ref_subtree_isos, degree, src, dst, pins)
-    assert _first_isos(iterate_subtree_isos, degree, src, dst, pins) == want
-
-
-def _deep_pins(rng, degree, a, b, radius):
-    """Pins at depth two or more, without their ancestors: some a real map
-    meets, and sometimes one that sends a vertex to a vertex of another
-    depth, outside the ball, or to a sibling clash no map meets."""
-    real = random_mapping(degree, a, b, radius, rng)
-    deep = [x for x in real if tree_distance(a, x) >= 2]
-    pins = {x: real[x] for x in rng.sample(deep, min(len(deep), rng.randint(1, 3)))}
-    x = rng.choice(deep)
-    wrong = rng.random()
-    if wrong < 0.15:
-        pins[x] = b
-    elif wrong < 0.3:
-        pins[x] = rng.choice(sphere_vertices(b, radius + 1, degree))
-    elif wrong < 0.5:
-        # the image of a vertex in another branch from the root
-        other = rng.choice([y for y in deep if geodesic(a, y)[1] != geodesic(a, x)[1]])
-        pins[x] = real[other]
     return pins
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([(3, 2), (3, 3), (4, 2)]), st.integers(0, 2**32 - 1))
-def test_subtree_isos_close_deep_pins_under_ancestors(shape, seed):
-    # the dict reference checks a pin only once its parent is matched, so
-    # these shapes are the ones it can search through in full
-    degree, radius = shape
-    rng = random.Random(seed)
-    a, b = random_vertex(degree, rng), random_vertex(degree, rng)
-    src, dst = ball_addresses(a, radius, degree), ball_addresses(b, radius, degree)
-    pins = _deep_pins(rng, degree, a, b, radius)
-    want = _first_isos(ref_subtree_isos, degree, src, dst, pins)
-    assert _first_isos(iterate_subtree_isos, degree, src, dst, pins) == want
-
-
-def test_unmet_deep_pin_ends_the_search_before_it_starts():
-    # d = 5, R = 3 has 120 * 24^20 maps; a leaf pinned to its own parent is
-    # met by none, and unclosed it would be checked only at the last step
-    src = ball_addresses(ROOT, 3, 5)
-    leaf = src[-1]
-    pins = {leaf: geodesic(ROOT, leaf)[-2]}
-
-    def stop(signum, frame):
-        raise TimeoutError("the unmet pin did not end the search")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(10)
-    try:
-        assert next(iterate_subtree_isos(5, src, ROOT, src, ROOT, pins=pins), None) is None
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+# every shape whose ball germs number at most 3! * 2**9 = 3,072
+SMALL_BALLS = [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (5, 0), (5, 1)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(3, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_subtree_isos_match_the_dict_reference_on_pinned_tubes(degree, k, seed):
+@given(st.sampled_from(SMALL_BALLS), st.integers(0, 2**32 - 1))
+def test_subtree_isos_match_the_dict_reference_on_balls(shape, seed):
+    # the listing filtered by pins is the reference's pinned enumeration
+    degree, radius = shape
+    rng = random.Random(seed)
+    a, b = random_vertex(degree, rng), random_vertex(degree, rng)
+    pins = _ball_pins(rng, degree, a, b, radius)
+    got = {
+        g for g in iterate_ball_germs(degree, a, b, radius)
+        if all(g.apply(x) == y for x, y in pins.items())
+    }
+    assert got == set(_ref_germs(degree, a, b, radius, pins))
+
+
+@pytest.mark.parametrize(
+    "degree, radius", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)]
+)
+def test_ball_germs_match_the_dict_reference(degree, radius):
+    # targets at distance 0, 1 and 2; at the centre in the same order
+    # d! at the centre, (d-1)! at every other vertex of B(r - 1)
+    inner = ball_size(degree, radius - 1) - 1
+    count = math.factorial(degree) * math.factorial(degree - 1) ** inner
+    for target in (ROOT, VertexAddr.parse("0"), VertexAddr.parse("1.2")):
+        got = list(iterate_ball_germs(degree, ROOT, target, radius))
+        want = list(_ref_germs(degree, ROOT, target, radius))
+        assert len(got) == len(set(got)) == count
+        assert set(got) == set(want)
+        if target == ROOT:
+            assert got == want
+
+
+def test_ball_germs_past_the_limit_match_the_dict_reference_as_far_as_listed():
+    # d = 5 at r = 2 has 120 * 24**5 germs, past the element limit: the
+    # listing at the centre starts as the reference does
+    got = itertools.islice(iterate_ball_germs(5, ROOT, ROOT, 2), 2000)
+    want = itertools.islice(_ref_germs(5, ROOT, ROOT, 2), 2000)
+    assert list(got) == list(want)
+
+
+# (degree, k) at which full Aut's fixator chain on a tube builds quickly
+SMALL_TUBES = [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_TUBES), st.integers(0, 2**32 - 1))
+def test_subtree_isos_match_the_dict_reference_on_pinned_tubes(shape, seed):
+    # full Aut's fixator on a tube is every tube isomorphism fixing the
+    # region; past 300 maps, the reference's first 300 must lie in it
+    degree, k = shape
     rng = random.Random(seed)
     path = [random_vertex(degree, rng, 0, 2)]
     for _ in range(rng.randint(1, 2)):
         path.append(rng.choice([x for x in path[-1].neighbors(degree) if x not in path]))
     tube = thicken(path, k + rng.randint(0, 1), degree)
     region = thicken(path, k - 1, degree)
-    pins = {x: x for x in region}
-    # swapping two children of a region vertex off the region is realized
-    # by some map; moving the root is realized by none
-    parent = rng.choice(region)
-    kids = [x for x in parent.neighbors(degree) if x in tube and x not in region]
-    if len(kids) >= 2:
-        x, y = rng.sample(kids, 2)
-        pins[x] = y
-    if rng.random() < 0.2:
-        pins[path[0]] = path[1]
-    # rooted at a path end, as fixator_maps_on roots them
-    src = (path[0],) + tuple(x for x in tube if x != path[0])
-    want = _first_isos(ref_subtree_isos, degree, src, src, pins)
-    assert _first_isos(iterate_subtree_isos, degree, src, src, pins) == want
+    pos = {x: p for p, x in enumerate(tube)}
+    maps = ref_subtree_isos(degree, tube, path[0], tube, path[0], pins={x: x for x in region})
+    want = [tuple(pos[m[x]] for x in tube) for m in itertools.islice(maps, 300)]
+    chain = FullAutModel(degree).fixator_maps_on(tube, region)
+    if chain.order() <= 300:
+        assert set(chain.elements()) == set(want)
+    else:
+        assert all(m in chain for m in want)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(3, 5), st.integers(1, 3), st.integers(0, 20), st.integers(0, 2**32 - 1))
-def test_subtree_isos_raise_too_large_at_guard_plus_one(degree, radius, guard, seed):
-    rng = random.Random(seed)
-    a, b = random_vertex(degree, rng), random_vertex(degree, rng)
-    src, dst = ball_addresses(a, radius, degree), ball_addresses(b, radius, degree)
-    total = math.factorial(degree) * math.factorial(degree - 1) ** (ball_size(degree, radius - 1) - 1)
-    # iterate_subtree_isos reads the element limit; the balls are built first
-    # (@given rejects the function-scoped monkeypatch fixture)
-    with mock.patch.dict(os.environ, {"TREECLOSE_MAX_ELEMENTS": str(guard)}):
-        for isos in (
-            ref_subtree_isos(degree, src, a, dst, b, guard=guard),
-            iterate_subtree_isos(degree, src, a, dst, b),
-        ):
-            assert len(list(itertools.islice(isos, guard))) == min(guard, total)
-            if guard < total:
-                with pytest.raises(TooLarge):
-                    next(isos)
-            else:
-                assert next(isos, None) is None
+def test_ball_germ_listings_raise_too_large_past_the_limit(monkeypatch):
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "10")
+    # 48 germs on a 10-vertex ball
+    germs = iterate_ball_germs(3, ROOT, ROOT, 2)
+    assert len(list(itertools.islice(germs, 10))) == 10
+    with pytest.raises(TooLarge, match="^listing exceeded 10 elements$"):
+        next(germs)
+    # 4! fixing the root of a 5-vertex ball; the identity counts too
+    candidates = FullAutModel(4).nondiscreteness_candidates(1)
+    assert len(list(itertools.islice(candidates, 9))) == 9
+    with pytest.raises(TooLarge, match="^more than 10 discreteness candidates$"):
+        next(candidates)
 
 
 def _ball_map(center, radius, degree):

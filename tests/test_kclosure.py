@@ -44,12 +44,13 @@ from treeclose.tree_core import (
     compose,
     germ_of_map,
     iterate_ball_germs,
-    iterate_subtree_isos,
     project_to_path,
     restrict,
     thicken,
     tree_distance,
 )
+
+from germ_reference import ref_subtree_isos
 
 
 @pytest.fixture(scope="module")
@@ -275,13 +276,14 @@ def _old_fixator_maps(model, tube, pinned):
     family filtered its stabilizer germs at the pinned vertex of least
     reach."""
     tube, pinned = tuple(tube), tuple(pinned)
+    pos = {x: p for p, x in enumerate(tube)}
     if model.name == "full_aut":
         root = pinned[0]
         pins = {x: x for x in pinned}
-        return frozenset(iterate_subtree_isos(model.degree, tube, root, tube, root, pins=pins))
+        maps = ref_subtree_isos(model.degree, tube, root, tube, root, pins=pins)
+        return frozenset(tuple(pos[m[x]] for x in tube) for m in maps)
     reach = {c: max(tree_distance(c, x) for x in tube) for c in pinned}
     center = min(pinned, key=lambda c: (reach[c], c.word))
-    pos = {x: p for p, x in enumerate(tube)}
     return frozenset(
         tuple(pos[g.apply(x)] for x in tube)
         for g in model.stab_germ_group(center, reach[center])
@@ -504,10 +506,11 @@ def test_plusk_fixator_branch_matches_the_old_fixator_germs(name):
         # full Aut enumerated pinned ball germs; the default filtered the
         # stabilizer germs at v
         if name == "full-aut":
+            ball = ball_vertices(v, 2, deg)
             old = (
-                g
+                Germ.from_mapping(v, v, 2, m)
                 for region in regions
-                for g in iterate_ball_germs(deg, v, v, 2, pins={x: x for x in region})
+                for m in ref_subtree_isos(deg, ball, v, ball, v, pins={x: x for x in region})
             )
         else:
             old = (

@@ -196,11 +196,12 @@ def test_ball_germs_between_centers():
 
 
 def test_ball_germ_pins():
-    pin = (VertexAddr.parse("0"), VertexAddr.parse("1"))
-    germs = list(iterate_ball_germs(3, ROOT, ROOT, 1, pins=[pin]))
+    # pinning 0 -> 1 leaves the two maps of the other children onto 0 and 2
+    a, b = VertexAddr.parse("0"), VertexAddr.parse("1")
+    germs = [g for g in iterate_ball_germs(3, ROOT, ROOT, 1) if g.apply(a) == b]
+    images = {tuple(g.apply(ROOT.step(c)).render() for c in (1, 2)) for g in germs}
     assert len(germs) == 2
-    for g in germs:
-        assert g.apply(pin[0]) == pin[1]
+    assert images == {("0", "2"), ("2", "0")}
 
 
 def test_sort_key_orders_deterministically():

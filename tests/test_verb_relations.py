@@ -4,12 +4,14 @@ On one edge, P_k and IP_k are the same property, so `pk` on the path
 [v, w] and `ipk` on (v, w) must agree; each verb must also be blind to the
 direction of the edge or path, and invariant under the group. Checked on
 the edge ε–0 at k in {1, 2} and window radius R in {k, k + 1} (full Aut at
-k = 1 only, where its window groups stay small).
+k = 1 only, where its window groups stay small). A model's k-closure
+equals that of a fresh copy of itself, and its local action at the root
+has the order of its radius-1 stabiliser germ group.
 """
 
 import pytest
 
-from treeclose.kclosure import ipk_check, pk_check
+from treeclose.kclosure import ipk_check, kclosure_equal, local_action, pk_check
 from treeclose.models import build_model
 from treeclose.tree_core import ROOT, VertexAddr
 
@@ -79,3 +81,23 @@ def test_pk_does_not_see_the_path_direction(descriptor, k, R):
     assert backward.outcome == forward.outcome
     for key in ("fixator_count", "fiber_counts", "product_count"):
         assert backward.details[key] == forward.details[key]
+
+
+# full Aut d=3 at k = 2 passes the stabilizer germ group's element limit
+COMPARISONS = [
+    pytest.param(descriptor, k, id=f"{_descriptor_id(descriptor)}-k{k}")
+    for descriptor in DESCRIPTORS
+    for k in ((1,) if descriptor["model"] == "full_aut" else (1, 2))
+]
+
+
+@pytest.mark.parametrize("descriptor, k", COMPARISONS)
+def test_kclosure_compare_with_a_fresh_copy_holds(descriptor, k):
+    verdict = kclosure_equal(build_model(descriptor), build_model(descriptor), k)
+    assert verdict.outcome == "holds"
+
+
+@pytest.mark.parametrize("descriptor", DESCRIPTORS, ids=_descriptor_id)
+def test_local_action_order_is_the_radius_1_stabiliser_order(descriptor):
+    model = build_model(descriptor)
+    assert local_action(model, ROOT)["order"] == model.stab_germ_chain(ROOT, 1).order()
