@@ -100,17 +100,6 @@ def max_elements():
     return limit
 
 
-def product_exceeds(factors, limit):
-    """Whether the product of the factors passes limit. Each factor is at
-    least 2, so this multiplies only until the product does."""
-    count = 1
-    for f in factors:
-        count *= f
-        if count > limit:
-            return True
-    return False
-
-
 class Record:
     """An immutable value, as a frozen dataclass is: equal to a record of its
     own class with equal fields, hashed as the tuple of its fields, printed as

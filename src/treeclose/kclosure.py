@@ -676,8 +676,8 @@ def plusk_generator_germs(model, v, k, radius=None, samples=0, rng_seed=0):
     regions = [edge_region(v, v.step(c), k, deg) for c in range(deg)]
     # on the canonical ball a tube map is a germ's perm
     ball = ball_addresses(v, radius, deg)
-    # every map lies in the stabilizer germ group at v, which bounds the
-    # listing as it bounds stab-germs, its pre-flights before any chain
+    # every map lies in the stabilizer germ group at v, whose chain stops
+    # past the limit before any fixator chain is built
     model.stab_germ_chain(v, radius)
     maps = set()
     for region in regions:

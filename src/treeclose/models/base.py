@@ -16,12 +16,13 @@ overrides image_step to step from gx instead, and never germ_of itself.
 Stabiliser germs come from one set of generators: stab_generators(v, k)
 names elements fixing v whose radius-k germs generate the stabiliser germ
 group. stab_chain builds a stabiliser chain from those germs, the one
-representation of that group. stab_germ_chain bounds and caches it: it
-counts and lists the group (stab-germs), answers membership for legality
-and decides closure comparison. Its pinned form gives the fixators
+representation of that group. stab_germ_chain caches it, built with the
+chain's order cut, so no family sizes its group in advance: it counts and
+lists the group (stab-germs), answers membership for legality and decides
+closure comparison. Its pinned form, uncut, gives the fixators
 (fixator_maps_on, for ipk, pk and plusk-generators), and stab_germ_group
 lists it once into the frozenset that local actions and element germs
-read. Only full Aut adds a count pre-flight before any chain.
+read.
 
 BS(m,n), PSL(2,Q_p) and covers colour their tree through one TreeChart:
 the d-regular tree covering a graph, with the graph vertex under each
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 import abc
 
-from ..errors import TooLarge, ValidationError, max_elements
-from ..permgroup import StabChain, check_entries, perm_order
+from ..errors import ValidationError
+from ..permgroup import StabChain, check_entries
 from ..tree_core import (
     ROOT,
     Germ,
@@ -115,30 +116,25 @@ class GroupModel(abc.ABC):
 
     def stab_germ_chain(self, v, k):
         """stab_chain(v, k), whose listing is in sorted_germs order; its
-        perms are those of germs v -> v. Cached per (v, k); TooLarge past
-        the element limit."""
+        perms are those of germs v -> v. Cached per (v, k); TooLarge as
+        soon as the chain passes the element limit."""
         cache = self.__dict__.setdefault("_stab_chain_cache", {})
         got = cache.get((v, k))
         if got is None:
-            limit = max_elements()
-            # each generator's powers lie in the group
-            if any(perm_order(p) > limit for p in self._stab_perms(v, k)):
-                raise TooLarge(f"stabilizer germ group exceeded {limit}")
-            got = self.stab_chain(v, k)
-            if got.order() > limit:
-                raise TooLarge(f"stabilizer germ group exceeded {limit}")
-            cache[(v, k)] = got
+            got = cache[(v, k)] = self.stab_chain(v, k, refuse="stabilizer germ group exceeded {}")
         return got
 
-    def stab_chain(self, v, k, pinned=()):
+    def stab_chain(self, v, k, pinned=(), refuse=None):
         """The radius-k germ group at v as a StabChain over canonical ball
         positions: its base is the positions of `pinned`, then the other
-        positions in the word order of the ball."""
+        positions in the word order of the ball. `refuse` is the chain's
+        refusal message."""
         degree = self.degree
         ranks = ball_word_ranks(v.word, k, degree)
         pins = ball_positions(v, pinned, k, degree)
         rest = set(range(len(ranks))) - set(pins)
-        return StabChain(self._stab_perms(v, k), pins + sorted(rest, key=ranks.__getitem__))
+        base = pins + sorted(rest, key=ranks.__getitem__)
+        return StabChain(self._stab_perms(v, k), base, refuse)
 
     def _stab_perms(self, v, k):
         """Perms of the radius-k germs of stab_generators(v, k) other than

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..errors import BadElement, Record, TooLarge, ValidationError, max_elements, product_exceeds
+from ..errors import BadElement, Record, ValidationError
 from ..permgroup import (
     check_perm,
     closure_group,
@@ -37,28 +37,20 @@ class CLElement(Record):
     _fields = ("word", "perm")
 
 
-def _named_perm_group(degree, spec):
-    """The named subgroup of Sym(degree); TooLarge, before anything is
-    built, when its order passes the element limit."""
-    # |Sym(d)| = 2·3·…·d, |Alt(d)| = 3·4·…·d, |C_d| = d
-    orders = {"sym": range(2, degree + 1), "alt": range(3, degree + 1),
-              "cyclic": (degree,), "trivial": ()}
-    if not isinstance(spec, str) or spec not in orders:
-        raise ValidationError(f"unknown local action name {spec!r}")
-    limit = max_elements()
-    if product_exceeds(orders[spec], limit):
-        raise TooLarge(f"closure exceeded {limit} elements")
+def _named_generators(degree, spec):
+    """Generators of the named subgroup of Sym(degree)."""
     if spec == "sym":
-        gens = [perm_from_cycles(degree, [tuple(range(degree))]), perm_from_cycles(degree, [(0, 1)])]
-    elif spec == "cyclic":
-        gens = [perm_from_cycles(degree, [tuple(range(degree))])]
-    elif spec == "alt":
+        return [perm_from_cycles(degree, [tuple(range(degree))]), perm_from_cycles(degree, [(0, 1)])]
+    if spec == "cyclic":
+        return [perm_from_cycles(degree, [tuple(range(degree))])]
+    if spec == "alt":
         gens = [perm_from_cycles(degree, [(0, 1, 2)])]
         if degree > 3:
             gens.append(perm_from_cycles(degree, [tuple(range(degree))] if degree % 2 else [tuple(range(1, degree))]))
-    else:
-        gens = []
-    return closure_group(gens, degree)
+        return gens
+    if spec == "trivial":
+        return []
+    raise ValidationError(f"unknown local action name {spec!r}")
 
 
 class ConstantLocalModel(GroupModel):
@@ -70,12 +62,13 @@ class ConstantLocalModel(GroupModel):
         require_star(degree)
         self.degree = degree
         if isinstance(local_action, (list, tuple)):
-            perms = closure_group(local_action, degree)
+            self.generators = [check_perm(p, degree) for p in local_action]
             self.local_action_name = "custom"
         else:
-            perms = _named_perm_group(degree, local_action)
+            self.generators = _named_generators(degree, local_action)
             self.local_action_name = local_action
-        self.F = tuple(sorted(perms))
+        # the closure's chain refuses past the element limit
+        self.F = closure_group(self.generators, degree)
 
     # --- elements ---------------------------------------------------------
 
@@ -109,8 +102,9 @@ class ConstantLocalModel(GroupModel):
         return CLElement(word_mul(w.word, word_inv(u.word)), identity_perm(self.degree))
 
     def stab_generators(self, v, k):
-        # for each p in F, the one element with local action p that fixes v
-        moved = [(tuple(p[c] for c in v.word), p) for p in self.F]
+        # p -> the one element with local action p that fixes v is an
+        # isomorphism from F onto the stabiliser, so F's generators suffice
+        moved = [(tuple(p[c] for c in v.word), p) for p in self.generators]
         return [CLElement(word_mul(v.word, word_inv(w)), p) for w, p in moved]
 
     def nondiscreteness_candidates(self, k):

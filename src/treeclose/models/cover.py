@@ -19,8 +19,11 @@ are unaffected.
 Each base graph owns its automorphisms: it names the identity, a
 transporter, the automorphisms that generate a vertex stabiliser
 (stab_autos) and its candidate stream, and reads automorphisms from
-JSON. CoverModel holds the covering map, a TreeChart over the base
-graph, and lifts what the base names, without asking which base it holds.
+JSON. C(p, r) holds its automorphism group as a stabiliser chain over
+its vertices, from named generators; the stabiliser generators and the
+candidates are read off that chain. CoverModel holds the covering map, a
+TreeChart over the base graph, and lifts what the base names, without
+asking which base it holds.
 
 Neighbor order is direction-aware on purpose: level i-1 fibers first,
 then level i+1 fibers, identically for the finite and infinite bases, so
@@ -33,8 +36,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from ..errors import IncompatibleBase, Record, TooLarge, ValidationError, as_int, max_elements, product_exceeds
-from ..permgroup import check_perm, identity_perm, invert_perm, perm_from_cycles
+from ..errors import IncompatibleBase, Record, ValidationError, as_int
+from ..permgroup import StabChain, check_perm, identity_perm, invert_perm, perm_from_cycles
 from ..tree_core import ROOT, VertexAddr, geodesic, require_star
 from .base import GroupModel, TreeChart
 
@@ -61,18 +64,29 @@ class CycleGraph(Record):
         return down + up
 
     @cached_property
-    def aut_graph(self):
-        """Materialized automorphism list; TooLarge past the element limit."""
-        limit = max_elements()
-        # fiber permutations within each level and the 2r rotations and
-        # reflections of the levels are automorphisms: |Aut| >= 2r (p!)^r
-        fiber_perms = (f for _ in range(self.r) for f in range(2, self.p + 1))
-        if product_exceeds(itertools.chain([2 * self.r], fiber_perms), limit):
-            raise TooLarge(f"automorphism group exceeds {limit}")
-        out = tuple(itertools.islice(iterate_graph_autos(self), limit + 1))
-        if len(out) > limit:
-            raise TooLarge(f"automorphism group exceeds {limit}")
-        return out
+    def aut_chain(self):
+        """The automorphism group as a StabChain over positions in
+        vertices(), which is also its base; TooLarge past the element limit.
+        Vertices with one neighbour set are permuted freely, by a swap and
+        a full cycle of each such class, and the levels by the rotation
+        i -> i + 1 and the reflection i -> -i: these generate it."""
+        verts = self.vertices()
+        index = {v: n for n, v in enumerate(verts)}
+        classes = {}
+        for v in verts:
+            classes.setdefault(frozenset(self.ordered_neighbors(v)), []).append(index[v])
+        gens = []
+        for cls in map(tuple, classes.values()):
+            for cycle in dict.fromkeys([cls[:2], cls]):
+                if len(cycle) > 1:
+                    gens.append(perm_from_cycles(len(verts), [cycle]))
+        gens.append(tuple(index[((i + 1) % self.r, j)] for i, j in verts))
+        gens.append(tuple(index[(-i % self.r, j)] for i, j in verts))
+        return StabChain(gens, range(len(verts)), "automorphism group exceeds {}")
+
+    def _auto(self, perm):
+        verts = self.vertices()
+        return FiniteAuto(tuple(zip(verts, map(verts.__getitem__, perm))))
 
     def identity(self):
         return FiniteAuto.from_mapping({v: v for v in self.vertices()})
@@ -89,22 +103,21 @@ class CycleGraph(Record):
 
     def stab_autos(self, bv, k):
         """Automorphisms whose lifts generate the radius-k stabiliser germs
-        at a vertex over bv: down the chain of point stabilisers along
-        vertices(), the first element to each other image (Sims 1970)."""
-        group = [a for a in self.aut_graph if a.apply(bv) == bv]
-        reps = []
-        for v in self.vertices():
-            firsts = {a.apply(v): a for a in reversed(group)}
-            reps.extend(a for w, a in firsts.items() if w != v)
-            group = [a for a in group if a.apply(v) == v]
-        return reps
+        at a vertex over bv: the strong generators of the root's
+        stabiliser, the root being first in the base, conjugated onto bv."""
+        t = self.transporter(self.root, bv)
+        t_inv = t.inverse()
+        return [t.compose(self._auto(g)).compose(t_inv) for g in self.aut_chain.generators(1)]
 
     def is_covered_by(self, bvs):
         return set(bvs) == set(self.vertices())
 
     def candidate_autos(self):
-        ident, root = self.identity(), self.root
-        return (a for a in self.aut_graph if a.apply(root) == root and a != ident)
+        # the root is first in the base, so the automorphisms fixing it
+        # come first in the listing, the identity before them
+        listing = self.aut_chain.elements()
+        next(listing)
+        return map(self._auto, itertools.takewhile(lambda g: g[0] == 0, listing))
 
     def auto_from_json(self, raw):
         verts = set(self.vertices())
@@ -277,37 +290,6 @@ def is_graph_automorphism(graph, auto):
         ):
             return False
     return True
-
-
-def iterate_graph_autos(graph):
-    """All automorphisms of a finite graph, lazily, by backtracking."""
-    verts = sorted(graph.vertices())
-    adj = {v: set(graph.ordered_neighbors(v)) for v in verts}
-    partial = {}
-    used = set()
-
-    def rec(i):
-        if i == len(verts):
-            yield FiniteAuto.from_mapping(partial)
-            return
-        v = verts[i]
-        for w in verts:
-            if w in used:
-                continue
-            ok = True
-            for u, img in partial.items():
-                if ((u in adj[v])) != ((img in adj[w])):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            partial[v] = w
-            used.add(w)
-            yield from rec(i + 1)
-            del partial[v]
-            used.discard(w)
-
-    yield from rec(0)
 
 
 class CoverElement(Record):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..errors import BadElement, Record, TooLarge, ValidationError, max_elements, product_exceeds
+from ..errors import BadElement, Record, TooLarge, ValidationError, max_elements
 from ..permgroup import identity_perm, perm_from_cycles
 from ..tree_core import (
     ROOT,
@@ -38,18 +38,6 @@ from ..tree_core import (
     require_regular,
 )
 from .base import GroupModel
-
-
-def _stab_germ_count_exceeds(degree, k, limit):
-    """Whether the radius-k germs fixing a vertex, d! * ((d-1)!)^(|B(k-1)| - 1)
-    of them, pass the limit; no number much larger than the limit is built."""
-    # each factor (d-1)! is at least 2, so a radius past the limit's bit
-    # length gives more factors than it takes to pass the limit
-    inner = ball_size(degree, min(k - 1, limit.bit_length())) - 1
-    factors = itertools.chain(
-        range(2, degree + 1), (f for _ in range(inner) for f in range(2, degree))
-    )
-    return product_exceeds(factors, limit)
 
 
 def _twists(blocks):
@@ -173,13 +161,6 @@ class FullAutModel(GroupModel):
         # the swaps of adjacent sibling subtrees generate Aut(B(v, k))_v
         for perm in ball_swaps(self.degree, k):
             yield RigidElement(Germ(v, v, k, perm, self.degree))
-
-    def stab_germ_chain(self, v, k):
-        # the wreath product's order is known, so refuse before any chain
-        limit = max_elements()
-        if k > 0 and _stab_germ_count_exceeds(self.degree, k, limit):
-            raise TooLarge(f"stabilizer germ group exceeded {limit}")
-        return super().stab_germ_chain(v, k)
 
     def nondiscreteness_candidates(self, k):
         # fix B(s) pointwise for s = k - 1, k, ... and permute the children

@@ -31,7 +31,6 @@ from ..errors import (
     TooLarge,
     ValidationError,
     max_elements,
-    product_exceeds,
 )
 from ..tree_core import ROOT, VertexAddr, require_regular
 from .base import GroupModel, TreeChart
@@ -268,19 +267,9 @@ class PSL2Model(GroupModel):
     # --- stabilizer germs --------------------------------------------------------------
 
     def stab_generators(self, v, k):
-        # SL2(Z/p^k), of order p^(3k-2) (p^2 - 1), acts on B(v, k) with
-        # kernel the scalars l with l^2 = 1 mod p^k: 2 of them for odd p,
-        # and 1, 2 or 4 for p = 2 at k = 1, 2 or more. The germ group is the
-        # quotient, so the check is exact and the closure stays in the limit
-        p, limit = self.p, max_elements()
-        kernel = 2 if p > 2 else (1, 2, 4)[min(k, 3) - 1]
-        if k > 0 and product_exceeds(
-            itertools.chain([p * p - 1], itertools.repeat(p, 3 * k - 2)), limit * kernel
-        ):
-            raise TooLarge(f"stabilizer germ group exceeded {limit}")
         basis = self.class_of_vertex(v).basis()
         basis_inv = basis.inv()
-        return [PSL2Element.make(p, basis.mul(m).mul(basis_inv)) for m in (SL2_T, SL2_S)]
+        return [PSL2Element.make(self.p, basis.mul(m).mul(basis_inv)) for m in (SL2_T, SL2_S)]
 
     # --- orbits -----------------------------------------------------------------------
 

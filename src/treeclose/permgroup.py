@@ -5,8 +5,10 @@ isomorphism type; structure_fingerprint returns invariants only. StabChain
 is the one representation of a group generated by perms: orders of
 pointwise stabilisers are read off it without listing the group,
 membership is a sift through it, and it lists the group in a fixed order
-only as far as a caller asks. closure_chain and closure_group close
-generators through it.
+only as far as a caller asks. It sizes every finite group the package
+builds: a chain given a refusal message stops as soon as the group passes
+the element limit, before it is complete. closure_chain and closure_group
+close generators through it.
 """
 
 from __future__ import annotations
@@ -96,14 +98,19 @@ class StabChain:
     strong generators, and for every orbit point x an element sending
     base[i] to x with its inverse. TooLarge once the perms it builds, kept
     or not, times the positions pass the entry cap: that bounds its memory
-    and its time. Each generator is sifted through the chain of the ones
-    before it, which is complete, and only a residue other than the
-    identity is kept, so a generator of a group it already holds adds
-    nothing. Membership sifts too, but its perms are dropped and count
-    toward no cap.
+    and its time. Given a refusal message, with {} for the limit, it also
+    raises TooLarge with that message as soon as the product of its orbit
+    lengths passes the element limit: each orbit only grows towards the
+    group's basic orbit, so that product is a lower bound on the order at
+    every step, and the refusal is exact. Without one it counts past the
+    limit. Each generator is sifted through the chain of the ones before
+    it, which is complete, and only a residue other than the identity is
+    kept, so a generator of a group it already holds adds nothing.
+    Membership sifts too, but its perms are dropped and count toward no
+    cap.
     """
 
-    def __init__(self, generators, base):
+    def __init__(self, generators, base, refuse=None):
         self.base = tuple(base)
         self._pos = [0] * len(self.base)
         for i, b in enumerate(self.base):
@@ -114,7 +121,12 @@ class StabChain:
         self._levels = {}
         self._built = 0
         # past this many entries built, check_entries raises
-        self._cap = ENTRIES_PER_ELEMENT * max_elements()
+        limit = max_elements()
+        self._cap = ENTRIES_PER_ELEMENT * limit
+        # the product of the orbit lengths, refused past the limit if asked
+        self._reached = 1
+        self._limit = limit
+        self._refusal = None if refuse is None else refuse.format(limit)
         for g in dict.fromkeys(generators):
             residue, j = self._sift(g, 0)
             if residue is not None:
@@ -177,6 +189,7 @@ class StabChain:
     def _grow(self, level, new):
         """Extend the orbit of a level by its new generators."""
         gens, trans, invs, _ = level
+        before = len(trans)
         frontier = [(x, new) for x in trans]
         for x, by in frontier:
             for s, s_inv in by:
@@ -186,6 +199,9 @@ class StabChain:
                     invs[y] = tuple(map(invs[x].__getitem__, s_inv))
                     self._build(2)
                     frontier.append((y, gens))
+        self._reached = self._reached // before * len(trans)
+        if self._refusal is not None and self._reached > self._limit:
+            raise TooLarge(self._refusal)
 
     def _complete(self, index):
         """Sift every untested Schreier generator of the levels up to
@@ -277,11 +293,7 @@ def closure_chain(generators, n):
     """The group the perms on 0..n-1 generate, as a chain with base
     0..n-1, which lists it in sorted order; TooLarge past the element
     limit."""
-    chain = StabChain(generators, range(n))
-    limit = max_elements()
-    if chain.order() > limit:
-        raise TooLarge(f"closure exceeded {limit} elements")
-    return chain
+    return StabChain(generators, range(n), "closure exceeded {} elements")
 
 
 def closure_group(generators, n):

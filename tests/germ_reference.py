@@ -1,16 +1,18 @@
 """Reference enumerations that the stabiliser chains are checked against.
 
 The library holds every germ group as a permgroup.StabChain, and lists
-ball germs off one. These are the direct enumerations it replaced: the
-composition closure of generators, the isomorphisms between two finite
-subtrees as vertex dicts, and the stabiliser germ group built from them
-(full Aut: every ball isomorphism fixing the centre).
+ball germs and a cycle graph's automorphisms off one. These are the direct
+enumerations it replaced: the composition closure of generators, the
+isomorphisms between two finite subtrees as vertex dicts, the stabiliser
+germ group built from them (full Aut: every ball isomorphism fixing the
+centre), and the automorphisms of a finite graph by backtracking.
 """
 
 import itertools
 
 from treeclose.errors import TooLarge, max_elements
 from treeclose.models import FullAutModel
+from treeclose.models.cover import FiniteAuto
 from treeclose.permgroup import compose_perm
 from treeclose.tree_core import (
     Germ,
@@ -116,3 +118,31 @@ def stab_germs(model, v, k):
         )
     germs = [model.germ_of(g, v, k) for g in model.stab_generators(v, k)]
     return frozenset(mulclose(germs, mul=compose)) | {identity_germ(v, k, model.degree)}
+
+
+def iterate_graph_autos(graph):
+    """All automorphisms of a finite graph, lazily, by backtracking: the
+    vertices in sorted order, each sent to every free vertex in sorted
+    order that keeps adjacency with the ones already mapped."""
+    verts = sorted(graph.vertices())
+    adj = {v: set(graph.ordered_neighbors(v)) for v in verts}
+    partial = {}
+    used = set()
+
+    def rec(i):
+        if i == len(verts):
+            yield FiniteAuto.from_mapping(partial)
+            return
+        v = verts[i]
+        for w in verts:
+            if w in used:
+                continue
+            if any((u in adj[v]) != (img in adj[w]) for u, img in partial.items()):
+                continue
+            partial[v] = w
+            used.add(w)
+            yield from rec(i + 1)
+            del partial[v]
+            used.discard(w)
+
+    yield from rec(0)

@@ -299,7 +299,8 @@ LIMIT_SITES = {
                          "stabilizer chain exceeded 100 x 100 entries"),
     "stab_germ_group": (_corpus("psl2-stab-germs-k1.json"), 5,
                         "stabilizer germ group exceeded 5"),
-    # SL2(Z/4) over its two scalars: 24 germs, in the other orbit
+    # SL2(Z/4) over its two scalars: 24 germs, in the other orbit; the
+    # chain stops once its orbit lengths multiply past the limit
     "psl2_stab_preflight_odd_orbit": ({"model": {"model": "psl2", "p": 2},
                                        "verb": "stab-germs", "vertex": "0", "k": 2},
                                       20, "stabilizer germ group exceeded 20"),
@@ -307,16 +308,17 @@ LIMIT_SITES = {
     "mulclose": ({"model": _BS23, "verb": "plusk-generators", "k": 2,
                   "radius": 3, "samples": 1}, 500,
                  "closure exceeded 500 elements"),
-    # C(2,4) has 1,152 automorphisms, past the pre-flight's bound 2r (p!)^r = 128
+    # C(2,4) = K_{4,4} has 1,152 automorphisms, most of them no level maps
     "aut_graph": ({"model": {"model": "cover", "graph": "C", "p": 2, "r": 4},
                    "verb": "local-action"}, 500,
                   "automorphism group exceeds 500"),
-    # C(2,5) has 2r (p!)^r = 320 automorphisms, all that bound counts
+    # C(2,5) has 2r (p!)^r = 320 automorphisms; their chain stops before
+    # it is complete
     "aut_graph_preflight": (_corpus("cover-c25-local-action.json"), 100,
                             "automorphism group exceeds 100"),
     "ball_vertices": (_corpus("bs23-ipk-k1-r3.json"), 100,
                       "ball of radius 3 has more than 100 vertices"),
-    # 3! * 2**3 = 48 germs, on a 10-vertex ball
+    # 3! * 2**3 = 48 germs, on a 10-vertex ball, counted on their chain
     "full_aut_stab_preflight": ({"model": _AUT3, "verb": "stab-germs", "k": 2}, 40,
                                 "stabilizer germ group exceeded 40"),
     # 36 generator powers, each with 20 twisted samples

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from treeclose.errors import ValidationError
+from treeclose.errors import TooLarge, ValidationError
 from treeclose.kclosure import (
     discreteness_certificate,
     first_stab_germ_difference,
@@ -23,6 +23,7 @@ from treeclose.models.cover import (
     StripGraph,
     is_graph_automorphism,
 )
+from treeclose.permgroup import StabChain
 from treeclose.tree_core import (
     ROOT,
     Germ,
@@ -32,7 +33,7 @@ from treeclose.tree_core import (
     sphere_vertices,
 )
 
-from germ_reference import mulclose, stab_germs
+from germ_reference import iterate_graph_autos, mulclose, stab_germs
 from sampling import element_pool
 
 
@@ -55,8 +56,51 @@ def test_cycle_graph_shape():
 
 def test_cycle_graph_automorphism_count():
     # rotations x reflection x independent fiber swaps: 5 * 2 * 2^5
-    autos = CycleGraph(2, 5).aut_graph
-    assert len(autos) == 320
+    assert CycleGraph(2, 5).aut_chain.order() == 320
+
+
+# (p, r): C(3, 4) = K_{6,6} has 2 (6!)^2 = 1,036,800 automorphisms, past
+# the default element limit; C(p, 4) = K_{2p,2p} in general, so most of its
+# automorphisms are no level maps
+CYCLE_GRAPHS = [(2, r) for r in range(3, 10)] + [(3, 3), (3, 4), (3, 5), (4, 3)] + [
+    (1, r) for r in range(3, 7)
+]
+
+
+def _index_perm(graph, auto):
+    verts = graph.vertices()
+    return tuple(verts.index(auto.apply(v)) for v in verts)
+
+
+@pytest.mark.parametrize("p, r", CYCLE_GRAPHS)
+def test_cycle_graph_chain_matches_the_reference_enumerator(p, r, monkeypatch):
+    graph = CycleGraph(p, r)
+    if (p, r) == (3, 4):
+        with pytest.raises(TooLarge, match="^automorphism group exceeds 1000000$"):
+            graph.aut_chain
+        monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", str(2 * 10**6))
+    chain = graph.aut_chain
+    verts = graph.vertices()
+    root, ident = graph.root, graph.identity()
+    if (p, r) == (3, 4):
+        # the backtracking takes seconds past the first few thousand: compare
+        # the order and the start of the listing and of the candidate stream
+        assert chain.order() == 2 * math.factorial(6) ** 2
+        first = list(itertools.islice(iterate_graph_autos(graph), 3000))
+        assert list(itertools.islice(chain.elements(), 3000)) == [
+            _index_perm(graph, a) for a in first
+        ]
+        assert list(itertools.islice(graph.candidate_autos(), 2999)) == first[1:]
+        assert {chain.fixing_order([i]) for i in range(len(verts))} == {chain.order() // 12}
+        return
+    autos = list(iterate_graph_autos(graph))
+    # element for element, in the enumerator's order
+    assert [graph._auto(g) for g in chain.elements()] == autos
+    assert list(graph.candidate_autos()) == [
+        a for a in autos if a.apply(root) == root and a != ident
+    ]
+    for i, bv in enumerate(verts):
+        assert chain.fixing_order([i]) == sum(a.apply(bv) == bv for a in autos)
 
 
 def test_larger_cycle_has_a_rotation():
@@ -96,9 +140,9 @@ def test_stab_germ_counts_against_strip(c25, strip):
 
 
 def test_finite_cover_stab_closures_count_their_products(monkeypatch):
-    # the generators are 6 transversal elements per vertex, not all 32
-    # automorphisms fixing the base vertex (1,696 germs), and their chains
-    # build 4,507 perms in all
+    # the generators are the 5 strong generators of each base vertex's
+    # stabiliser, not all 32 automorphisms fixing it (1,696 germs), and
+    # their chains build 5,410 perms in all
     germs = []
     germ_of = base.GroupModel.germ_of
 
@@ -112,28 +156,27 @@ def test_finite_cover_stab_closures_count_their_products(monkeypatch):
     for v in ball_vertices(ROOT, 3, model.degree):
         model.stab_germ_group(v, 2)
         built += model.stab_germ_chain(v, 2)._built
-    assert built == 4507
-    assert len(germs) == 318
+    assert built == 5410
+    assert len(germs) == 265
 
 
-@pytest.mark.parametrize("p, r", [(2, 3), (2, 4), (2, 5), (2, 7), (3, 5)])
+@pytest.mark.parametrize("p, r", [(2, 3), (2, 4), (2, 5), (2, 7)])
 def test_cycle_graph_stab_autos_are_stabiliser_chain_transversals(p, r):
     # C(2, 4) is K_{4,4}: its 1,152 automorphisms outnumber the 2r (p!)^r
     # that permute levels
     graph = CycleGraph(p, r)
     verts = graph.vertices()
-    for bv in verts:
-        fixing = {a for a in graph.aut_graph if a.apply(bv) == bv}
+    autos = list(iterate_graph_autos(graph))
+    for i, bv in enumerate(verts):
+        fixing = {a for a in autos if a.apply(bv) == bv}
         gens = graph.stab_autos(bv, 1)
         assert set(mulclose(gens, mul=FiniteAuto.compose)) == fixing
-        # a generator sits on the level of the first vertex it moves, and
-        # sends that vertex where no other generator of its level does
-        images = {v: {v} for v in verts}
-        for a in gens:
-            v = next(v for v in verts if a.apply(v) != v)
-            assert a.apply(v) not in images[v]
-            images[v].add(a.apply(v))
-        assert math.prod(len(t) for t in images.values()) == len(fixing)
+        # every generator fixes bv, and the transversals of their chain with
+        # bv first in its base multiply to the stabiliser's order
+        assert all(a.apply(bv) == bv for a in gens)
+        rest = [n for n in range(len(verts)) if n != i]
+        chain = StabChain([_index_perm(graph, a) for a in gens], [i] + rest)
+        assert chain.order() == len(fixing)
 
 
 def test_deck_transformation_fixes_fibers(c25):
@@ -254,7 +297,7 @@ def test_finite_cover_stab_germs_lift_every_fixing_automorphism():
             for k in (1, 2, 3):
                 want = frozenset(
                     model.germ_of(model.lift_at(a, v, v), v, k)
-                    for a in model.base.aut_graph
+                    for a in iterate_graph_autos(model.base)
                     if a.apply(bv) == bv
                 )
                 assert model.stab_germ_group(v, k) == want

@@ -177,15 +177,15 @@ def test_germ_of_is_defined_once():
 
 
 def test_stab_germs_are_defined_once():
-    # every family names stab_generators and shares the one chain path; only
-    # full Aut adds its count pre-flight in front of stab_germ_chain
+    # every family names stab_generators and shares the one chain path,
+    # which the chain's own order cut bounds: no family overrides it
     found = list(_families())
     assert len(found) >= 5
     for cls in found:
         own = {"stab_germ_group", "stab_chain", "_stab_perms", "_stab_germs"} & set(vars(cls))
         assert not own, f"{cls.__name__} defines {sorted(own)}"
         assert not [name for name in vars(cls) if "closure" in name or "mulclose" in name]
-    assert [cls for cls in found if "stab_germ_chain" in vars(cls)] == [FullAutModel]
+    assert [cls for cls in found if "stab_germ_chain" in vars(cls)] == []
     assert not hasattr(GroupModel, "_stab_germs")
     assert not hasattr(permgroup, "mulclose")
 
@@ -301,12 +301,12 @@ def test_strip_chain_keeps_every_strong_generator_on_its_levels():
     ids=[_descriptor_id(d) for d in DESCRIPTORS],
 )
 def test_stab_germ_group_guard(descriptor, count, monkeypatch):
-    # the element limit also bounds model set-up (closure_group, aut_graph)
+    # the element limit also bounds model set-up (closure_group, aut_chain)
     # and balls, so those are built before it is lowered
     model = build_model(descriptor)
     ball_vertices(ROOT, 1, model.degree)
     if isinstance(getattr(model, "base", None), CycleGraph):
-        assert model.base.aut_graph
+        assert model.base.aut_chain
     monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", str(count - 1))
     with pytest.raises(TooLarge, match=f"^stabilizer germ group exceeded {count - 1}$"):
         model.stab_germ_group(ROOT, 1)

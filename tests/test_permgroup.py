@@ -185,6 +185,26 @@ def test_chain_against_the_closure(seed):
         assert chain.fixing_order(points) == sum(all(g[x] == x for x in points) for g in group)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_chain_refuses_exactly_the_groups_past_the_limit(seed, monkeypatch):
+    # the same groups as above: with a refusal message, the chain raises it
+    # iff the order passes the limit; without one, it counts past the limit
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    gens = _random_group(rng, n)
+    order = len(set(mulclose(gens + [identity_perm(n)])))
+    base = list(range(n))
+    rng.shuffle(base)
+    for limit in sorted({max(order // 2, 1), max(order - 1, 1), order}):
+        monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", str(limit))
+        if order > limit:
+            with pytest.raises(TooLarge, match=f"^more than {limit} in this group$"):
+                StabChain(gens, base, "more than {} in this group")
+        else:
+            assert StabChain(gens, base, "more than {} in this group").order() == order
+        assert StabChain(gens, base).order() == order
+
+
 def test_chain_orders_past_any_listing():
     # Sym(12) from a transposition and a 12-cycle, and its point stabilisers
     n = 12

@@ -6,15 +6,21 @@ direction of the edge or path, and invariant under the group. Checked on
 the edge ε–0 at k in {1, 2} and window radius R in {k, k + 1} (full Aut at
 k = 1 only, where its window groups stay small). A model's k-closure
 equals that of a fresh copy of itself, and its local action at the root
-has the order of its radius-1 stabiliser germ group.
+has the order of its radius-1 stabiliser germ group. The witness of every
+corpus `discreteness` report with exit 0 is re-checked from the report and
+the scenario alone.
 """
+
+import json
 
 import pytest
 
-from treeclose.kclosure import ipk_check, kclosure_equal, local_action, pk_check
+from treeclose.cli import main
+from treeclose.kclosure import edge_region, ipk_check, kclosure_equal, local_action, pk_check
 from treeclose.models import build_model
-from treeclose.tree_core import ROOT, VertexAddr
+from treeclose.tree_core import ROOT, VertexAddr, tree_distance
 
+from test_cli import EXPECTED_EXIT, SCENARIO_DIR
 from test_models_contract import DESCRIPTORS, _descriptor_id
 
 EDGE = (ROOT, VertexAddr.parse("0"))
@@ -101,3 +107,22 @@ def test_kclosure_compare_with_a_fresh_copy_holds(descriptor, k):
 def test_local_action_order_is_the_radius_1_stabiliser_order(descriptor):
     model = build_model(descriptor)
     assert local_action(model, ROOT)["order"] == model.stab_germ_chain(ROOT, 1).order()
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n, code in EXPECTED_EXIT.items() if "discreteness" in n and code == 0),
+)
+def test_discreteness_witness_fixes_its_edge_region_and_moves_its_vertex(name, capsys):
+    scenario = json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+    assert main(["run", str(SCENARIO_DIR / name), "--format", "json"]) == 0
+    witness = json.loads(capsys.readouterr().out)["result"]["nondiscreteness"]["witness"]
+    model = build_model(scenario["model"])
+    k = scenario["k"]
+    g = model.element_from_json(witness["element"])
+    v, w = (VertexAddr.parse(x) for x in witness["edge"])
+    assert all(model.act(g, x) == x for x in edge_region(v, w, k, model.degree))
+    # the moved vertex lies in the k-ball on the far side of the edge
+    moved = VertexAddr.parse(witness["moved_vertex"])
+    assert tree_distance(moved, w) <= k
+    assert model.act(g, moved) != moved
