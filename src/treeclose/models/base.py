@@ -35,7 +35,7 @@ from __future__ import annotations
 import abc
 
 from ..errors import ValidationError
-from ..permgroup import StabChain, check_entries
+from ..permgroup import StabChain
 from ..tree_core import (
     ROOT,
     Germ,
@@ -138,21 +138,23 @@ class GroupModel(abc.ABC):
 
     def _stab_perms(self, v, k):
         """Perms of the radius-k germs of stab_generators(v, k) other than
-        the identity; cached per (v, k)."""
+        the identity, each built as the chain takes it, so a chain that
+        refuses builds no more; cached per (v, k) once all are built."""
         cache = self.__dict__.setdefault("_stab_perm_cache", {})
         got = cache.get((v, k))
-        if got is None:
-            gens = self.stab_generators(v, k)
-            # built before any germ, so a ball past the element limit says so
-            ident = identity_germ(v, k, self.degree).perm
-            got = []
-            for g in gens:
-                perm = self.germ_of(g, v, k).perm
-                if perm != ident:
-                    got.append(perm)
-                    check_entries(len(got) * len(ident), "stabilizer chain")
-            cache[(v, k)] = got
-        return got
+        if got is not None:
+            yield from got
+            return
+        gens = self.stab_generators(v, k)
+        # built before any germ, so a ball past the element limit says so
+        ident = identity_germ(v, k, self.degree).perm
+        got = []
+        for g in gens:
+            perm = self.germ_of(g, v, k).perm
+            if perm != ident:
+                got.append(perm)
+                yield perm
+        cache[(v, k)] = got
 
     def fixator_maps_on(self, tube, pinned):
         """Restrictions to the tube of all elements fixing `pinned` pointwise.

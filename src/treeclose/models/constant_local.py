@@ -40,7 +40,8 @@ class CLElement(Record):
 def _named_generators(degree, spec):
     """Generators of the named subgroup of Sym(degree)."""
     if spec == "sym":
-        return [perm_from_cycles(degree, [tuple(range(degree))]), perm_from_cycles(degree, [(0, 1)])]
+        # the transposition first, so the cycle grows two orbits at once
+        return [perm_from_cycles(degree, [(0, 1)]), perm_from_cycles(degree, [tuple(range(degree))])]
     if spec == "cyclic":
         return [perm_from_cycles(degree, [tuple(range(degree))])]
     if spec == "alt":

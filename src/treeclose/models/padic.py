@@ -269,7 +269,8 @@ class PSL2Model(GroupModel):
     def stab_generators(self, v, k):
         basis = self.class_of_vertex(v).basis()
         basis_inv = basis.inv()
-        return [PSL2Element.make(self.p, basis.mul(m).mul(basis_inv)) for m in (SL2_T, SL2_S)]
+        # S first, so T's order p meets the orbit of p + 1 neighbours
+        return [PSL2Element.make(self.p, basis.mul(m).mul(basis_inv)) for m in (SL2_S, SL2_T)]
 
     # --- orbits -----------------------------------------------------------------------
 

@@ -98,16 +98,16 @@ class StabChain:
     strong generators, and for every orbit point x an element sending
     base[i] to x with its inverse. TooLarge once the perms it builds, kept
     or not, times the positions pass the entry cap: that bounds its memory
-    and its time. Given a refusal message, with {} for the limit, it also
-    raises TooLarge with that message as soon as the product of its orbit
-    lengths passes the element limit: each orbit only grows towards the
-    group's basic orbit, so that product is a lower bound on the order at
-    every step, and the refusal is exact. Without one it counts past the
-    limit. Each generator is sifted through the chain of the ones before
-    it, which is complete, and only a residue other than the identity is
-    kept, so a generator of a group it already holds adds nothing.
-    Membership sifts too, but its perms are dropped and count toward no
-    cap.
+    and its time. Given a refusal message, with {} for the limit, it raises
+    TooLarge with it once a lower bound on the order passes the limit: the
+    product of its orbit lengths (each orbit grows towards a basic orbit)
+    or the lcm of its generators' orders and its orbit lengths (each
+    divides the order). So the refusal is exact; without one it counts past
+    the limit. Both checks see an orbit's points before any of its elements
+    is built. Generators may come lazily; each is sifted through the chain
+    of the ones before it, which is complete, and only a residue other than
+    the identity is kept. Membership sifts too, but its perms are dropped
+    and count toward no cap.
     """
 
     def __init__(self, generators, base, refuse=None):
@@ -123,15 +123,27 @@ class StabChain:
         # past this many entries built, check_entries raises
         limit = max_elements()
         self._cap = ENTRIES_PER_ELEMENT * limit
-        # the product of the orbit lengths, refused past the limit if asked
+        # lower bounds on the order, refused past the limit if asked
         self._reached = 1
+        self._divides = 1
         self._limit = limit
         self._refusal = None if refuse is None else refuse.format(limit)
-        for g in dict.fromkeys(generators):
+        seen = set()
+        for g in generators:
+            if g in seen:
+                continue
+            seen.add(g)
+            if self._refusal is not None:
+                self._divides = math.lcm(self._divides, perm_order(g))
+            self._cut()
             residue, j = self._sift(g, 0)
             if residue is not None:
                 self._add(residue, -1, j)
                 self._complete(j)
+
+    def _cut(self):
+        if self._refusal is not None and max(self._reached, self._divides) > self._limit:
+            raise TooLarge(self._refusal)
 
     def _build(self, count):
         self._built += count
@@ -181,27 +193,33 @@ class StabChain:
             gens = [] if deeper is None else list(self._levels[deeper][0])
             b = self.base[j]
             self._levels[j] = [gens, {b: self._ident}, {b: self._ident}, {}]
+        grown = []
         for i, level in self._levels.items():
             if above < i <= j:
                 level[0].append(pair)
-                self._grow(level, [pair])
+                grown.append((level, self._orbit(level[0], level[1], [pair])))
+        self._cut()
+        self._build(2 * sum(len(found) for _, found in grown))
+        for (_, trans, invs, _), found in grown:
+            for y, (x, s, s_inv) in found.items():
+                trans[y] = tuple(map(s.__getitem__, trans[x]))
+                invs[y] = tuple(map(invs[x].__getitem__, s_inv))
 
-    def _grow(self, level, new):
-        """Extend the orbit of a level by its new generators."""
-        gens, trans, invs, _ = level
-        before = len(trans)
+    def _orbit(self, gens, trans, new):
+        """The points new generators add to a level's orbit, in transversal
+        order, each with the point and generator that reach it first."""
+        found = {}
         frontier = [(x, new) for x in trans]
         for x, by in frontier:
             for s, s_inv in by:
                 y = s[x]
-                if y not in trans:
-                    trans[y] = tuple(map(s.__getitem__, trans[x]))
-                    invs[y] = tuple(map(invs[x].__getitem__, s_inv))
-                    self._build(2)
+                if y not in trans and y not in found:
+                    found[y] = (x, s, s_inv)
                     frontier.append((y, gens))
-        self._reached = self._reached // before * len(trans)
-        if self._refusal is not None and self._reached > self._limit:
-            raise TooLarge(self._refusal)
+        size = len(trans) + len(found)
+        self._reached = self._reached // len(trans) * size
+        self._divides = math.lcm(self._divides, size)
+        return found
 
     def _complete(self, index):
         """Sift every untested Schreier generator of the levels up to

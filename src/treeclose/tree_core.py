@@ -534,26 +534,22 @@ def germ_of_map(func, center, radius, degree):
 
 def ball_swaps(degree, radius):
     """The swaps of adjacent sibling subtrees at each vertex x of B(ROOT,
-    radius - 1), as perms of its canonical positions; they generate the
-    center's stabiliser in Aut(B(r)). The swap sends x.c.w to x.c'.w' with
-    the colours c and c' exchanged in w as well."""
+    radius - 1), as perms of its canonical positions, built lazily; they
+    generate the center's stabiliser in Aut(B(r)). The swap sends x.c.w to
+    x.c'.w' with the colours c and c' exchanged in w as well."""
     words, _, index = _ball_table(degree, radius)
-    # inner vertices come first; a chain holds every swap, so refuse first
-    inner = sum(len(x) < radius for x in words)
-    check_entries((degree - 1 + (inner - 1) * (degree - 2)) * len(words), "stabilizer chain")
-    out = []
-    for x in words[:inner]:
+    # inner vertices come first
+    for x in words[: ball_size(degree, radius - 1) if radius else 0]:
         depth = len(x)
         kids = [c for c in range(degree) if not x or c != x[-1]]
         for c, c2 in zip(kids, kids[1:]):
             swap = {c: c2, c2: c}
-            out.append(tuple([
+            yield tuple([
                 index[x + tuple(swap.get(a, a) for a in u[depth:])]
                 if u[:depth] == x and len(u) > depth and u[depth] in swap
                 else i
                 for i, u in enumerate(words)
-            ]))
-    return out
+            ])
 
 
 def iterate_ball_germs(degree, src_center, dst_center, radius):
@@ -561,6 +557,10 @@ def iterate_ball_germs(degree, src_center, dst_center, radius):
     multiplication numbers both balls alike, so their perms are the
     elements of the chain of ball_swaps, listed in lexicographic order.
     TooLarge past the element limit, as the listing reaches it."""
-    chain = StabChain(ball_swaps(degree, radius), range(ball_size(degree, radius)))
+    size = len(ball_vertices(ROOT, radius, degree))
+    # the uncut chain holds every swap, so refuse first
+    swaps = radius and degree - 1 + (ball_size(degree, radius - 1) - 1) * (degree - 2)
+    check_entries(swaps * size, "stabilizer chain")
+    chain = StabChain(ball_swaps(degree, radius), range(size))
     for perm in chain.elements():
         yield Germ(src_center, dst_center, radius, perm, degree)

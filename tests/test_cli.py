@@ -372,6 +372,11 @@ OVERSIZED = {
     "full-aut-d3-stab-germs-k4": {"model": _AUT3, "verb": "stab-germs", "k": 4},
     "full-aut-d400-stab-germs-k1": {"model": {"model": "full_aut", "d": 400},
                                     "verb": "stab-germs", "k": 1},
+    # 6,143 swaps of 12,286 positions; the chain refuses after about 20
+    "full-aut-d3-stab-germs-k12": {"model": _AUT3, "verb": "stab-germs", "k": 12},
+    # orbits of 7,920 points, whose transversal alone passes the entry cap
+    "psl2-p7919-stab-germs-k1": {"model": {"model": "psl2", "p": 7919},
+                                 "verb": "stab-germs", "k": 1},
     "bs-plusk-ten-million-samples": {"model": _BS23, "verb": "plusk-generators",
                                      "k": 1, "radius": 2, "samples": 10000000},
     "bs-normal-form-t-to-the-billion": {"model": _BS23, "verb": "normal-form",
@@ -381,6 +386,8 @@ OVERSIZED = {
                            "verb": "lattice", "r": 0, "matrix": [[1, 0], [0, 1]]},
     "constant-local-sym-200": {"model": {"model": "constant_local", "d": 200, "F": "sym"},
                                "verb": "local-action"},
+    "constant-local-sym-10000": {"model": {"model": "constant_local", "d": 10000, "F": "sym"},
+                                 "verb": "local-action"},
     # 2r (p!)^r automorphisms at least
     "cover-c2-500-local-action": {"model": {"model": "cover", "p": 2, "r": 500},
                                   "verb": "local-action"},
@@ -399,6 +406,21 @@ OVERSIZED = {
 }
 
 
+# the groups that a chain sizes by its order cut say so, whatever their
+# first orbit costs
+CUT_MESSAGES = {
+    "constant-local-sym-200": "closure exceeded 1000000 elements",
+    "constant-local-sym-10000": "closure exceeded 1000000 elements",
+    "full-aut-d3-stab-germs-k4": "stabilizer germ group exceeded 1000000",
+    "full-aut-d400-stab-germs-k1": "stabilizer germ group exceeded 1000000",
+    "full-aut-d3-stab-germs-k12": "stabilizer germ group exceeded 1000000",
+    "psl2-p7919-stab-germs-k1": "stabilizer germ group exceeded 1000000",
+    "bs-stab-germs-k8": "stabilizer germ group exceeded 1000000",
+    "cover-c2-500-local-action": "automorphism group exceeds 1000000",
+    "cover-c2-60-local-action": "automorphism group exceeds 1000000",
+}
+
+
 @pytest.mark.parametrize("name", sorted(OVERSIZED))
 def test_oversized_inputs_exit_2_at_the_default_limit(name, capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("TREECLOSE_MAX_ELEMENTS", raising=False)
@@ -406,6 +428,8 @@ def test_oversized_inputs_exit_2_at_the_default_limit(name, capsys, tmp_path, mo
     assert code == 2
     assert report["error"]["type"] == "TooLarge"
     assert "1000000" in report["error"]["message"]
+    if name in CUT_MESSAGES:
+        assert report["error"]["message"] == CUT_MESSAGES[name]
 
 
 def test_greek_letters_are_escaped_in_json(capsys):

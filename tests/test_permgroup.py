@@ -205,6 +205,39 @@ def test_chain_refuses_exactly_the_groups_past_the_limit(seed, monkeypatch):
         assert StabChain(gens, base).order() == order
 
 
+def test_chain_takes_generators_only_until_it_refuses(monkeypatch):
+    # adjacent transpositions of 0..19: the first four generate Sym(5), of
+    # order 120, and the chain refuses before it asks for a fifth
+    taken = []
+
+    def swaps():
+        for i in range(19):
+            taken.append(i)
+            yield perm_from_cycles(20, [(i, i + 1)])
+
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "100")
+    with pytest.raises(TooLarge, match="^more than 100 in this group$"):
+        StabChain(swaps(), range(20), "more than {} in this group")
+    assert taken == [0, 1, 2, 3]
+
+
+def test_chain_refuses_before_it_builds_what_shows_the_order(monkeypatch):
+    # each of these orbits holds more elements than the entry cap of 100 x
+    # limit allows; a chain that refuses stops first, one that counts
+    # past the limit stops at the cap before it builds any of them
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "1000")
+    # a 500-cycle and a 3-cycle: the generator's order, 1,500, divides
+    # the group's before any orbit is grown
+    g = perm_from_cycles(503, [tuple(range(500)), (500, 501, 502)])
+    # Sym(1000): the orbits of 1,000 and 999 points grow from one generator
+    sym = [perm_from_cycles(1000, [(0, 1)]), perm_from_cycles(1000, [tuple(range(1000))])]
+    for gens, n in (([g], 503), (sym, 1000)):
+        with pytest.raises(TooLarge, match="^more than 1000 in this group$"):
+            StabChain(gens, range(n), "more than {} in this group")
+        with pytest.raises(TooLarge, match=r"^stabilizer chain exceeded 100 x 1000 entries$"):
+            StabChain(gens, range(n))
+
+
 def test_chain_orders_past_any_listing():
     # Sym(12) from a transposition and a 12-cycle, and its point stabilisers
     n = 12
