@@ -25,7 +25,7 @@ from .errors import (
     max_elements,
     read_int,
 )
-from .permgroup import StabChain, closure_chain, induced_perm_group, perm_order, structure_fingerprint
+from .permgroup import StabChain, closure_chain, perm_order, structure_fingerprint
 from .tree_core import (
     ROOT,
     Germ,
@@ -182,9 +182,8 @@ def germ_closure(germs):
 
 def local_action(model, v):
     """Fingerprint of the permutation group induced on the edges at v."""
-    germs = model.stab_germ_group(v, 1)
-    points = tuple(v.step(c) for c in range(model.degree))
-    perms = induced_perm_group(germs, points)
+    # position c + 1 of the radius-1 ball is v.step(c)
+    perms = [tuple(x - 1 for x in p[1:]) for p in model.stab_germ_chain(v, 1).elements()]
     fp = structure_fingerprint(perms)
     fp["degree"] = model.degree
     fp["cyclic"] = fp["order"] in fp["element_orders"]
@@ -323,6 +322,18 @@ def _two_sided_witness(fixator, tube, v, w, R, deg):
     return germ_of_map(lambda x: tube[pick[pos[x]]], v, R, deg)
 
 
+def _path_window(model, path, region, R):
+    """The tube thicken(path, R), the fixator of the region on it as a
+    chain (see fixator_maps_on), and the tube positions of the fiber over
+    each path vertex: the vertices nearest it."""
+    tube = thicken(path, R, model.degree)
+    fixator = model.fixator_maps_on(tube, region)
+    fibers = {x: [] for x in path}
+    for p, y in enumerate(tube):
+        fibers[project_to_path(y, path)].append(p)
+    return tube, fixator, fibers
+
+
 def ipk_check(model, v, w, k, R):
     """Window test of the edge-independence property at (v, w).
 
@@ -342,16 +353,10 @@ def ipk_check(model, v, w, k, R):
     if tree_distance(v, w) != 1:
         raise ValidationError("(v, w) must be an edge")
     deg = model.degree
-    region = edge_region(v, w, k, deg)
-    tube = thicken([v, w], R, deg)
-    # a chain of maps on tube positions (see fixator_maps_on)
-    fixator = model.fixator_maps_on(tube, region)
-    dist = [(tree_distance(x, v), tree_distance(x, w)) for x in tube]
-    w_side = [p for p, (dv, dw) in enumerate(dist) if dw < dv]
-    v_side = [p for p, (dv, dw) in enumerate(dist) if dv < dw]
+    tube, fixator, fibers = _path_window(model, (v, w), edge_region(v, w, k, deg), R)
     fixator_count = fixator.order()
-    left_window = fixator.fixing_order(w_side)
-    right_window = fixator.fixing_order(v_side)
+    left_window = fixator.fixing_order(fibers[w])
+    right_window = fixator.fixing_order(fibers[v])
     certified = bool(model.one_sided_fixators_trivial((v, w)))
     if certified:
         left_count = right_count = 1
@@ -427,13 +432,8 @@ def pk_check(model, path, k, R):
     if tree_distance(path[0], path[-1]) != len(path) - 1:
         raise ValidationError("the path turns back: it must be a geodesic")
     deg = model.degree
-    region = thicken(path, k - 1, deg)
-    tube = thicken(path, R, deg)
-    fixator = model.fixator_maps_on(tube, region)
+    tube, fixator, fibers = _path_window(model, path, thicken(path, k - 1, deg), R)
     fixator_count = fixator.order()
-    fibers = {x: [] for x in path}
-    for p, y in enumerate(tube):
-        fibers[project_to_path(y, path)].append(p)
     counts = [fixator_count // fixator.fixing_order(fibers[x]) for x in path]
     product_count = 1
     for count in counts:

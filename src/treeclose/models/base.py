@@ -18,11 +18,11 @@ names elements fixing v whose radius-k germs generate the stabiliser germ
 group. stab_chain builds a stabiliser chain from those germs, the one
 representation of that group. stab_germ_chain caches it, built with the
 chain's order cut, so no family sizes its group in advance: it counts and
-lists the group (stab-germs), answers membership for legality and decides
-closure comparison. Its pinned form, uncut, gives the fixators
-(fixator_maps_on, for ipk, pk and plusk-generators), and stab_germ_group
-lists it once into the frozenset that local actions and element germs
-read.
+lists the group (stab-germs) and the local action at a vertex, answers
+membership for legality and decides closure comparison. Its pinned form,
+uncut, gives the fixators (fixator_maps_on, for ipk, pk and
+plusk-generators), and stab_germ_group lists it once into the frozenset
+that element germs read.
 
 BS(m,n), PSL(2,Q_p) and covers colour their tree through one TreeChart:
 the d-regular tree covering a graph, with the graph vertex under each

@@ -15,7 +15,7 @@ import itertools
 from ..errors import BadElement, Record, ValidationError
 from ..permgroup import (
     check_perm,
-    closure_group,
+    closure_chain,
     compose_perm,
     identity_perm,
     invert_perm,
@@ -68,13 +68,14 @@ class ConstantLocalModel(GroupModel):
         else:
             self.generators = _named_generators(degree, local_action)
             self.local_action_name = local_action
-        # the closure's chain refuses past the element limit
-        self.F = closure_group(self.generators, degree)
+        # the local action as a chain, which refuses past the element limit
+        self.F = closure_chain(self.generators, degree)
 
     # --- elements ---------------------------------------------------------
 
     def _check(self, g):
-        if not isinstance(g, CLElement) or g.perm not in set(self.F):
+        # a sift reads only the degree's positions of a perm
+        if not isinstance(g, CLElement) or len(g.perm) != self.degree or g.perm not in self.F:
             raise BadElement(f"not an element of this group: {g!r}")
         return g
 
@@ -109,9 +110,10 @@ class ConstantLocalModel(GroupModel):
         return [CLElement(word_mul(v.word, word_inv(w)), p) for w, p in moved]
 
     def nondiscreteness_candidates(self, k):
+        local = list(self.F.elements())
         for radius in itertools.count(0):
             for v in sphere_vertices(ROOT, radius, self.degree):
-                for p in self.F:
+                for p in local:
                     yield CLElement(v.word, p)
 
     def region_fixator_trivial(self, region):
@@ -144,5 +146,5 @@ class ConstantLocalModel(GroupModel):
             "model": self.name,
             "degree": self.degree,
             "local_action": self.local_action_name,
-            "local_action_order": len(self.F),
+            "local_action_order": self.F.order(),
         }

@@ -7,8 +7,9 @@ pointwise stabilisers are read off it without listing the group,
 membership is a sift through it, and it lists the group in a fixed order
 only as far as a caller asks. It sizes every finite group the package
 builds: a chain given a refusal message stops as soon as the group passes
-the element limit, before it is complete. closure_chain and closure_group
-close generators through it.
+the element limit, before it is complete. closure_chain closes generators
+through it, and structure_fingerprint decides closure and abelianness
+with it.
 """
 
 from __future__ import annotations
@@ -314,51 +315,26 @@ def closure_chain(generators, n):
     return StabChain(generators, range(n), "closure exceeded {} elements")
 
 
-def closure_group(generators, n):
-    gens = [check_perm(p, n) for p in generators]
-    return tuple(closure_chain(gens, n).elements())
-
-
-def is_closed(perms):
-    s = set(perms)
-    return all(compose_perm(a, b) in s for a in s for b in s)
-
-
-def is_abelian(perms):
-    els = list(perms)
-    return all(
-        compose_perm(a, b) == compose_perm(b, a) for i, a in enumerate(els) for b in els[i + 1 :]
-    )
-
-
-def is_transitive(perms, n):
-    if n == 0:
-        return True
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for p in perms:
-            y = p[x]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == n
-
-
 def structure_fingerprint(perms):
     """Invariants of a closed permutation set: order, abelianness,
-    transitivity, and the multiset of element orders."""
-    els = tuple(sorted(set(perms)))
+    transitivity, and the multiset of element orders. The set lies in the
+    group it generates, so it is closed exactly when that group, read off
+    its chain, has no more elements; the group is abelian when its strong
+    generators commute, and transitive when the orbit of 0 is every point."""
+    els = sorted(set(perms))
     if not els:
         raise ValidationError("empty permutation set")
     n = len(els[0])
-    if not is_closed(els):
+    chain = StabChain(els, range(n))
+    if chain.order() != len(els):
         raise ValidationError("set is not closed under composition")
+    gens = chain.generators()
     return {
         "order": len(els),
-        "abelian": is_abelian(els),
-        "transitive": is_transitive(els, n),
+        "abelian": all(
+            compose_perm(a, b) == compose_perm(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
+        ),
+        "transitive": chain.order() == n * chain.order(1),
         "element_orders": tuple(sorted(perm_order(p) for p in els)),
     }
 

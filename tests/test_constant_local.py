@@ -1,7 +1,10 @@
 """The degree-3 model whose local action is the same S3 everywhere."""
 
+import itertools
+
 import pytest
 
+from treeclose.errors import BadElement
 from treeclose.kclosure import (
     check_k_legal,
     discreteness_certificate,
@@ -10,7 +13,7 @@ from treeclose.kclosure import (
 )
 from treeclose.models import build_model
 from treeclose.models.constant_local import CLElement
-from treeclose.permgroup import structure_fingerprint
+from treeclose.permgroup import identity_perm, structure_fingerprint
 from treeclose.tree_core import (
     ROOT,
     VertexAddr,
@@ -19,6 +22,8 @@ from treeclose.tree_core import (
     word_inv,
     word_mul,
 )
+
+from germ_reference import mulclose
 
 
 @pytest.fixture(scope="module")
@@ -93,16 +98,41 @@ def _stab_germs_over_all_of_f(model, v, k):
     def fixing(p):
         return CLElement(word_mul(v.word, word_inv(tuple(p[c] for c in v.word))), p)
 
-    return frozenset(model.germ_of(fixing(p), v, k) for p in model.F)
+    return frozenset(model.germ_of(fixing(p), v, k) for p in model.F.elements())
 
 
-@pytest.mark.parametrize("d, F", [
+LOCAL_ACTIONS = pytest.mark.parametrize("d, F", [
     (3, "sym"), (4, "sym"), (4, "alt"), (5, "alt"), (4, "cyclic"), (3, "trivial"),
     (4, [[1, 0, 3, 2], [2, 3, 0, 1]]),
 ], ids=["sym3", "sym4", "alt4", "alt5", "cyclic4", "trivial3", "custom4"])
+
+
+@LOCAL_ACTIONS
 def test_stab_germs_from_generators_match_all_of_f(d, F):
     model = build_model({"model": "constant_local", "d": d, "F": F})
     for v in ("ε", "1", "0.2", "2.1.0"):
         v = VertexAddr.parse(v)
         for k in (0, 1, 2):
             assert model.stab_germ_group(v, k) == _stab_germs_over_all_of_f(model, v, k)
+
+
+@LOCAL_ACTIONS
+def test_f_as_a_chain_matches_its_listed_closure(d, F):
+    # F's order, membership and candidate order, against the sorted
+    # closure that the model once listed in full
+    model = build_model({"model": "constant_local", "d": d, "F": F})
+    listed = sorted(mulclose(model.generators + [identity_perm(d)]))
+    assert model.F.order() == len(listed) == model.describe()["local_action_order"]
+    for p in itertools.permutations(range(d)):
+        g = CLElement((), p)
+        if p in listed:
+            assert model.element_from_json(model.element_to_json(g)) == g
+        else:
+            with pytest.raises(BadElement):
+                model.element_from_json(model.element_to_json(g))
+    with pytest.raises(BadElement):
+        model._check(CLElement((), identity_perm(d - 1)))
+    spheres = [sphere_vertices(ROOT, r, d) for r in (0, 1)]
+    want = [CLElement(v.word, p) for sphere in spheres for v in sphere for p in listed]
+    got = model.nondiscreteness_candidates(1)
+    assert list(itertools.islice(got, len(want))) == want

@@ -4,7 +4,8 @@ and no import there that its module never uses."""
 import ast
 from pathlib import Path
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC_DIR = ROOT / "src"
 
 # Definitions that only tests call. Each one stays because a test uses it.
 TEST_ONLY = {
@@ -16,6 +17,13 @@ TEST_ONLY = {
     # test_acceptance.py::test_criterion_05_nondiscreteness_certificates and
     # test_models_contract.py::test_element_json_round_trip
     "element_from_json",
+    # test_acceptance.py::test_criterion_09_generator_germ_exponents, and the
+    # reference for plusk-generators' closure count and legality
+    "germ_closure",
+    # test_acceptance.py::test_criterion_01_constant_local_truncations and
+    # test_criterion_04_padic_unipotent_depth, and the reference for
+    # local_action
+    "induced_perm_group",
     # test_acceptance.py::test_criterion_02_bs_local_action_and_edge_labels,
     # through _random_one_legal_germ
     "minimal_fixing_exponent",
@@ -34,9 +42,9 @@ BENCH_ONLY = {
 }
 
 
-def unreferenced_definitions(root):
-    """Names of the defs and classes under root that no Name or Attribute
-    there refers to, dunders left out."""
+def definitions_and_references(root):
+    """Names of the defs and classes under root, and the names that a Name
+    or Attribute there refers to."""
     defined, used = set(), set()
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -46,6 +54,13 @@ def unreferenced_definitions(root):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return defined, used
+
+
+def unreferenced_definitions(root):
+    """Names of the defs and classes under root that no Name or Attribute
+    there refers to, dunders left out."""
+    defined, used = definitions_and_references(root)
     return {
         name for name in defined - used
         if not (name.startswith("__") and name.endswith("__"))
@@ -54,6 +69,11 @@ def unreferenced_definitions(root):
 
 def test_every_definition_has_a_caller_in_src():
     assert unreferenced_definitions(SRC_DIR) == TEST_ONLY | BENCH_ONLY
+
+
+def test_every_allowlisted_definition_has_a_caller_outside_src():
+    for allowed, where in ((TEST_ONLY, "tests"), (BENCH_ONLY, "perfbench")):
+        assert allowed <= definitions_and_references(ROOT / where)[1], where
 
 
 def unused_imports(root):

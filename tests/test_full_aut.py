@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from treeclose import permgroup
 from treeclose.kclosure import check_k_legal, element_germs_at, local_action
 from treeclose.models import FullAutModel, build_model
 from treeclose.models.full_aut import RigidElement
@@ -33,6 +34,23 @@ def test_local_action_s3(fa):
     fp = local_action(fa, ROOT)
     assert fp["order"] == 6
     assert fp["transitive"] is True
+
+
+def test_local_action_of_sym7_composes_few_perms(monkeypatch):
+    # Sym(7) has 5,040 elements; checking closure and commutation pair by
+    # pair would compose about 25 million times
+    calls = 0
+    compose = permgroup.compose_perm
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        assert calls <= 10 * 5040, "local_action composes pairs of elements"
+        return compose(p, q)
+
+    monkeypatch.setattr(permgroup, "compose_perm", counted)
+    fp = local_action(build_model({"model": "full_aut", "d": 7}), ROOT)
+    assert (fp["order"], fp["abelian"], fp["transitive"]) == (5040, False, True)
 
 
 def test_every_ball_germ_is_an_element_germ(fa):

@@ -8,11 +8,13 @@ of the edge and 2 toward the other.
 """
 
 import itertools
+import json
 import math
 import random
 
 import pytest
 
+from treeclose.cli import run_scenario
 from treeclose.errors import ValidationError
 from treeclose.kclosure import (
     KClosureOracleModel,
@@ -51,6 +53,7 @@ from treeclose.tree_core import (
 )
 
 from germ_reference import ref_subtree_isos
+from test_cli import COVER_REPORT_SHA256, EXPECTED_EXIT, LIMIT_SITES, SCENARIO_DIR
 
 
 @pytest.fixture(scope="module")
@@ -617,6 +620,36 @@ def test_plusk_full_aut_nonempty_and_stable(fa):
     closed = germ_closure(germs)
     assert germ_closure(closed) == closed
     assert all(check_k_legal(fa, g, 1) for g in closed)
+
+
+# every plusk-generators input of the corpus, of the cover digests and of
+# the element-limit sites, and a twisted one at k = 2
+PLUSK_INPUTS = {
+    **{name: json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+       for name in EXPECTED_EXIT if "plusk" in name},
+    **{name: scenario for table in (COVER_REPORT_SHA256, LIMIT_SITES)
+       for name, (scenario, _, _) in table.items() if scenario["verb"] == "plusk-generators"},
+    "bs-twisted-k2": {"model": {"model": "bs", "m": 2, "n": 3}, "verb": "plusk-generators",
+                      "vertex": "1.2", "k": 2, "radius": 2, "samples": 1, "seed": 7},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLUSK_INPUTS))
+def test_plusk_report_matches_the_listed_closure(name):
+    # the verb counts the closure on a chain and checks the generators'
+    # legality; the reference lists the closure and checks every germ
+    scenario = PLUSK_INPUTS[name]
+    result = run_scenario(scenario)["result"]
+    model = build_model(scenario["model"])
+    k = scenario["k"]
+    germs = plusk_generator_germs(
+        model, VertexAddr.parse(scenario.get("vertex", "ε")), k, scenario.get("radius"),
+        samples=scenario.get("samples", 0), rng_seed=scenario.get("seed", 0),
+    )
+    closed = germ_closure(germs)
+    cache = {}
+    assert result["closure_count"] == len(closed)
+    assert result["closure_all_k_legal"] == all(check_k_legal(model, g, k, cache) for g in closed)
 
 
 # --- commutator recursion ----------------------------------------------------------

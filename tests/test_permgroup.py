@@ -6,16 +6,13 @@ import random
 
 import pytest
 
-from treeclose.errors import TooLarge
+from treeclose.errors import TooLarge, ValidationError
 from treeclose.permgroup import (
     StabChain,
-    closure_group,
+    closure_chain,
     compose_perm,
     identity_perm,
     invert_perm,
-    is_abelian,
-    is_closed,
-    is_transitive,
     perm_from_cycles,
     perm_order,
     structure_fingerprint,
@@ -24,8 +21,37 @@ from treeclose.permgroup import (
 from germ_reference import mulclose
 
 
+# brute-force references for structure_fingerprint, which reads these off a
+# stabiliser chain
+
+
+def is_closed(perms):
+    s = set(perms)
+    return all(compose_perm(a, b) in s for a in s for b in s)
+
+
+def is_abelian(perms):
+    els = list(perms)
+    return all(
+        compose_perm(a, b) == compose_perm(b, a) for i, a in enumerate(els) for b in els[i + 1 :]
+    )
+
+
+def is_transitive(perms, n):
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            y = p[x]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == n
+
+
 def test_closure_of_nothing_is_trivial():
-    g = closure_group([], 4)
+    g = tuple(closure_chain([], 4).elements())
     assert len(g) == 1
     assert identity_perm(4) in g
 
@@ -33,7 +59,7 @@ def test_closure_of_nothing_is_trivial():
 def test_closure_generates_s3():
     three_cycle = perm_from_cycles(3, [(0, 1, 2)])
     swap = perm_from_cycles(3, [(0, 1)])
-    g = closure_group([three_cycle, swap], 3)
+    g = tuple(closure_chain([three_cycle, swap], 3).elements())
     assert len(g) == 6
     assert is_closed(g)
     assert not is_abelian(g)
@@ -43,7 +69,7 @@ def test_closure_generates_s3():
 def test_closure_of_n_cycle_is_cyclic():
     for n in (2, 5, 7):
         cyc = perm_from_cycles(n, [tuple(range(n))])
-        g = closure_group([cyc], n)
+        g = tuple(closure_chain([cyc], n).elements())
         assert len(g) == n
         assert is_abelian(g)
 
@@ -57,7 +83,7 @@ def test_closure_order_divides_factorial():
             p = list(range(n))
             rng.shuffle(p)
             gens.append(tuple(p))
-        g = closure_group(gens, n)
+        g = tuple(closure_chain(gens, n).elements())
         assert math.factorial(n) % len(g) == 0
         assert is_closed(g)
 
@@ -107,7 +133,7 @@ def test_perm_order():
 
 def test_fingerprint_cyclic_six():
     cyc = perm_from_cycles(6, [tuple(range(6))])
-    fp = structure_fingerprint(closure_group([cyc], 6))
+    fp = structure_fingerprint(tuple(closure_chain([cyc], 6).elements()))
     assert fp["order"] == 6
     assert fp["abelian"] is True
     assert sorted(fp["element_orders"]) == [1, 2, 3, 3, 6, 6]
@@ -115,8 +141,8 @@ def test_fingerprint_cyclic_six():
 
 
 def test_fingerprint_s3():
-    g = closure_group(
-        [perm_from_cycles(3, [(0, 1, 2)]), perm_from_cycles(3, [(0, 1)])], 3
+    g = tuple(
+        closure_chain([perm_from_cycles(3, [(0, 1, 2)]), perm_from_cycles(3, [(0, 1)])], 3).elements()
     )
     fp = structure_fingerprint(g)
     assert fp["order"] == 6
@@ -132,15 +158,26 @@ def test_fingerprint_trivial_group():
     assert sorted(fp["element_orders"]) == [1]
 
 
+def test_fingerprint_rejects_an_empty_or_unclosed_set():
+    with pytest.raises(ValidationError, match="^empty permutation set$"):
+        structure_fingerprint([])
+    # S3 without one of its transpositions
+    s3 = list(closure_chain([perm_from_cycles(3, [(0, 1, 2)]), perm_from_cycles(3, [(0, 1)])], 3).elements())
+    for unclosed in (s3[:-1], [perm_from_cycles(3, [(0, 1, 2)])]):
+        assert not is_closed(unclosed)
+        with pytest.raises(ValidationError, match="^set is not closed under composition$"):
+            structure_fingerprint(unclosed)
+
+
 def test_fingerprint_invariant_under_conjugation():
     rng = random.Random(9)
     gens = [perm_from_cycles(4, [(0, 1, 2, 3)]), perm_from_cycles(4, [(0, 1)])]
-    g = closure_group(gens, 4)
+    g = tuple(closure_chain(gens, 4).elements())
     c = list(range(4))
     rng.shuffle(c)
     c = tuple(c)
     conj = [compose_perm(invert_perm(c), compose_perm(p, c)) for p in gens]
-    h = closure_group(conj, 4)
+    h = tuple(closure_chain(conj, 4).elements())
     fa, fb = structure_fingerprint(g), structure_fingerprint(h)
     assert fa["order"] == fb["order"]
     assert fa["abelian"] == fb["abelian"]
@@ -177,6 +214,18 @@ def test_chain_against_the_closure(seed):
     chain = StabChain(gens, base)
     pos = {b: i for i, b in enumerate(base)}
     assert list(chain.elements()) == sorted(group, key=lambda g: [pos[g[b]] for b in base])
+    fp = structure_fingerprint(group)
+    assert fp == {
+        "order": len(group),
+        "abelian": is_abelian(group),
+        "transitive": is_transitive(group, n),
+        "element_orders": tuple(sorted(map(perm_order, group))),
+    }
+    # the group without its last element, when that leaves it unclosed
+    part = sorted(group)[:-1]
+    if part and not is_closed(part):
+        with pytest.raises(ValidationError, match="^set is not closed under composition$"):
+            structure_fingerprint(part)
     for prefix in range(n + 1):
         fixing = {g for g in group if all(g[b] == b for b in base[:prefix])}
         assert chain.order(prefix) == len(fixing)

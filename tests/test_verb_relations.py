@@ -5,8 +5,9 @@ On one edge, P_k and IP_k are the same property, so `pk` on the path
 direction of the edge or path, and invariant under the group. Checked on
 the edge ε–0 at k in {1, 2} and window radius R in {k, k + 1} (full Aut at
 k = 1 only, where its window groups stay small). A model's k-closure
-equals that of a fresh copy of itself, and its local action at the root
-has the order of its radius-1 stabiliser germ group. The witness of every
+equals that of a fresh copy of itself. Its local action at the root has
+the order of its radius-1 stabiliser germ group, and at either end of
+ε–0 the invariants of the perms those germs induce on the neighbours. The witness of every
 corpus `discreteness` report with exit 0 is re-checked from the report and
 the scenario alone.
 """
@@ -18,6 +19,7 @@ import pytest
 from treeclose.cli import main
 from treeclose.kclosure import edge_region, ipk_check, kclosure_equal, local_action, pk_check
 from treeclose.models import build_model
+from treeclose.permgroup import induced_perm_group, structure_fingerprint
 from treeclose.tree_core import ROOT, VertexAddr, tree_distance
 
 from test_cli import EXPECTED_EXIT, SCENARIO_DIR
@@ -107,6 +109,18 @@ def test_kclosure_compare_with_a_fresh_copy_holds(descriptor, k):
 def test_local_action_order_is_the_radius_1_stabiliser_order(descriptor):
     model = build_model(descriptor)
     assert local_action(model, ROOT)["order"] == model.stab_germ_chain(ROOT, 1).order()
+
+
+@pytest.mark.parametrize("descriptor", DESCRIPTORS, ids=_descriptor_id)
+def test_local_action_matches_the_perms_its_germs_induce(descriptor):
+    # the reference lists the radius-1 stabiliser germs and induces their
+    # perms on the neighbours
+    model = build_model(descriptor)
+    for v in EDGE:
+        neighbours = [v.step(c) for c in range(model.degree)]
+        want = structure_fingerprint(induced_perm_group(model.stab_germ_group(v, 1), neighbours))
+        got = local_action(model, v)
+        assert {key: got[key] for key in want} == want
 
 
 @pytest.mark.parametrize(
