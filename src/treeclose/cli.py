@@ -75,12 +75,15 @@ def _optional_int(scenario, key):
     return None if scenario.get(key) is None else read_int(scenario, key)
 
 
-def _germ_listing(count, germs):
-    """The count, and the first GERM_LIST_CAP of the germs listed in order."""
+def _germ_listing(count, germs, positions):
+    """The count, and the first germs listed in order: at most
+    GERM_LIST_CAP of them, and no more vertex pairs of `positions` per
+    germ than the element limit (at least one germ)."""
+    cap = min(GERM_LIST_CAP, max(1, max_elements() // positions))
     out = {"count": count}
-    if count > GERM_LIST_CAP:
-        out["germs_truncated_to"] = GERM_LIST_CAP
-    out["germs"] = [germ_to_json(g) for g in itertools.islice(germs, GERM_LIST_CAP)]
+    if count > cap:
+        out["germs_truncated_to"] = cap
+    out["germs"] = [germ_to_json(g) for g in itertools.islice(germs, cap)]
     return out
 
 
@@ -97,7 +100,7 @@ def _verb_stab_germs(model, scenario, budget, seed):
     chain = model.stab_germ_chain(v, k)
     # the chain lists the germs in sorted_germs order
     germs = (Germ(v, v, k, p, model.degree) for p in chain.elements())
-    result.update(_germ_listing(chain.order(), germs))
+    result.update(_germ_listing(chain.order(), germs, len(chain.base)))
     return result, EXIT_OK, [], 0
 
 
@@ -198,7 +201,7 @@ def _verb_plusk_generators(model, scenario, budget, seed):
     legal = all(check_k_legal(model, g, k, cache) for g in germs)
     result = {"vertex": v.render(), "k": k, "closure_count": closure_count,
               "closure_all_k_legal": legal}
-    result.update(_germ_listing(len(germs), germs))
+    result.update(_germ_listing(len(germs), germs, len(germs[0].perm)))
     return result, EXIT_OK if legal else EXIT_FAILS, [], 0
 
 

@@ -61,10 +61,6 @@ class NotRegular(TreecloseError):
     """Tree degree below 3 is rejected."""
 
 
-class IncompatibleBase(TreecloseError):
-    """Cover comparison with mismatched base data."""
-
-
 class SingularBasis(TreecloseError):
     """Lattice basis with zero determinant."""
 

@@ -149,7 +149,8 @@ def element_germs_at(model, center, radius, target):
     if t is None:
         return frozenset()
     tg = model.germ_of(t, center, radius)
-    return frozenset(compose(tg, s) for s in model.stab_germ_group(center, radius))
+    stab = model.stab_germ_chain(center, radius).elements()
+    return frozenset(compose(tg, Germ(center, center, radius, s, model.degree)) for s in stab)
 
 
 def closure_germs_at_targets(model, center, radius, k, targets=None):
@@ -301,9 +302,10 @@ _NO_FACTORIZATION = (
 def _two_sided_witness(fixator, tube, v, w, R, deg):
     """A non-identity map of the fixator chain as a germ on B(v, R): the
     first in its listing that moves both sides of the edge inside that
-    ball, else the first that is not the identity."""
-    # the witness germ is serialized on B(v,R) only, so prefer a map
-    # whose two-sided movement is visible inside that ball
+    ball, else the first that is not the identity. When that one moves
+    nothing in B(v, R), it moves something in B(w, R), and the germ is
+    taken there."""
+    # prefer a map whose two-sided movement is visible inside B(v, R)
     near = {v: [], w: []}
     for p, x in enumerate(tube):
         dv, dw = tree_distance(x, v), tree_distance(x, w)
@@ -318,8 +320,9 @@ def _two_sided_witness(fixator, tube, v, w, R, deg):
         if all(any(m[p] != p for p in side) for side in near.values()):
             pick = m
             break
-    pos = {x: p for p, x in enumerate(tube)}
-    return germ_of_map(lambda x: tube[pick[pos[x]]], v, R, deg)
+    image = {x: tube[i] for x, i in zip(tube, pick)}.__getitem__
+    germ = germ_of_map(image, v, R, deg)
+    return germ_of_map(image, w, R, deg) if germ.is_identity_map else germ
 
 
 def _path_window(model, path, region, R):
@@ -528,6 +531,23 @@ def first_stab_germ_difference(model_a, model_b, v=ROOT, kmax=4):
     return None
 
 
+def _common_germ_count(model_a, model_b, radius, x):
+    """How many germs ROOT -> x on B(ROOT, radius) both models' elements
+    have; None when neither sends ROOT to x. A side's germs are the coset
+    t∘S of its transporter germ and stabiliser chain: the smaller coset is
+    listed, and each germ sifted, after the other t⁻¹, through the other S."""
+    ta, tb = model_a.transporter(ROOT, x), model_b.transporter(ROOT, x)
+    if ta is None or tb is None:
+        return None if ta is None and tb is None else 0
+    (small, t_small), (large, t_large) = sorted(
+        ((m.stab_germ_chain(ROOT, radius), m.germ_of(t, ROOT, radius))
+         for m, t in ((model_a, ta), (model_b, tb))),
+        key=lambda side: side[0].order(),
+    )
+    shift = compose(invert(t_large), t_small).perm
+    return sum(tuple(map(shift.__getitem__, s)) in large for s in small.elements())
+
+
 def kclosure_equal(model_a, model_b, k, probe_radius=None):
     """Window comparison of two k-closures.
 
@@ -557,20 +577,16 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
                 raise ValidationError("orbit representatives incomplete")
         return out
 
+    # each a orbit names the b orbit of its first vertex; the partitions
+    # differ where a vertex is not in the b orbit named, or two names agree
     la, lb = labels(model_a), labels(model_b)
-    pairing = {}
-    for u in window:
-        if pairing.setdefault(la[u], lb[u]) != lb[u]:
-            return Verdict(
-                FAILS,
-                witness={"kind": "orbit", "vertex": u.render()},
-                notes=("model orbits partition the window differently",),
-            )
-    if len(set(pairing.values())) != len(pairing):
-        bad = next(
-            u for u in window
-            if list(pairing.values()).count(lb[u]) > 1
-        )
+    pairing = {la[u]: lb[u] for u in reversed(window)}
+    named = list(pairing.values())
+    bad = next(itertools.chain(
+        (u for u in window if pairing[la[u]] != lb[u]),
+        (u for u in window if named.count(lb[u]) > 1),
+    ), None)
+    if bad is not None:
         return Verdict(
             FAILS,
             witness={"kind": "orbit", "vertex": bad.render()},
@@ -601,11 +617,9 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
     common_counts = {}
     for c in range(deg):
         x = ROOT.step(c)
-        ga = element_germs_at(model_a, ROOT, probe, x)
-        gb = element_germs_at(model_b, ROOT, probe, x)
-        if not ga and not gb:
+        common = _common_germ_count(model_a, model_b, probe, x)
+        if common is None:
             continue
-        common = ga & gb
         if not common:
             return Verdict(
                 INCONCLUSIVE,
@@ -615,7 +629,7 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
                 ),
                 details={"probe_radius": probe},
             )
-        common_counts[x.render()] = len(common)
+        common_counts[x.render()] = common
 
     notes = [
         f"orbits, stabilizer germ sets at radius {k}, and common "
@@ -623,10 +637,6 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
         "equality beyond the truncation is not certified",
     ]
     hook = model_a.common_transitive_pairs(model_b)
-    if hook is None:
-        swapped = model_b.common_transitive_pairs(model_a)
-        if swapped is not None:
-            hook = [(a_el, b_el, x) for (b_el, a_el, x) in swapped]
     if hook is not None:
         for ga, gb, x in hook:
             germ_a = model_a.germ_of(ga, ROOT, probe)

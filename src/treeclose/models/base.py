@@ -19,10 +19,11 @@ group. stab_chain builds a stabiliser chain from those germs, the one
 representation of that group. stab_germ_chain caches it, built with the
 chain's order cut, so no family sizes its group in advance: it counts and
 lists the group (stab-germs) and the local action at a vertex, answers
-membership for legality and decides closure comparison. Its pinned form,
-uncut, gives the fixators (fixator_maps_on, for ipk, pk and
-plusk-generators), and stab_germ_group lists it once into the frozenset
-that element germs read.
+membership for legality, and decides closure comparison, whose common
+transitive germs are a coset of one side's chain sifted through the
+other's. Its pinned form, uncut, gives the fixators (fixator_maps_on, for
+ipk, pk and plusk-generators). stab_germ_group lists it into a frozenset
+for tests that compare sets of germs; nothing in the package reads it.
 
 BS(m,n), PSL(2,Q_p) and covers colour their tree through one TreeChart:
 the d-regular tree covering a graph, with the graph vertex under each
@@ -103,21 +104,15 @@ class GroupModel(abc.ABC):
 
     def stab_germ_group(self, v, k):
         """Frozenset of all radius-k germs of elements fixing v, listed off
-        stab_germ_chain. Exact; cached per (v, k)."""
-        # created here because families do not call super().__init__
-        cache = self.__dict__.setdefault("_stab_cache", {})
-        got = cache.get((v, k))
-        if got is None:
-            chain = self.stab_germ_chain(v, k)
-            got = cache[(v, k)] = frozenset(
-                Germ(v, v, k, p, self.degree) for p in chain.elements()
-            )
-        return got
+        stab_germ_chain on each call."""
+        chain = self.stab_germ_chain(v, k)
+        return frozenset(Germ(v, v, k, p, self.degree) for p in chain.elements())
 
     def stab_germ_chain(self, v, k):
         """stab_chain(v, k), whose listing is in sorted_germs order; its
         perms are those of germs v -> v. Cached per (v, k); TooLarge as
         soon as the chain passes the element limit."""
+        # created here because families do not call super().__init__
         cache = self.__dict__.setdefault("_stab_chain_cache", {})
         got = cache.get((v, k))
         if got is None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from ..errors import IncompatibleBase, Record, ValidationError, as_int
+from ..errors import Record, ValidationError, as_int
 from ..permgroup import StabChain, check_perm, identity_perm, invert_perm, perm_from_cycles
 from ..tree_core import ROOT, VertexAddr, geodesic, require_star
 from .base import GroupModel, TreeChart
@@ -380,10 +380,6 @@ class CoverModel(GroupModel):
     def common_transitive_pairs(self, other):
         if not isinstance(other, CoverModel):
             return None
-        if other.p != self.p:
-            raise IncompatibleBase(
-                f"cannot pair covers with {self.p} and {other.p} fibers"
-            )
         return [
             (self.transporter(ROOT, x), other.transporter(ROOT, x), x)
             for x in ROOT.neighbors(self.degree)

@@ -68,7 +68,8 @@ EXPECTED_EXIT = {
 # SHA-256 of each `--format json` report: the benchmark's golden digests,
 # plus the files the benchmark does not run: the two R=4 files, and the
 # one-edge pk windows where the fixator is nontrivial yet equals the product
-# of its two marginals (IP_k fails there with a witness germ, so P_k does)
+# of its two marginals (IP_k fails there with a witness germ, so P_k does;
+# on BS(1,2) that germ is taken at 0, since it moves nothing in B(ε, 1))
 REPORT_SHA256 = {
     name: entry["sha256"]
     for name, entry in json.loads(
@@ -79,7 +80,7 @@ REPORT_SHA256 = {
 REPORT_SHA256.update({
     "bs23-ipk-k1-r4.json": "2a7fcb40e2d8ede68b4f5a047d31b8e23bc8ce2c320168c63c53db3567552352",
     "bs23-pk-edge.json": "c351c9823b279b0be21c918d15a46f63050a95a896b5709dd6ee3dc8fc72ce60",
-    "bs12-pk-edge-k1-r1.json": "2d732580c921d4e5cb6447dc5a25d30ff4d4933bb6204ddf5757bc0dae770660",
+    "bs12-pk-edge-k1-r1.json": "4e34d9ddc59317ceefcfec305a55b7e6572060753b93cf217dc3724efdc0d396",
     "bs23-pk-edge-k1-r1.json": "2bce28bacaaf476820e4c40e346cdd0056980998339e17fa9a76292d58133b13",
     "bs23-pk-edge-k2-r2.json": "76f7db8db233718b3293ec37b9c638bd4f934b9a5972b2e338ed6360dc59b18f",
     "cover-c25-pk-edge-k1-r1.json": "c7644240ed86097c283459b9a4e3d6e7a620258aa7f4cc10a86e489ef702885d",
@@ -756,6 +757,33 @@ def test_stab_germs_listing_is_sorted(family, capsys, tmp_path):
     keys = [germ_from_json(g).sort_key() for g in report["result"]["germs"]]
     assert len(keys) == report["result"]["count"] > 1
     assert keys == sorted(set(keys))
+
+
+def test_stab_germ_listing_holds_no_more_vertex_pairs_than_the_limit(capsys, tmp_path, monkeypatch):
+    # full Aut d=3 has 48 germs on the 10 positions of B(ε, 2): a limit of
+    # 100 lists the first 10 and keeps the count exact
+    scenario = {"model": _AUT3, "verb": "stab-germs", "k": 2}
+    code, full = _run_scenario(tmp_path, capsys, scenario)
+    assert code == 0 and len(full["result"]["germs"]) == 48
+    monkeypatch.setenv("TREECLOSE_MAX_ELEMENTS", "100")
+    code, report = _run_scenario(tmp_path, capsys, scenario)
+    assert code == 0
+    result = report["result"]
+    assert (result["count"], result["germs_truncated_to"]) == (48, 10)
+    assert result["germs"] == full["result"]["germs"][:10]
+
+
+@pytest.mark.parametrize("field", ["model", "other"])
+def test_descriptor_fields_the_model_does_not_read_are_refused(field, capsys, tmp_path):
+    # the strip has p fibers and no cycle length r
+    scenario = {"model": _STRIP2, "verb": "kclosure-compare", "other": _STRIP2, "k": 1}
+    scenario[field] = {**_STRIP2, "r": 5}
+    code, report = _run_scenario(tmp_path, capsys, scenario)
+    assert code == 2
+    assert report["error"] == {
+        "type": "ValidationError",
+        "message": "the strip cover model does not read descriptor field 'r'",
+    }
 
 
 def test_large_prime_passes_the_primality_pre_flight(capsys, tmp_path):

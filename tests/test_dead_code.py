@@ -17,6 +17,10 @@ TEST_ONLY = {
     # test_acceptance.py::test_criterion_05_nondiscreteness_certificates and
     # test_models_contract.py::test_element_json_round_trip
     "element_from_json",
+    # test_kclosure.py::test_common_counts_are_the_intersections_of_element_germ_sets,
+    # the reference for kclosure-compare's common transitive germs, and
+    # test_acceptance.py criteria 01 and 11
+    "element_germs_at",
     # test_acceptance.py::test_criterion_09_generator_germ_exponents, and the
     # reference for plusk-generators' closure count and legality
     "germ_closure",
@@ -32,6 +36,11 @@ TEST_ONLY = {
     # test_germ_core.py::test_compose_invert_apply_agree, against the
     # reference germ's key
     "sort_key",
+    # test_acceptance.py criteria 01 and 04, and the per-family stabiliser
+    # references such as test_models_contract.py::test_stab_germ_group_is_closed;
+    # perfbench/tracer.py also wraps it on every family, so its traced pass
+    # needs it
+    "stab_germ_group",
 }
 
 # Definitions that only the benchmark's input script calls.

@@ -38,6 +38,7 @@ from treeclose.kclosure import (
     sorted_germs,
 )
 from treeclose.models import build_model
+from treeclose.permgroup import StabChain
 from treeclose.tree_core import (
     ROOT,
     Germ,
@@ -536,6 +537,67 @@ def test_kclosure_equal_rejects_degree_mismatch(cl, bs23):
 
     with pytest.raises(DegreeMismatch):
         kclosure_equal(cl, bs23, 1)
+
+
+_C25 = {"model": "cover", "graph": "C", "p": 2, "r": 5}
+_C27 = {"model": "cover", "graph": "C", "p": 2, "r": 7}
+_STRIP2 = {"model": "cover", "graph": "strip", "p": 2}
+
+# (model, other, k, probe radius); at the root, the stabiliser germ groups
+# of C(2,5), C(2,7) and the strip have 32, 128 and 128 elements at radius 3,
+# and 32, 128 and 512 at radius 4
+COMMON_COUNT_CASES = [
+    pytest.param(a, b, k, None, id=f"{name}-k{k}")
+    for name, a, b in (("c25-c27", _C25, _C27), ("c25-strip", _C25, _STRIP2), ("c27-strip", _C27, _STRIP2))
+    for k in (1, 2)
+] + [
+    pytest.param({"model": "full_aut", "d": 3}, {"model": "constant_local", "d": 3, "F": "sym"},
+                 1, None, id="full_aut-sym3-k1"),
+    pytest.param(_C27, _STRIP2, 1, 4, id="c27-strip-k1-probe4"),
+]
+
+
+@pytest.mark.parametrize("descriptor_a, descriptor_b, k, probe", COMMON_COUNT_CASES)
+def test_common_counts_are_the_intersections_of_element_germ_sets(descriptor_a, descriptor_b, k, probe):
+    # the reference lists both sides' element germs toward each neighbour
+    for a, b in ((descriptor_a, descriptor_b), (descriptor_b, descriptor_a)):
+        model_a, model_b = build_model(a), build_model(b)
+        verdict = kclosure_equal(model_a, model_b, k, probe)
+        radius = verdict.details["probe_radius"]
+        want = {}
+        for x in ROOT.neighbors(model_a.degree):
+            ga = element_germs_at(model_a, ROOT, radius, x)
+            gb = element_germs_at(model_b, ROOT, radius, x)
+            if ga or gb:
+                want[x.render()] = len(ga & gb)
+        assert all(want.values())
+        assert verdict.outcome == "holds"
+        assert verdict.details["common_counts"] == want
+
+
+def test_compare_lists_only_the_smaller_stabiliser_chain(monkeypatch):
+    # at probe radius 3 the strip's chain at the root has 128 elements and
+    # C(2,5)'s 32: the common germs sift the smaller coset through the larger
+    listed = []
+    elements = StabChain.elements
+
+    def recording(chain):
+        listed.append(chain)
+        return elements(chain)
+
+    monkeypatch.setattr(StabChain, "elements", recording)
+    for a, b in ((_C25, _STRIP2), (_STRIP2, _C25)):
+        model_a, model_b = build_model(a), build_model(b)
+        verdict = kclosure_equal(model_a, model_b, 1)
+        assert verdict.outcome == "holds"
+        assert verdict.details["probe_radius"] == 3
+        small, large = sorted(
+            (model_a.stab_germ_chain(ROOT, 3), model_b.stab_germ_chain(ROOT, 3)), key=StabChain.order
+        )
+        assert (small.order(), large.order()) == (32, 128)
+        assert any(chain is small for chain in listed)
+        assert not any(chain is large for chain in listed)
+        listed.clear()
 
 
 def test_oracle_model_idempotence(cl):

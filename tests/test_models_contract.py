@@ -236,11 +236,17 @@ def test_element_json_round_trip(model):
 
 
 def test_stab_germ_group_is_cached_and_sorted(model):
-    # the cache holds a set; only the stab-germs listing sorts it (see
+    # each call lists the cached chain, in sorted_germs order, into a set;
+    # only the stab-germs listing keeps that order (see
     # test_stab_germs_listing_is_sorted in test_cli.py)
+    chain = model.stab_germ_chain(ROOT, 1)
+    listed = tuple(Germ(ROOT, ROOT, 1, p, model.degree) for p in chain.elements())
     germs = model.stab_germ_group(ROOT, 1)
-    assert model.stab_germ_group(ROOT, 1) is germs
     assert isinstance(germs, frozenset)
+    assert sorted_germs(germs) == listed
+    assert len(listed) == chain.order()
+    assert model.stab_germ_group(ROOT, 1) == germs
+    assert model.stab_germ_chain(ROOT, 1) is chain
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

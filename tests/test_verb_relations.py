@@ -8,8 +8,9 @@ k = 1 only, where its window groups stay small). A model's k-closure
 equals that of a fresh copy of itself. Its local action at the root has
 the order of its radius-1 stabiliser germ group, and at either end of
 ε–0 the invariants of the perms those germs induce on the neighbours. The witness of every
-corpus `discreteness` report with exit 0 is re-checked from the report and
-the scenario alone.
+corpus `discreteness` report with exit 0, and the witness germ of every
+corpus `ipk` and `pk` report with exit 10, are re-checked from the report
+and the scenario alone.
 """
 
 import json
@@ -17,10 +18,17 @@ import json
 import pytest
 
 from treeclose.cli import main
-from treeclose.kclosure import edge_region, ipk_check, kclosure_equal, local_action, pk_check
+from treeclose.kclosure import (
+    edge_region,
+    germ_from_json,
+    ipk_check,
+    kclosure_equal,
+    local_action,
+    pk_check,
+)
 from treeclose.models import build_model
 from treeclose.permgroup import induced_perm_group, structure_fingerprint
-from treeclose.tree_core import ROOT, VertexAddr, tree_distance
+from treeclose.tree_core import ROOT, VertexAddr, thicken, tree_distance
 
 from test_cli import EXPECTED_EXIT, SCENARIO_DIR
 from test_models_contract import DESCRIPTORS, _descriptor_id
@@ -140,3 +148,34 @@ def test_discreteness_witness_fixes_its_edge_region_and_moves_its_vertex(name, c
     moved = VertexAddr.parse(witness["moved_vertex"])
     assert tree_distance(moved, w) <= k
     assert model.act(g, moved) != moved
+
+
+# the one certified failure whose witness is a count of unrealized marginal
+# combinations, not a germ
+COUNT_WITNESSES = {"bs23-pk-edge.json"}
+
+
+def _corpus_scenario(name):
+    return json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        n for n, code in EXPECTED_EXIT.items()
+        if code == 10 and n not in COUNT_WITNESSES and _corpus_scenario(n)["verb"] in ("ipk", "pk")
+    ),
+)
+def test_independence_witness_germ_is_a_nontrivial_edge_region_fixator(name, capsys):
+    scenario = _corpus_scenario(name)
+    assert main(["run", str(SCENARIO_DIR / name), "--format", "json"]) == 10
+    germ = germ_from_json(json.loads(capsys.readouterr().out)["result"]["witness"]["germ"])
+    model = build_model(scenario["model"])
+    v, w = (VertexAddr.parse(x) for x in scenario["edge" if scenario["verb"] == "ipk" else "path"])
+    k, R = scenario["k"], scenario["R"]
+    center = germ.src_center
+    assert center in (v, w) and germ.dst_center == center and germ.radius == R
+    assert not germ.is_identity_map
+    region = thicken((v, w), k - 1, model.degree)
+    assert germ.fixes([x for x in region if tree_distance(x, center) <= R])
+    assert germ.perm in model.stab_germ_chain(center, R)
