@@ -192,14 +192,17 @@ def _verb_plusk_generators(model, scenario, budget, seed):
     germs = plusk_generator_germs(
         model, v, k, radius, samples=samples, rng_seed=seed
     )
-    closure_count = closure_chain([g.perm for g in germs], len(germs[0].perm)).order()
+    closure = closure_chain([g.perm for g in germs], len(germs[0].perm))
     # each germ fixes v, so it maps every k-ball of its domain onto another
-    # one: products of k-legal germs are k-legal, and the closure is k-legal
-    # exactly when the generators are. Transporter and stabilizer germs
-    # depend only on the model and k
+    # one: the k-legal germs fixing v form a group, and the closure is
+    # k-legal exactly when its chain's strong generators are. Transporter
+    # and stabilizer germs depend only on the model and k
     cache = {}
-    legal = all(check_k_legal(model, g, k, cache) for g in germs)
-    result = {"vertex": v.render(), "k": k, "closure_count": closure_count,
+    legal = all(
+        check_k_legal(model, Germ(v, v, germs[0].radius, p, model.degree), k, cache)
+        for p in closure.generators()
+    )
+    result = {"vertex": v.render(), "k": k, "closure_count": closure.order(),
               "closure_all_k_legal": legal}
     result.update(_germ_listing(len(germs), germs, len(germs[0].perm)))
     return result, EXIT_OK if legal else EXIT_FAILS, [], 0

@@ -71,7 +71,7 @@ def germ_to_json(g):
         "src": g.src_center.render(),
         "dst": g.dst_center.render(),
         "radius": g.radius,
-        "pairs": [[a.render(), b.render()] for a, b in g.pairs],
+        "pairs": g.rendered_pairs(),
     }
 
 

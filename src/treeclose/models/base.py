@@ -42,9 +42,9 @@ from ..tree_core import (
     Germ,
     _addr,
     ball_addresses,
+    ball_listing,
     ball_parents,
     ball_positions,
-    ball_word_ranks,
     germ_from_images,
     identity_germ,
     require_star,
@@ -124,11 +124,9 @@ class GroupModel(abc.ABC):
         positions: its base is the positions of `pinned`, then the other
         positions in the word order of the ball. `refuse` is the chain's
         refusal message."""
-        degree = self.degree
-        ranks = ball_word_ranks(v.word, k, degree)
-        pins = ball_positions(v, pinned, k, degree)
-        rest = set(range(len(ranks))) - set(pins)
-        base = pins + sorted(rest, key=ranks.__getitem__)
+        pins = ball_positions(v, pinned, k, self.degree)
+        first = set(pins)
+        base = pins + [i for i in ball_listing(v.word, k, self.degree)[1] if i not in first]
         return StabChain(self._stab_perms(v, k), base, refuse)
 
     def _stab_perms(self, v, k):

@@ -184,7 +184,7 @@ class FullAutModel(GroupModel):
         return {
             "center": g.germ.src_center.render(),
             "radius": g.germ.radius,
-            "pairs": [[u.render(), w.render()] for u, w in g.germ.pairs],
+            "pairs": g.germ.rendered_pairs(),
         }
 
     def element_from_json(self, data):

@@ -107,8 +107,9 @@ class StabChain:
     the limit. Both checks see an orbit's points before any of its elements
     is built. Generators may come lazily; each is sifted through the chain
     of the ones before it, which is complete, and only a residue other than
-    the identity is kept. Membership sifts too, but its perms are dropped
-    and count toward no cap.
+    the identity is kept; only then is the generator's order taken.
+    Membership sifts too, but its perms are dropped and count toward no
+    cap.
     """
 
     def __init__(self, generators, base, refuse=None):
@@ -134,11 +135,14 @@ class StabChain:
             if g in seen:
                 continue
             seen.add(g)
-            if self._refusal is not None:
-                self._divides = math.lcm(self._divides, perm_order(g))
-            self._cut()
+            # a g that sifts to the identity lies in the complete chain's
+            # group, so its order divides the orbit-length product: only a
+            # g that leaves a residue can move the lcm bound
             residue, j = self._sift(g, 0)
             if residue is not None:
+                if self._refusal is not None:
+                    self._divides = math.lcm(self._divides, perm_order(g))
+                self._cut()
                 self._add(residue, -1, j)
                 self._complete(j)
 

@@ -284,6 +284,16 @@ def ball_addresses(center, radius, degree):
     return tuple(_addr(word_mul(c, w)) for w in words) if c else addrs
 
 
+@lru_cache(maxsize=None)
+def ball_listing(center_word, radius, degree):
+    """B(center, radius) as reports list it: the rendered name of each
+    vertex in canonical order, and the canonical indices in word order."""
+    words = _ball_table(degree, radius)[0]
+    moved = [word_mul(center_word, w) for w in words] if center_word else words
+    order = tuple(sorted(range(len(moved)), key=moved.__getitem__))
+    return tuple(_addr(w).render() for w in moved), order
+
+
 def ball_positions(center, vertices, radius, degree):
     """Canonical indices of the given vertices in B(center, radius)."""
     index = _ball_table(degree, radius)[2]
@@ -369,8 +379,15 @@ class Germ:
         dom = ball_addresses(self.src_center, self.radius, self.degree)
         img = ball_addresses(self.dst_center, self.radius, self.degree)
         perm = self.perm
-        order = sorted(range(len(dom)), key=lambda i: dom[i].word)
+        order = ball_listing(self.src_center.word, self.radius, self.degree)[1]
         return tuple((dom[i], img[perm[i]]) for i in order)
+
+    def rendered_pairs(self):
+        """pairs as [source name, image name] lists."""
+        src, order = ball_listing(self.src_center.word, self.radius, self.degree)
+        dst = ball_listing(self.dst_center.word, self.radius, self.degree)[0]
+        perm = self.perm
+        return [[src[i], dst[perm[i]]] for i in order]
 
     def apply(self, v):
         words, addrs, index = _ball_table(self.degree, self.radius)
@@ -422,16 +439,6 @@ class Germ:
         return self
 
 
-def ball_word_ranks(center_word, radius, degree):
-    """Rank in word order of each vertex of B(center, radius), listed in
-    canonical order."""
-    moved = [word_mul(center_word, w) for w in _ball_table(degree, radius)[0]]
-    ranks = [0] * len(moved)
-    for r, i in enumerate(sorted(range(len(moved)), key=moved.__getitem__)):
-        ranks[i] = r
-    return ranks
-
-
 def sorted_germs(germs):
     """Distinct germs in sort_key order, without building the keys.
 
@@ -446,9 +453,10 @@ def sorted_germs(germs):
     out = []
     for (s, t, r), members in sorted(groups.items(), key=lambda kv: kv[0]):
         degree = members[0].degree
-        src_rank = ball_word_ranks(s, r, degree)
-        order = sorted(range(len(src_rank)), key=src_rank.__getitem__)
-        img_rank = src_rank if s == t else ball_word_ranks(t, r, degree)
+        order = ball_listing(s, r, degree)[1]
+        img_rank = [0] * len(order)
+        for rank, i in enumerate(ball_listing(t, r, degree)[1]):
+            img_rank[i] = rank
         members.sort(
             key=lambda g: tuple(
                 map(img_rank.__getitem__, map(g.perm.__getitem__, order))

@@ -28,6 +28,7 @@ from treeclose.errors import (
 )
 from treeclose.kclosure import edge_region, germ_to_json
 from treeclose.models import BassSerreModel, FullAutModel
+from treeclose.models.full_aut import RigidElement
 from treeclose.tree_core import (
     ROOT,
     Germ,
@@ -112,6 +113,8 @@ def assert_agrees(germ, ref, degree):
     assert germ.pairs == ref.pairs
     assert germ.sort_key() == ref.sort_key()
     assert germ_to_json(germ) == ref.to_json()
+    element = FullAutModel(degree).element_to_json(RigidElement(germ))
+    assert element["pairs"] == ref.to_json()["pairs"]
     for v in ball_vertices(ref.src, ref.radius, degree):
         assert germ.apply(v) == ref.mapping[v]
 

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from treeclose import cli, permgroup
 from treeclose.cli import run_scenario
 from treeclose.errors import ValidationError
 from treeclose.kclosure import (
@@ -38,7 +39,7 @@ from treeclose.kclosure import (
     sorted_germs,
 )
 from treeclose.models import build_model
-from treeclose.permgroup import StabChain
+from treeclose.permgroup import StabChain, closure_chain
 from treeclose.tree_core import (
     ROOT,
     Germ,
@@ -712,6 +713,39 @@ def test_plusk_report_matches_the_listed_closure(name):
     cache = {}
     assert result["closure_count"] == len(closed)
     assert result["closure_all_k_legal"] == all(check_k_legal(model, g, k, cache) for g in closed)
+
+
+def test_plusk_report_fails_with_a_generator_that_is_not_k_legal(bs23, monkeypatch):
+    # BS(2,3)'s generators at ε for k = 1 on the 2-ball, and the swap of the
+    # leaves 3.0 and 3.1, which check_k_legal rejects: the strong generators
+    # of the closure must then fail, as the listed closure does
+    swap = {v: v for v in ball_vertices(ROOT, 2, 5)}
+    a, b = VertexAddr.parse("3.0"), VertexAddr.parse("3.1")
+    swap[a], swap[b] = b, a
+    bad = Germ.from_mapping(ROOT, ROOT, 2, swap)
+    assert not check_k_legal(bs23, bad, 1)
+    germs = plusk_generator_germs(bs23, ROOT, 1) + (bad,)
+    monkeypatch.setattr(cli, "plusk_generator_germs", lambda *args, **kwargs: germs)
+    report = run_scenario({"model": {"model": "bs", "m": 2, "n": 3},
+                           "verb": "plusk-generators", "k": 1})
+    closed = germ_closure(germs)
+    cache = {}
+    assert report["result"]["closure_count"] == len(closed) == 144
+    assert report["result"]["closure_all_k_legal"] is False
+    assert report["exit_code"] == 10
+    assert not all(check_k_legal(bs23, g, 1, cache) for g in closed)
+
+
+def test_closure_chain_takes_orders_of_strong_generators_only(bs23, monkeypatch):
+    # 138 of the 144 generators at ε, k = 1, radius 3 sift to the identity;
+    # only those that leave a residue have their order taken for the refusal
+    germs = plusk_generator_germs(bs23, ROOT, 1, 3)
+    calls = []
+    order = permgroup.perm_order
+    monkeypatch.setattr(permgroup, "perm_order", lambda p: calls.append(p) or order(p))
+    chain = closure_chain([g.perm for g in germs], len(germs[0].perm))
+    assert (len(germs), chain.order()) == (144, 216)
+    assert 0 < len(calls) <= len(chain.generators()) < len(germs)
 
 
 # --- commutator recursion ----------------------------------------------------------
