@@ -252,9 +252,9 @@ def _verb_commutator(model, scenario, budget, seed):
 
 
 def _rational(raw):
-    # Fraction would expand a decimal exponent such as 1e-100000000 in full
-    if isinstance(raw, str) and "e" in raw.lower():
-        raise ValueError("exponent notation")
+    # Fraction would read a bool as 0 or 1 and expand 1e-100000000 in full
+    if isinstance(raw, bool) or isinstance(raw, str) and "e" in raw.lower():
+        raise ValueError("not a plain number")
     return Fraction(raw)
 
 

@@ -113,12 +113,11 @@ def check_k_legal(model, germ, k, cache=None, explain=False):
     """Exact membership test for r-germs of the k-closure.
 
     The germ is k-legal when, around every vertex u whose k-ball sits
-    inside the domain, it agrees with some model element: the center must
-    stay in the model orbit of u and the recentered k-germ must land in
-    the coset (transporter germ) ∘ (stabilizer germs at u), which is a
-    sift through the model's stab_germ_chain(u, k). The cache maps
-    (u, germ(u)) to the inverse transporter germ at radius k, so calls
-    share one only for the same model and k.
+    inside the domain, it agrees with some model element: u and its image
+    x lie in the orbit of one representative r, and T_x⁻¹ ∘ (k-germ at u)
+    ∘ T_u, for the transporter germs T out of r, sifts through the model's
+    stab_germ_chain(r, k). The cache maps each vertex to its r, T and T⁻¹
+    at radius k, so calls share one only for the same model and k.
     """
     if k < 1:
         raise ValidationError("need k >= 1")
@@ -130,15 +129,14 @@ def check_k_legal(model, germ, k, cache=None, explain=False):
     cache = {} if cache is None else cache
     for u in ball_vertices(germ.src_center, germ.radius - k, deg):
         x = germ.apply(u)
-        back = cache.get((u, x))
-        if back is None:
-            t = model.transporter(u, x)
-            if t is None:
-                return (False, u) if explain else False
-            back = invert(model.germ_of(t, u, k))
-            cache[u, x] = back
-        local = compose(back, restrict(germ, u, k, deg))
-        if local.perm not in model.stab_germ_chain(u, k):
+        for w in (u, x):
+            if w not in cache:
+                r, t = model.from_rep(w)
+                into = model.germ_of(t, r, k)
+                cache[w] = r, into, invert(into)
+        (r, into, _), (rx, _, back) = cache[u], cache[x]
+        local = compose(back, compose(restrict(germ, u, k, deg), into))
+        if rx != r or local.perm not in model.stab_germ_chain(r, k):
             return (False, u) if explain else False
     return (True, None) if explain else True
 
@@ -557,6 +555,8 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
     element germ-for-germ at the probe radius toward every root
     neighbor; that evidence is truncation-qualified.
     """
+    if k < 1:
+        raise ValidationError("need k >= 1")
     if model_a.degree != model_b.degree:
         raise DegreeMismatch(
             f"{model_a.degree} vs {model_b.degree}"
@@ -565,21 +565,9 @@ def kclosure_equal(model_a, model_b, k, probe_radius=None):
     probe = k + 2 if probe_radius is None else probe_radius
     window = ball_vertices(ROOT, probe, deg)
 
-    def labels(model):
-        reps = model.orbit_reps()
-        out = {}
-        for u in window:
-            for i, r in enumerate(reps):
-                if model.transporter(r, u) is not None:
-                    out[u] = i
-                    break
-            else:
-                raise ValidationError("orbit representatives incomplete")
-        return out
-
     # each a orbit names the b orbit of its first vertex; the partitions
     # differ where a vertex is not in the b orbit named, or two names agree
-    la, lb = labels(model_a), labels(model_b)
+    la, lb = [{u: m.from_rep(u)[0] for u in window} for m in (model_a, model_b)]
     pairing = {la[u]: lb[u] for u in reversed(window)}
     named = list(pairing.values())
     bad = next(itertools.chain(
@@ -898,8 +886,8 @@ class KClosureOracleModel:
         self.name = f"closure-of-{base.name}"
         self._cache = {}
 
-    def transporter(self, u, w):
-        return self.base.transporter(u, w)
+    def from_rep(self, v):
+        return self.base.from_rep(v)
 
     def germ_of(self, g, center, radius):
         return self.base.germ_of(g, center, radius)

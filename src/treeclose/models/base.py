@@ -13,17 +13,19 @@ is act(g, y); a family that reads its local action off cheaply (covers
 and PSL(2) through their charts, constant local actions by permutation)
 overrides image_step to step from gx instead, and never germ_of itself.
 
-Stabiliser germs come from one set of generators: stab_generators(v, k)
-names elements fixing v whose radius-k germs generate the stabiliser germ
-group. stab_chain builds a stabiliser chain from those germs, the one
-representation of that group. stab_germ_chain caches it, built with the
+Stabiliser germs come from one set of generators per orbit: a family
+names stab_generators(r, k) at its orbit_reps r only, elements fixing r
+whose radius-k germs generate the stabiliser germ group; at another v they
+are r's conjugated by t's, for from_rep(v) = (r, t), the one orbit lookup.
+stab_chain builds the one representation of that group, a stabiliser
+chain, from those germs. stab_germ_chain caches it, built with the
 chain's order cut, so no family sizes its group in advance: it counts and
 lists the group (stab-germs) and the local action at a vertex, answers
-membership for legality, and decides closure comparison, whose common
-transitive germs are a coset of one side's chain sifted through the
-other's. Its pinned form, uncut, gives the fixators (fixator_maps_on, for
-ipk, pk and plusk-generators). stab_germ_group lists it into a frozenset
-for tests that compare sets of germs; nothing in the package reads it.
+legality's membership tests at the representatives, and decides closure
+comparison, whose common transitive germs are a coset of one side's chain
+sifted through the other's. Its pinned form, uncut, gives the fixators
+(fixator_maps_on, for ipk, pk and plusk-generators). stab_germ_group
+lists it into a frozenset for tests that compare sets of germs.
 
 BS(m,n), PSL(2,Q_p) and covers colour their tree through one TreeChart:
 the d-regular tree covering a graph, with the graph vertex under each
@@ -36,7 +38,7 @@ from __future__ import annotations
 import abc
 
 from ..errors import ValidationError
-from ..permgroup import StabChain
+from ..permgroup import StabChain, invert_perm
 from ..tree_core import (
     ROOT,
     Germ,
@@ -100,6 +102,14 @@ class GroupModel(abc.ABC):
     def orbit_reps(self):
         return (ROOT,)
 
+    def from_rep(self, v):
+        """(r, t): the orbit representative r whose orbit holds v, and an
+        element t with t(r) = v."""
+        for r in self.orbit_reps():
+            if (t := self.transporter(r, v)) is not None:
+                return r, t
+        raise ValidationError("orbit representatives incomplete")
+
     # --- germ data ---------------------------------------------------------
 
     def stab_germ_group(self, v, k):
@@ -130,20 +140,26 @@ class GroupModel(abc.ABC):
         return StabChain(self._stab_perms(v, k), base, refuse)
 
     def _stab_perms(self, v, k):
-        """Perms of the radius-k germs of stab_generators(v, k) other than
-        the identity, each built as the chain takes it, so a chain that
-        refuses builds no more; cached per (v, k) once all are built."""
+        """Non-identity perms of the radius-k germs of stab_generators(v, k)
+        at an orbit representative v, elsewhere its representative's
+        conjugated by a transporter germ. Built as the chain takes them, so
+        a refusing chain builds no more; cached per (v, k) once all are."""
         cache = self.__dict__.setdefault("_stab_perm_cache", {})
         got = cache.get((v, k))
         if got is not None:
             yield from got
             return
-        gens = self.stab_generators(v, k)
         # built before any germ, so a ball past the element limit says so
         ident = identity_germ(v, k, self.degree).perm
+        r, t = self.from_rep(v)
+        if r == v:
+            perms = (self.germ_of(g, v, k).perm for g in self.stab_generators(v, k))
+        else:
+            T = self.germ_of(t, r, k).perm
+            back = invert_perm(T)
+            perms = (tuple([T[s[i]] for i in back]) for s in self._stab_perms(r, k))
         got = []
-        for g in gens:
-            perm = self.germ_of(g, v, k).perm
+        for perm in perms:
             if perm != ident:
                 got.append(perm)
                 yield perm

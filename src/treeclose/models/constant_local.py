@@ -104,10 +104,9 @@ class ConstantLocalModel(GroupModel):
         return CLElement(word_mul(w.word, word_inv(u.word)), identity_perm(self.degree))
 
     def stab_generators(self, v, k):
-        # p -> the one element with local action p that fixes v is an
-        # isomorphism from F onto the stabiliser, so F's generators suffice
-        moved = [(tuple(p[c] for c in v.word), p) for p in self.generators]
-        return [CLElement(word_mul(v.word, word_inv(w)), p) for w, p in moved]
+        # p -> (ε, p) is an isomorphism from F onto the root's stabiliser,
+        # so F's generators suffice
+        return [CLElement((), p) for p in self.generators]
 
     def nondiscreteness_candidates(self, k):
         local = list(self.F.elements())

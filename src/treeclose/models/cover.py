@@ -17,7 +17,7 @@ realized by a finite-support element already, so all finite certificates
 are unaffected.
 
 Each base graph owns its automorphisms: it names the identity, a
-transporter, the automorphisms that generate a vertex stabiliser
+transporter, the automorphisms that generate the root's stabiliser
 (stab_autos) and its candidate stream, and reads automorphisms from
 JSON. C(p, r) holds its automorphism group as a stabiliser chain over
 its vertices, from named generators; the stabiliser generators and the
@@ -101,13 +101,11 @@ class CycleGraph(Record):
             for (i, j) in self.vertices()
         })
 
-    def stab_autos(self, bv, k):
+    def stab_autos(self, k):
         """Automorphisms whose lifts generate the radius-k stabiliser germs
-        at a vertex over bv: the strong generators of the root's
-        stabiliser, the root being first in the base, conjugated onto bv."""
-        t = self.transporter(self.root, bv)
-        t_inv = t.inverse()
-        return [t.compose(self._auto(g)).compose(t_inv) for g in self.aut_chain.generators(1)]
+        at the root: the strong generators of the root's stabiliser, the
+        root being first in the base."""
+        return [self._auto(g) for g in self.aut_chain.generators(1)]
 
     def is_covered_by(self, bvs):
         return set(bvs) == set(self.vertices())
@@ -168,16 +166,15 @@ class StripGraph(Record):
         swap = perm_from_cycles(self.p, [(bu[1] - 1, bw[1] - 1)])
         return StripAuto.of(1, bw[0] - bu[0], {bu[0]: swap})
 
-    def stab_autos(self, bv, k):
+    def stab_autos(self, k):
         """Automorphisms whose lifts generate the radius-k stabiliser germs
-        at a vertex over bv."""
-        # a germ on B(v, k) reads the levels within k of bv's only; the
-        # reflection through bv's level and, on each such level, a swap
-        # and a full cycle of the fibers other than bv's generate them
-        i0 = bv[0]
-        autos = [StripAuto.of(-1, 2 * i0, {})]
-        for lv in range(i0 - k, i0 + k + 1):
-            free = tuple(j for j in range(self.p) if (lv, j + 1) != bv)
+        at the root."""
+        # a germ on B(ε, k) reads the levels -k..k only; the reflection
+        # through level 0 and, on each such level, a swap and a full cycle
+        # of the fibers other than the root's generate them
+        autos = [StripAuto.of(-1, 0, {})]
+        for lv in range(-k, k + 1):
+            free = tuple(j for j in range(self.p) if (lv, j + 1) != self.root)
             for cycle in dict.fromkeys([free[:2], free]):
                 if len(cycle) > 1:
                     autos.append(StripAuto.of(1, 0, {lv: perm_from_cycles(self.p, [cycle])}))
@@ -353,7 +350,7 @@ class CoverModel(GroupModel):
     # --- stabilizer germs -----------------------------------------------------------------
 
     def stab_generators(self, v, k):
-        return [self.lift_at(a, v, v) for a in self.base.stab_autos(self.base_of(v), k)]
+        return [self.lift_at(a, ROOT, ROOT) for a in self.base.stab_autos(k)]
 
     # --- structure ---------------------------------------------------------------------------
 

@@ -110,13 +110,17 @@ def ref_subtree_isos(degree, src_vertices, src_root, dst_vertices, dst_root, pin
 def stab_germs(model, v, k):
     """Frozenset of the radius-k germs of the elements of the model fixing v:
     for full Aut every germ of B(v, k) fixing v, for every other family the
-    closure of the germs of stab_generators(v, k)."""
+    closure of the germs of t·g·t⁻¹, for the generators g that
+    stab_generators(r, k) names at the orbit representative r of v and an
+    element t sending r to v, all multiplied as elements."""
     if isinstance(model, FullAutModel):
         ball = ball_vertices(v, k, model.degree)
         return frozenset(
             Germ.from_mapping(v, v, k, m) for m in ref_subtree_isos(model.degree, ball, v, ball, v)
         )
-    germs = [model.germ_of(g, v, k) for g in model.stab_generators(v, k)]
+    r, t = next((r, t) for r in model.orbit_reps() if (t := model.transporter(r, v)) is not None)
+    gens = [model.mul(model.mul(t, g), model.inv(t)) for g in model.stab_generators(r, k)]
+    germs = [model.germ_of(g, v, k) for g in gens]
     return frozenset(mulclose(germs, mul=compose)) | {identity_germ(v, k, model.degree)}
 
 

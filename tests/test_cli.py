@@ -589,6 +589,11 @@ MALFORMED = {
     "lattice-entry-not-a-number": {"model": {"model": "psl2", "p": 2},
                                    "verb": "lattice", "r": 1,
                                    "matrix": [["x", 0], [0, 1]]},
+    # a bool is an int to Python: these would run as the identity
+    "lattice-entry-bool": {"model": {"model": "psl2", "p": 2}, "verb": "lattice",
+                           "r": 1, "matrix": [[True, 0], [0, True]]},
+    "lattice-unit-bool": {"model": {"model": "psl2", "p": 2}, "verb": "lattice",
+                          "r": 1, "matrix": [[[True, "p^0"], 0], [0, 1]]},
     "constant-local-F-int": {"model": {"model": "constant_local", "d": 3, "F": 5},
                              "verb": "local-action"},
     "constant-local-F-list-of-int": {"model": {"model": "constant_local", "d": 3,
@@ -630,6 +635,11 @@ MALFORMED = {
     "legality-germ-not-an-object": {"model": _CL3, "verb": "legality", "k": 1,
                                     "germ": 5},
     "compare-without-other": {"model": _CL3, "verb": "kclosure-compare", "k": 1},
+    # k = 0 would compare nothing and hold; k < -2 a negative probe radius
+    "compare-k-zero": {"model": _AUT3, "verb": "kclosure-compare", "other": _CL3,
+                       "k": 0},
+    "compare-k-negative": {"model": _AUT3, "verb": "kclosure-compare", "other": _CL3,
+                           "k": -3},
     "commutator-f-not-an-object": {"model": _AUT3, "verb": "commutator",
                                    "amplitude": 1, "f": []},
     "commutator-amplitude-zero": {"model": _AUT3, "verb": "commutator",
@@ -674,6 +684,10 @@ def test_malformed_scenario_values_exit_2(name, capsys, tmp_path):
     ("legality-without-germ", "scenario is missing 'germ'"),
     ("legality-germ-not-an-object", "a germ must be an object"),
     ("compare-without-other", "scenario is missing 'other' model descriptor"),
+    ("compare-k-zero", "need k >= 1"),
+    ("compare-k-negative", "need k >= 1"),
+    ("lattice-entry-bool", "bad matrix entry True"),
+    ("lattice-unit-bool", "bad matrix entry [True, 'p^0']"),
     ("commutator-f-not-an-object", "scenario needs 'f': {fiber: {vertex: vertex}}"),
     ("commutator-amplitude-zero", "amplitude must be positive"),
     ("normal-form-unknown-generator", "unknown generator 'b'"),

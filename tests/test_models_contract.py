@@ -10,7 +10,7 @@ import pytest
 
 from treeclose import permgroup
 from treeclose.errors import TooLarge, ValidationError
-from treeclose.kclosure import random_ball_germ
+from treeclose.kclosure import check_k_legal, random_ball_germ
 from treeclose.models import FullAutModel, build_model
 from treeclose.models.base import GroupModel, TreeChart
 from treeclose.models.cover import CycleGraph
@@ -211,6 +211,48 @@ def test_transporter_reaches_orbit(model):
 def test_orbit_rep_counts(model):
     expected = 2 if model.name == "psl2" else 1
     assert len(model.orbit_reps()) == expected
+
+
+@pytest.mark.parametrize("descriptor", DESCRIPTORS, ids=_descriptor_id)
+def test_stab_generators_are_named_at_orbit_representatives_only(descriptor, monkeypatch):
+    # stabilisers along an orbit are conjugate: a chain anywhere else
+    # conjugates the representative's germs, and legality sifts there
+    chains, legality = build_model(descriptor), build_model(descriptor)
+    germ = legality.germ_of(_sample_elements(legality, 1, random.Random(5))[0], ROOT, 4)
+    seen = []
+    named = type(chains).stab_generators
+
+    def recorded(self, v, k):
+        seen.append(v)
+        return named(self, v, k)
+
+    monkeypatch.setattr(type(chains), "stab_generators", recorded)
+    for v in ("ε", "0", "1.2"):
+        for k in (1, 2):
+            chains.stab_germ_chain(VertexAddr.parse(v), k)
+    assert check_k_legal(legality, germ, 2)
+    assert seen and set(seen) <= set(chains.orbit_reps())
+
+
+@pytest.mark.parametrize("descriptor, reps", [
+    ({"model": "cover", "graph": "C", "p": 2, "r": 5}, ["ε"]),
+    ({"model": "psl2", "p": 2}, ["ε", "0"]),
+])
+def test_legality_builds_chains_at_orbit_representatives_only(descriptor, reps):
+    # each of the germ's k-balls (53 on C(2,5), 22 on PSL(2,Q_2)) is moved
+    # onto a representative's ball, where one chain per orbit answers
+    model = build_model(descriptor)
+    germ = model.germ_of(_sample_elements(model, 1, random.Random(7))[0], ROOT, 5)
+    assert check_k_legal(model, germ, 2)
+    assert set(model._stab_chain_cache) == {(VertexAddr.parse(r), 2) for r in reps}
+
+
+def test_legality_fails_at_the_centre_between_psl2_orbits():
+    # ε and 0 lie in the two orbits of PSL(2, Q_2), so no element sends
+    # one to the other, whatever the germ does around them
+    model = build_model({"model": "psl2", "p": 2})
+    germ = next(iterate_ball_germs(3, ROOT, VertexAddr.parse("0"), 2))
+    assert check_k_legal(model, germ, 1, explain=True) == (False, ROOT)
 
 
 def test_stab_germ_group_is_closed(model):
