@@ -54,6 +54,10 @@ _OUTCOME_EXIT = {"holds": EXIT_OK, "fails": EXIT_FAILS, "inconclusive": EXIT_INC
 
 GERM_LIST_CAP = 200
 
+_encode = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_FLOATS = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
 
 def _address(model, text):
     """A vertex of the model's tree: every color is below its degree."""
@@ -396,7 +400,66 @@ def render_text(report):
 
 
 def render_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) plus a newline, written
+    in one pass into one list of pieces with the C string encoder, and
+    joined once: the stdlib's indented encoder is pure Python and walks a
+    germ's pairs one token at a time."""
+    out = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, nl, out):
+    """Append o to out as json.dumps(o, sort_keys=True, indent=2) writes it
+    at the depth whose line break and indent is nl."""
+    if isinstance(o, str):
+        out.append(_encode(o))
+    elif not isinstance(o, (list, tuple, dict)):
+        out.append(_json_scalar(o))
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict):
+        inner = nl + "  "
+        start = "{" + inner
+        for k, v in sorted(o.items()):
+            key = _encode(k) if isinstance(k, str) else f'"{_json_scalar(k)}"'
+            out += (start, key, ": ")
+            start = "," + inner
+            _write_json(v, inner, out)
+        out.append(nl + "}")
+    else:
+        inner = nl + "  "
+        sep = "," + inner
+        types = set(map(type, o))
+        if types == {str}:
+            out += ("[", inner, sep.join(map(_encode, o)), nl, "]")
+        elif types <= {list, tuple} and all(o) and (
+            set(map(type, itertools.chain.from_iterable(o))) == {str}
+        ):
+            # non-empty string lists, such as a germ's pairs: no call per list
+            head, tail = "[" + inner + "  ", inner + "]"
+            items = [head + (sep + "  ").join(map(_encode, x)) + tail for x in o]
+            out += ("[", inner, sep.join(items), nl, "]")
+        else:
+            start = "[" + inner
+            for x in o:
+                out.append(start)
+                start = sep
+                _write_json(x, inner, out)
+            out.append(nl + "]")
+
+
+def _json_scalar(o):
+    """None, a bool, an int or a float as json writes it; TypeError for
+    anything else, as a value and as a key."""
+    if o is None or o is True or o is False:
+        return _JSON_CONSTANTS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return "NaN" if o != o else _JSON_FLOATS.get(o) or float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def main(argv=None):

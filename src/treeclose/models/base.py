@@ -12,6 +12,8 @@ y = x.step(c) given the image gx of its parent x. The default image_step
 is act(g, y); a family that reads its local action off cheaply (covers
 and PSL(2) through their charts, constant local actions by permutation)
 overrides image_step to step from gx instead, and never germ_of itself.
+An element stored as its germ on the asked ball (full Aut's rigid
+elements) gives that germ back unbuilt.
 
 Stabiliser germs come from one set of generators per orbit: a family
 names stab_generators(r, k) at its orbit_reps r only, elements fixing r
@@ -82,6 +84,9 @@ class GroupModel(abc.ABC):
 
     def germ_of(self, g, center, radius):
         """Germ of g on B(center, radius), built shell by shell."""
+        own = getattr(g, "germ", None)
+        if own is not None and own.src_center == center and own.radius == radius:
+            return own
         degree = self.degree
         src = ball_addresses(center, radius, degree)
         # the last letter of a canonical word colors the edge to its parent
@@ -185,6 +190,9 @@ class GroupModel(abc.ABC):
         # tubes thicken a pinned path, so every map keeps the tube in place
         back = dict(zip(spots, range(len(tube))))
         fixing = self.stab_chain(center, radius, pinned)
+        if spots == list(range(len(fixing.base))):
+            # the tube is the center's whole ball, on the same base
+            return fixing.fixing(len(pinned))
         gens = [tuple([back[g[i]] for i in spots]) for g in fixing.generators(len(pinned))]
         pins = [back[i] for i in fixing.base[: len(pinned)]]
         rest = set(range(len(tube))) - set(pins)

@@ -267,6 +267,14 @@ class StabChain:
         rest = [b for b in self.base if b not in first]
         return StabChain(self.generators(), list(points) + rest).order(len(points))
 
+    def fixing(self, prefix):
+        """The chain of the pointwise stabiliser of base[:prefix], on the
+        same base: it shares this chain's levels from prefix on."""
+        sub = object.__new__(StabChain)
+        sub.__dict__.update(self.__dict__)
+        sub._levels = {i: lv for i, lv in self._levels.items() if i >= prefix}
+        return sub
+
     def generators(self, prefix=0):
         """Strong generators of the pointwise stabiliser of base[:prefix]."""
         first = min((i for i in self._levels if i >= prefix), default=None)

@@ -552,11 +552,12 @@ def ball_swaps(degree, radius):
         kids = [c for c in range(degree) if not x or c != x[-1]]
         for c, c2 in zip(kids, kids[1:]):
             swap = {c: c2, c2: c}
+            # the table's own ints, not one new int per fixed position
             yield tuple([
                 index[x + tuple(swap.get(a, a) for a in u[depth:])]
                 if u[:depth] == x and len(u) > depth and u[depth] in swap
                 else i
-                for i, u in enumerate(words)
+                for i, u in zip(index.values(), words)
             ])
 
 

@@ -170,6 +170,12 @@ def run_cli(args, capsys):
     return code, capsys.readouterr().out
 
 
+def assert_json_contract(out):
+    """`--format json` prints exactly json.dumps(report, sort_keys=True,
+    indent=2) and a newline, error reports included."""
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_corpus_matches_expectation_table():
     found = {p.name for p in SCENARIO_DIR.glob("*.json")}
     assert found == set(EXPECTED_EXIT) == set(REPORT_SHA256)
@@ -180,6 +186,7 @@ def test_scenario_runs_with_expected_exit(name, capsys):
     path = SCENARIO_DIR / name
     code, out = run_cli(["run", str(path), "--format", "json"], capsys)
     assert code == EXPECTED_EXIT[name]
+    assert_json_contract(out)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256[name]
     report = json.loads(out)
     assert report["schema"] == "treeclose.report/v1"
@@ -445,6 +452,7 @@ def test_missing_scenario_file_is_exit_2(capsys, tmp_path):
         ["run", str(tmp_path / "nope.json"), "--format", "json"], capsys
     )
     assert code == 2
+    assert_json_contract(out)
     assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
 
@@ -484,6 +492,8 @@ def _run_scenario(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     code, out = run_cli(["run", str(path), "--format", "json"], capsys)
+    # every MALFORMED and OVERSIZED error report runs through here
+    assert_json_contract(out)
     return code, json.loads(out)
 
 

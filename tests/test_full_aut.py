@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from treeclose import permgroup
+from treeclose.errors import TooLarge
 from treeclose.kclosure import check_k_legal, element_germs_at, local_action
 from treeclose.models import FullAutModel, build_model
 from treeclose.models.full_aut import RigidElement
@@ -12,6 +13,7 @@ from treeclose.tree_core import (
     ROOT,
     Germ,
     ball_vertices,
+    germ_of_map,
     iterate_ball_germs,
     restrict,
     tree_distance,
@@ -51,6 +53,26 @@ def test_local_action_of_sym7_composes_few_perms(monkeypatch):
     monkeypatch.setattr(permgroup, "compose_perm", counted)
     fp = local_action(build_model({"model": "full_aut", "d": 7}), ROOT)
     assert (fp["order"], fp["abelian"], fp["transitive"]) == (5040, False, True)
+
+
+def test_generator_germs_are_not_rebuilt_through_act(fa, monkeypatch):
+    # a swap generator is already its germ at the centre: the d=3, k=12
+    # chain refuses without one act per ball vertex (147,432 when rebuilt)
+    gens = list(fa.stab_generators(ROOT, 2))
+    assert [fa.germ_of(g, ROOT, 2) for g in gens] == [
+        germ_of_map(lambda v: fa.act(g, v), ROOT, 2, 3) for g in gens]
+    calls = []
+    act = FullAutModel.act
+
+    def counted(self, g, v):
+        calls.append(v)
+        return act(self, g, v)
+
+    monkeypatch.setattr(FullAutModel, "act", counted)
+    monkeypatch.delenv("TREECLOSE_MAX_ELEMENTS", raising=False)
+    with pytest.raises(TooLarge, match="^stabilizer germ group exceeded 1000000$"):
+        FullAutModel(3).stab_germ_chain(ROOT, 12)
+    assert calls == []
 
 
 def test_every_ball_germ_is_an_element_germ(fa):

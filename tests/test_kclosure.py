@@ -44,6 +44,7 @@ from treeclose.tree_core import (
     ROOT,
     Germ,
     VertexAddr,
+    ball_addresses,
     ball_vertices,
     compose,
     germ_of_map,
@@ -734,6 +735,35 @@ def test_plusk_report_fails_with_a_generator_that_is_not_k_legal(bs23, monkeypat
     assert report["result"]["closure_all_k_legal"] is False
     assert report["exit_code"] == 10
     assert not all(check_k_legal(bs23, g, 1, cache) for g in closed)
+
+
+def test_plusk_fixators_share_the_pinned_chains(monkeypatch):
+    # the tube is B(ε, 3), the pinned chains' own ball, so each of the 5
+    # edge regions' fixators is its pinned chain below the pins: 8 chains
+    # (the radius-3 stabiliser, 5 pinned chains, the closure and the k = 1
+    # stabiliser legality sifts through), where rebuilding each made 13
+    built = []
+    init = StabChain.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabChain, "__init__", counted)
+    report = run_scenario({"model": {"model": "bs", "m": 2, "n": 3},
+                           "verb": "plusk-generators", "k": 1, "radius": 3})
+    assert report["exit_code"] == 0
+    assert len(built) == 8
+
+
+def test_shared_fixator_chain_lists_as_a_rebuilt_one(bs23):
+    # the listing order depends on the group and the base only
+    ball = ball_addresses(ROOT, 3, 5)
+    for c in range(5):
+        chain = bs23.fixator_maps_on(ball, edge_region(ROOT, ROOT.step(c), 1, 5))
+        rebuilt = StabChain(chain.generators(), chain.base)
+        assert chain.order() == rebuilt.order() > 1
+        assert list(chain.elements()) == list(rebuilt.elements())
 
 
 def test_closure_chain_takes_orders_of_strong_generators_only(bs23, monkeypatch):

@@ -10,7 +10,10 @@ the order of its radius-1 stabiliser germ group, and at either end of
 ε–0 the invariants of the perms those germs induce on the neighbours. The witness of every
 corpus `discreteness` report with exit 0, and the witness germ of every
 corpus `ipk` and `pk` report with exit 10, are re-checked from the report
-and the scenario alone.
+and the scenario alone; so are the offending vertex of every corpus
+`legality` report, against the element germs listed at each vertex, and
+every germ a corpus `kclosure-compare` report gives, against both models'
+stabiliser chains.
 """
 
 import json
@@ -20,6 +23,7 @@ import pytest
 from treeclose.cli import main
 from treeclose.kclosure import (
     edge_region,
+    element_germs_at,
     germ_from_json,
     ipk_check,
     kclosure_equal,
@@ -28,7 +32,7 @@ from treeclose.kclosure import (
 )
 from treeclose.models import build_model
 from treeclose.permgroup import induced_perm_group, structure_fingerprint
-from treeclose.tree_core import ROOT, VertexAddr, thicken, tree_distance
+from treeclose.tree_core import ROOT, VertexAddr, ball_vertices, restrict, thicken, tree_distance
 
 from test_cli import EXPECTED_EXIT, SCENARIO_DIR
 from test_models_contract import DESCRIPTORS, _descriptor_id
@@ -179,3 +183,60 @@ def test_independence_witness_germ_is_a_nontrivial_edge_region_fixator(name, cap
     region = thicken((v, w), k - 1, model.degree)
     assert germ.fixes([x for x in region if tree_distance(x, center) <= R])
     assert germ.perm in model.stab_germ_chain(center, R)
+
+
+def _corpus_report(name, capsys):
+    scenario = _corpus_scenario(name)
+    code = main(["run", str(SCENARIO_DIR / name), "--format", "json"])
+    assert code == EXPECTED_EXIT[name]
+    return scenario, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in EXPECTED_EXIT if _corpus_scenario(n)["verb"] == "legality"),
+)
+def test_legality_fails_first_at_the_offending_vertex(name, capsys):
+    # the reference lists the element germs of radius k from u to the
+    # germ's image of u, for each u that check_k_legal visits in turn
+    scenario, report = _corpus_report(name, capsys)
+    model = build_model(scenario["model"])
+    k = scenario["k"]
+    germ = germ_from_json(scenario["germ"])
+    offending = report["result"]["offending_vertex"]
+    assert report["result"]["legal"] is (offending is None)
+    visited = ball_vertices(germ.src_center, germ.radius - k, model.degree)
+    legal = [
+        restrict(germ, u, k, model.degree) in element_germs_at(model, u, k, germ.apply(u))
+        for u in visited
+    ]
+    if offending is None:
+        assert all(legal)
+    else:
+        first = [u.render() for u in visited].index(offending)
+        assert legal[: first + 1] == [True] * first + [False]
+
+
+def _compare_germs(result):
+    """Every germ a kclosure-compare result gives: the verdict's witness,
+    and the first stabiliser germ difference."""
+    witness = result["comparison"]["witness"]
+    found = result.get("first_stab_germ_difference")
+    return [x["germ"] for x in (witness, found) if x is not None]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in EXPECTED_EXIT if _corpus_scenario(n)["verb"] == "kclosure-compare"),
+)
+def test_compare_germs_lie_in_one_stabiliser_chain_only(name, capsys):
+    scenario, report = _corpus_report(name, capsys)
+    result = report["result"]
+    models = [build_model(scenario["model"]), build_model(scenario["other"])]
+    germs = [germ_from_json(g) for g in _compare_germs(result)]
+    assert germs
+    if report["exit_code"] == 10:
+        assert result["comparison"]["witness"]["kind"] == "stab_germ"
+    for germ in germs:
+        center = germ.src_center
+        assert germ.dst_center == center
+        inside = [germ.perm in m.stab_germ_chain(center, germ.radius) for m in models]
+        assert sorted(inside) == [False, True]
