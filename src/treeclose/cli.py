@@ -1,9 +1,9 @@
 """Scenario-driven command line front end.
 
 One scenario file per invocation: a JSON object naming a model, a verb,
-and parameters. The run emits a report (fixed-layout text or JSON with
-identical content) and sets the exit code by verdict class: 0 for a
-holding verdict or plain result, 10 for an exact failure, 20 for an
+and the fields that verb reads. The run emits a report (fixed-layout text
+or JSON with identical content) and sets the exit code by verdict class: 0
+for a holding verdict or plain result, 10 for an exact failure, 20 for an
 inconclusive verdict, 2 for an error. Reports are byte-identical across
 runs for equal (scenario, seed); wall clock is reported as 0 unless
 --timings is passed, precisely to keep that guarantee.
@@ -20,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import TooLarge, TreecloseError, ValidationError, as_int, max_elements, read_int
+from .errors import TooLarge, TreecloseError, ValidationError, as_int, echo, max_elements, read_int
 from .kclosure import (
     axis_fibers,
     check_k_legal,
@@ -39,6 +39,7 @@ from .kclosure import (
     solve_commutator,
 )
 from .models import build_model
+from .models.bass_serre import render_britton
 from .permgroup import closure_chain
 from .tree_core import ROOT, Germ, VertexAddr
 
@@ -64,19 +65,34 @@ def _address(model, text):
     v = VertexAddr.parse(text)
     if any(c >= model.degree for c in v.word):
         raise ValidationError(
-            f"vertex {text!r} is not on the {model.degree}-regular tree: "
+            f"vertex {echo(text)} is not on the {model.degree}-regular tree: "
             f"colors run from 0 to {model.degree - 1}"
         )
     return v
 
 
-def _vertex(model, scenario):
-    return _address(model, scenario["vertex"]) if "vertex" in scenario else ROOT
+_ABSENT = object()  # the default of a raw field that may not be null
+_RAW = ("germ", "other", "matrix", "word", "f")
+_SHAPES = {"edge": "[v, w]", "path": "[v0, v1, ...]"}
 
 
-def _optional_int(scenario, key):
-    """scenario[key] as an integer; None when it is absent or null."""
-    return None if scenario.get(key) is None else read_int(scenario, key)
+def _field(model, scenario, key, default):
+    """scenario[key], read by the kind its name gives it: a vertex (default
+    when absent), an edge or a path of vertices, an optional radius (None
+    when absent or null), a raw value for the verb to check, or else an
+    integer (required when its default is None)."""
+    if key in _RAW:
+        return scenario.get(key, default)
+    if key == "vertex":
+        return _address(model, scenario[key]) if key in scenario else default
+    if key in _SHAPES:
+        raw = scenario.get(key)
+        if not (isinstance(raw, list) and len(raw) >= 2 and (key == "path" or len(raw) == 2)):
+            raise ValidationError(f"scenario needs {key!r}: {_SHAPES[key]}")
+        return [_address(model, x) for x in raw]
+    if key in ("radius", "probe_radius", "first_difference_kmax"):
+        return None if scenario.get(key) is None else read_int(scenario, key)
+    return read_int(scenario, key, default)
 
 
 def _germ_listing(count, germs, positions):
@@ -97,31 +113,27 @@ def _by_verdict(result, verdict):
     return result, _OUTCOME_EXIT[verdict.outcome], witnesses, verdict.budget_used
 
 
-def _verb_stab_germs(model, scenario, budget, seed):
-    v = _vertex(model, scenario)
-    k = read_int(scenario, "k")
-    result = {"vertex": v.render(), "k": k}
-    chain = model.stab_germ_chain(v, k)
+def _verb_stab_germs(model, vertex, k):
+    result = {"vertex": vertex.render(), "k": k}
+    chain = model.stab_germ_chain(vertex, k)
     # the chain lists the germs in sorted_germs order
-    germs = (Germ(v, v, k, p, model.degree) for p in chain.elements())
+    germs = (Germ(vertex, vertex, k, p, model.degree) for p in chain.elements())
     result.update(_germ_listing(chain.order(), germs, len(chain.base)))
     return result, EXIT_OK, [], 0
 
 
-def _verb_local_action(model, scenario, budget, seed):
-    v = _vertex(model, scenario)
-    fp = local_action(model, v)
+def _verb_local_action(model, vertex):
+    fp = local_action(model, vertex)
     fp["element_orders"] = list(fp["element_orders"])
-    fp["vertex"] = v.render()
+    fp["vertex"] = vertex.render()
     return fp, EXIT_OK, [], 0
 
 
-def _verb_legality(model, scenario, budget, seed):
-    if "germ" not in scenario:
+def _verb_legality(model, k, germ):
+    if germ is _ABSENT:
         raise ValidationError("scenario is missing 'germ'")
-    germ = germ_from_json(scenario["germ"])
+    germ = germ_from_json(germ)
     germ.validate(model.degree)
-    k = read_int(scenario, "k")
     ok, bad = check_k_legal(model, germ, k, explain=True)
     result = {
         "legal": ok,
@@ -131,8 +143,7 @@ def _verb_legality(model, scenario, budget, seed):
     return result, EXIT_OK if ok else EXIT_FAILS, [], 0
 
 
-def _verb_discreteness(model, scenario, budget, seed):
-    k = read_int(scenario, "k")
+def _verb_discreteness(model, k, budget):
     nd = nondiscreteness_certificate(model, k, budget)
     dc = discreteness_certificate(model, k)
     result = {
@@ -143,59 +154,31 @@ def _verb_discreteness(model, scenario, budget, seed):
     return _by_verdict(result, nd)
 
 
-def _verb_kclosure_compare(model, scenario, budget, seed):
-    if "other" not in scenario:
+def _verb_kclosure_compare(model, k, probe_radius, first_difference_kmax, other):
+    if other is _ABSENT:
         raise ValidationError("scenario is missing 'other' model descriptor")
-    other = build_model(scenario["other"])
-    k = read_int(scenario, "k")
-    probe = _optional_int(scenario, "probe_radius")
-    kmax = _optional_int(scenario, "first_difference_kmax")
-    verdict = kclosure_equal(model, other, k, probe)
+    other = build_model(other)
+    verdict = kclosure_equal(model, other, k, probe_radius)
     result = {"k": k, "comparison": verdict.to_json()}
-    if kmax is not None:
-        found = first_stab_germ_difference(model, other, ROOT, kmax)
-        result["first_stab_germ_difference"] = (
-            None
-            if found is None
-            else {"k": found[0], "germ": germ_to_json(found[1])}
-        )
+    if first_difference_kmax is not None:
+        found = first_stab_germ_difference(model, other, ROOT, first_difference_kmax)
+        result["first_stab_germ_difference"] = None if found is None else {
+            "k": found[0], "germ": germ_to_json(found[1])}
     return _by_verdict(result, verdict)
 
 
-def _edge(model, scenario):
-    edge = scenario.get("edge")
-    if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
-        raise ValidationError("scenario needs 'edge': [v, w]")
-    return _address(model, edge[0]), _address(model, edge[1])
-
-
-def _verb_ipk(model, scenario, budget, seed):
-    v, w = _edge(model, scenario)
-    k = read_int(scenario, "k")
-    radius = read_int(scenario, "R")
-    verdict = ipk_check(model, v, w, k, radius)
+def _verb_ipk(model, edge, k, R):
+    verdict = ipk_check(model, *edge, k, R)
     return _by_verdict(verdict.to_json(), verdict)
 
 
-def _verb_pk(model, scenario, budget, seed):
-    path = scenario.get("path")
-    if not (isinstance(path, list) and len(path) >= 2):
-        raise ValidationError("scenario needs 'path': [v0, v1, ...]")
-    path = [_address(model, x) for x in path]
-    k = read_int(scenario, "k")
-    radius = read_int(scenario, "R")
-    verdict = pk_check(model, path, k, radius)
+def _verb_pk(model, path, k, R):
+    verdict = pk_check(model, path, k, R)
     return _by_verdict(verdict.to_json(), verdict)
 
 
-def _verb_plusk_generators(model, scenario, budget, seed):
-    v = _vertex(model, scenario)
-    k = read_int(scenario, "k")
-    radius = _optional_int(scenario, "radius")
-    samples = read_int(scenario, "samples", 0)
-    germs = plusk_generator_germs(
-        model, v, k, radius, samples=samples, rng_seed=seed
-    )
+def _verb_plusk_generators(model, vertex, k, radius, samples, seed):
+    germs = plusk_generator_germs(model, vertex, k, radius, samples=samples, rng_seed=seed)
     closure = closure_chain([g.perm for g in germs], len(germs[0].perm))
     # each germ fixes v, so it maps every k-ball of its domain onto another
     # one: the k-legal germs fixing v form a group, and the closure is
@@ -203,45 +186,38 @@ def _verb_plusk_generators(model, scenario, budget, seed):
     # and stabilizer germs depend only on the model and k
     cache = {}
     legal = all(
-        check_k_legal(model, Germ(v, v, germs[0].radius, p, model.degree), k, cache)
+        check_k_legal(model, Germ(vertex, vertex, germs[0].radius, p, model.degree), k, cache)
         for p in closure.generators()
     )
-    result = {"vertex": v.render(), "k": k, "closure_count": closure.order(),
+    result = {"vertex": vertex.render(), "k": k, "closure_count": closure.order(),
               "closure_all_k_legal": legal}
     result.update(_germ_listing(len(germs), germs, len(germs[0].perm)))
     return result, EXIT_OK if legal else EXIT_FAILS, [], 0
 
 
-def _verb_commutator(model, scenario, budget, seed):
-    if model.name != "full_aut":
-        raise ValidationError("the commutator verb runs on the full_aut model")
-    amplitude = read_int(scenario, "amplitude")
-    radius = read_int(scenario, "R", 2)
-    z_lo = read_int(scenario, "z_lo", -4)
-    z_hi = read_int(scenario, "z_hi", 4)
-    if "f" in scenario:
-        f = scenario["f"]
+def _verb_commutator(model, amplitude, R, z_lo, z_hi, f, seed):
+    if f is not _ABSENT:
         if not (isinstance(f, dict) and all(isinstance(m, dict) for m in f.values())):
             raise ValidationError("scenario needs 'f': {fiber: {vertex: vertex}}")
         f_maps = {
-            as_int(z, f"'f' key {z!r}"): {
+            as_int(z, f"'f' key {echo(z)}"): {
                 _address(model, a): _address(model, b) for a, b in mapping.items()
             }
             for z, mapping in f.items()
         }
     else:
         # the translation checks the window before the fibers are built
-        commutator_translation(model, amplitude, radius, z_lo, z_hi)
+        commutator_translation(model, amplitude, R, z_lo, z_hi)
         rng = random.Random(seed)
-        core, fibers = axis_fibers(model, amplitude, radius, z_lo, z_hi)
+        core, fibers = axis_fibers(model, amplitude, R, z_lo, z_hi)
         f_maps = {
             z: random_fiber_auto(model.degree, fibers[z], core[z], rng)
             for z in core
         }
-    solved = solve_commutator(model, amplitude, f_maps, radius, z_lo, z_hi)
+    solved = solve_commutator(model, amplitude, f_maps, R, z_lo, z_hi)
     result = {
         "amplitude": amplitude,
-        "R": radius,
+        "R": R,
         "verified_fibers": list(solved["verified"]),
         "free_fibers": list(solved["free"]),
         "g": {
@@ -280,20 +256,16 @@ def _parse_matrix_entry(raw, p, where):
                 return _rational(unit) * Fraction(p) ** e
     except (TypeError, ValueError, ZeroDivisionError):
         pass
-    raise ValidationError(f"bad matrix entry {raw!r}")
+    raise ValidationError(f"bad matrix entry {echo(raw)}")
 
 
-def _verb_lattice(model, scenario, budget, seed):
-    if model.name != "psl2":
-        raise ValidationError("the lattice verb runs on the psl2 model")
-    matrix = scenario.get("matrix")
+def _verb_lattice(model, r, matrix):
     if not (
         isinstance(matrix, list)
         and len(matrix) == 2
         and all(isinstance(row, list) and len(row) == 2 for row in matrix)
     ):
         raise ValidationError("scenario needs 'matrix': 2x2 entries")
-    r = read_int(scenario, "r")
     a, b, c, d = (
         _parse_matrix_entry(matrix[i][j], model.p, f"entry ({i + 1}, {j + 1})")
         for i in (0, 1)
@@ -312,15 +284,10 @@ def _verb_lattice(model, scenario, budget, seed):
     return result, EXIT_OK if fixes else EXIT_FAILS, [], 0
 
 
-def _verb_normal_form(model, scenario, budget, seed):
-    if model.name != "bs":
-        raise ValidationError("the normal-form verb runs on the bs model")
-    word = scenario.get("word")
+def _verb_normal_form(model, word):
     if not isinstance(word, str):
         raise ValidationError("scenario needs 'word': a generator word")
     el = model.from_britton(word)
-    from .models.bass_serre import render_britton
-
     result = {
         "input": word,
         "normal_form": render_britton(el),
@@ -330,18 +297,26 @@ def _verb_normal_form(model, scenario, budget, seed):
     return result, EXIT_OK, [], 0
 
 
+# the fields every scenario may give, read by parse_scenario and run_scenario
+COMMON_FIELDS = ("schema", "model", "verb", "seed", "budget")
+# verb -> (its function, the one model family it runs on or None, and the
+# scenario fields it reads in this order, with their defaults: see _field).
+# The function takes each field as the keyword argument of the same name
 VERBS = {
-    "stab-germs": _verb_stab_germs,
-    "local-action": _verb_local_action,
-    "legality": _verb_legality,
-    "discreteness": _verb_discreteness,
-    "kclosure-compare": _verb_kclosure_compare,
-    "ipk": _verb_ipk,
-    "pk": _verb_pk,
-    "plusk-generators": _verb_plusk_generators,
-    "commutator": _verb_commutator,
-    "lattice": _verb_lattice,
-    "normal-form": _verb_normal_form,
+    "stab-germs": (_verb_stab_germs, None, {"vertex": ROOT, "k": None}),
+    "local-action": (_verb_local_action, None, {"vertex": ROOT}),
+    "legality": (_verb_legality, None, {"k": None, "germ": _ABSENT}),
+    "discreteness": (_verb_discreteness, None, {"k": None, "budget": 2000}),
+    "kclosure-compare": (_verb_kclosure_compare, None, {
+        "k": None, "probe_radius": None, "first_difference_kmax": None, "other": _ABSENT}),
+    "ipk": (_verb_ipk, None, {"edge": None, "k": None, "R": None}),
+    "pk": (_verb_pk, None, {"path": None, "k": None, "R": None}),
+    "plusk-generators": (_verb_plusk_generators, None, {
+        "vertex": ROOT, "k": None, "radius": None, "samples": 0, "seed": 0}),
+    "commutator": (_verb_commutator, "full_aut", {
+        "amplitude": None, "R": 2, "z_lo": -4, "z_hi": 4, "f": _ABSENT, "seed": 0}),
+    "lattice": (_verb_lattice, "psl2", {"r": None, "matrix": None}),
+    "normal-form": (_verb_normal_form, "bs", {"word": None}),
 }
 
 
@@ -355,27 +330,37 @@ def parse_scenario(text):
         raise ValidationError("scenario must be a JSON object")
     schema = data.get("schema", SCENARIO_SCHEMA)
     if schema != SCENARIO_SCHEMA:
-        raise ValidationError(f"unsupported scenario schema {schema!r}")
+        raise ValidationError(f"unsupported scenario schema {echo(schema)}")
     for required in ("model", "verb"):
         if required not in data:
             raise ValidationError(f"scenario is missing {required!r}")
     if not isinstance(data["verb"], str) or data["verb"] not in VERBS:
         raise ValidationError(
-            f"unknown verb {data['verb']!r}; expected one of "
+            f"unknown verb {echo(data['verb'])}; expected one of "
             + ", ".join(sorted(VERBS))
         )
     return data
 
 
 def run_scenario(scenario, budget_override=None, seed_override=None):
+    verb = scenario["verb"]
+    function, family, fields = VERBS[verb]
+    for key in scenario:
+        if key not in fields and key not in COMMON_FIELDS:
+            raise ValidationError(f"the {verb} verb does not read scenario field {echo(key)}")
     model = build_model(scenario["model"])
     budget = read_int(scenario, "budget", 2000)
     if budget_override is not None:
         budget = budget_override
     budget = min(budget, max_elements())
     seed = seed_override if seed_override is not None else read_int(scenario, "seed", 0)
-    verb = VERBS[scenario["verb"]]
-    result, exit_code, witnesses, budget_used = verb(model, scenario, budget, seed)
+    if family not in (None, model.name):
+        raise ValidationError(f"the {verb} verb runs on the {family} model")
+    # a verb that reads budget or seed gets them as read here, overrides applied
+    common = {"budget": budget, "seed": seed}
+    values = {key: common[key] if key in common else _field(model, scenario, key, default)
+              for key, default in fields.items()}
+    result, exit_code, witnesses, budget_used = function(model, **values)
     report = {
         "schema": REPORT_SCHEMA,
         "scenario": scenario,

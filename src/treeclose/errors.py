@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the integer reader that
-scenario and model-descriptor parsing share, the element limit and the
-base of the immutable value types.
+"""Exception types shared across the package, the bounded echo of input in
+their messages, the integer reader that scenario and model-descriptor parsing
+share, the element limit and the base of the immutable value types.
 
 Everything user-triggerable raises one of these; internal invariant
 violations use plain AssertionError.
@@ -67,6 +67,16 @@ class SingularBasis(TreecloseError):
 
 class NotIntegral(TreecloseError):
     """Matrix expected to have p-integral entries does not."""
+
+
+ECHO_CHARS = 40
+
+
+def echo(value):
+    """repr(value) for an error message, cut to its first ECHO_CHARS
+    characters plus its length when longer: no input makes a long message."""
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
 def as_int(value, what):

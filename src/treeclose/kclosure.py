@@ -22,6 +22,7 @@ from .errors import (
     Record,
     TooLarge,
     ValidationError,
+    echo,
     max_elements,
     read_int,
 )
@@ -95,7 +96,7 @@ def edge_region(v, w, k, degree):
     if k < 1:
         raise ValidationError("need k >= 1")
     if not are_adjacent(v, w):
-        raise ValidationError(f"{v!r} and {w!r} are not adjacent")
+        raise ValidationError(f"{echo(v)} and {echo(w)} are not adjacent")
     region = thicken((v, w), k - 1, degree)
     if ball_size(degree, k) <= 10**5:
         inter = set(ball_vertices(v, k, degree)) & set(
@@ -429,7 +430,7 @@ def pk_check(model, path, k, R):
         raise ValidationError("need a path with at least one edge")
     for a, b in zip(path, path[1:]):
         if not are_adjacent(a, b):
-            raise ValidationError(f"{a!r} and {b!r} are not adjacent")
+            raise ValidationError(f"{echo(a)} and {echo(b)} are not adjacent")
     if tree_distance(path[0], path[-1]) != len(path) - 1:
         raise ValidationError("the path turns back: it must be a geodesic")
     deg = model.degree

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import ValidationError, read_int
+from ..errors import ValidationError, echo, read_int
 from .bass_serre import BassSerreModel
 from .constant_local import ConstantLocalModel
 from .cover import CoverModel, CycleGraph, StripGraph
@@ -35,7 +35,7 @@ def build_model(descriptor):
         """Refuse a field that the model does not read."""
         for key in descriptor:
             if key != "model" and key not in keys:
-                raise ValidationError(f"the {what} model does not read descriptor field {key!r}")
+                raise ValidationError(f"the {what} model does not read descriptor field {echo(key)}")
 
     if kind == "constant_local":
         reads(kind, "d", "F")
@@ -55,7 +55,7 @@ def build_model(descriptor):
             reads("strip cover", "graph", "p")
             return CoverModel(StripGraph(field("p")))
         if graph != "C":
-            raise ValidationError(f"unknown cover graph {graph!r}: use \"C\" or \"strip\"")
+            raise ValidationError(f"unknown cover graph {echo(graph)}: use \"C\" or \"strip\"")
         reads("C cover", "graph", "p", "r")
         return CoverModel(CycleGraph(field("p"), field("r")))
-    raise ValidationError(f"unknown model kind: {kind!r}")
+    raise ValidationError(f"unknown model kind: {echo(kind)}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from ..errors import BadElement, Record, TooLarge, ValidationError, max_elements
+from ..errors import BadElement, Record, TooLarge, ValidationError, echo, max_elements
 from ..permgroup import cycle_table
 from ..tree_core import (
     Germ,
@@ -93,11 +93,11 @@ def parse_britton(text):
             try:
                 k = int(exp)
             except ValueError:
-                raise ValidationError(f"bad exponent in token {tok!r}") from None
+                raise ValidationError(f"bad exponent in token {echo(tok)}") from None
         else:
             base, k = tok, 1
         if base not in ("a", "t"):
-            raise ValidationError(f"unknown generator {base!r}")
+            raise ValidationError(f"unknown generator {echo(base)}")
         letters.append((base, k))
     limit = max_elements()
     if sum(abs(k) for base, k in letters if base == "t") > limit:
@@ -121,7 +121,7 @@ class BassSerreModel(GroupModel):
 
     def __init__(self, m, n):
         if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
-            raise ValidationError(f"need integer m, n >= 1, got {m!r}, {n!r}")
+            raise ValidationError(f"need integer m, n >= 1, got {echo(m)}, {echo(n)}")
         require_regular(m + n)
         self.m, self.n = m, n
         self.degree = m + n

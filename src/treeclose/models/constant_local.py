@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..errors import BadElement, Record, ValidationError
+from ..errors import BadElement, Record, ValidationError, echo
 from ..permgroup import (
     check_perm,
     closure_chain,
@@ -51,7 +51,7 @@ def _named_generators(degree, spec):
         return gens
     if spec == "trivial":
         return []
-    raise ValidationError(f"unknown local action name {spec!r}")
+    raise ValidationError(f"unknown local action name {echo(spec)}")
 
 
 class ConstantLocalModel(GroupModel):

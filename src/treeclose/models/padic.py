@@ -30,6 +30,7 @@ from ..errors import (
     SingularBasis,
     TooLarge,
     ValidationError,
+    echo,
     max_elements,
 )
 from ..tree_core import ROOT, VertexAddr, require_regular
@@ -153,7 +154,7 @@ class PSL2Model(GroupModel):
 
     def __init__(self, p):
         if not isinstance(p, int) or p < 2:
-            raise ValidationError(f"p must be a prime, got {p!r}")
+            raise ValidationError(f"p must be a prime, got {echo(p)}")
         root, limit = math.isqrt(p), max_elements()
         if root > limit:
             raise TooLarge(f"the primality test of p takes more than {limit} divisions")

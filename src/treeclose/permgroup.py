@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotStabilized, TooLarge, ValidationError, max_elements
+from .errors import NotStabilized, TooLarge, ValidationError, echo, max_elements
 
 
 def identity_perm(n):
@@ -51,7 +51,7 @@ def check_perm(p, n):
         and all(isinstance(x, int) and not isinstance(x, bool) for x in p)
         and sorted(p) == list(range(n))
     ):
-        raise ValidationError(f"not a permutation of 0..{n - 1}: {p!r}")
+        raise ValidationError(f"not a permutation of 0..{n - 1}: {echo(p)}")
     return tuple(p)
 
 

@@ -33,6 +33,7 @@ from .errors import (
     Record,
     TooLarge,
     ValidationError,
+    echo,
     max_elements,
 )
 from .permgroup import StabChain, check_entries
@@ -40,7 +41,7 @@ from .permgroup import StabChain, check_entries
 
 def require_regular(degree):
     if not isinstance(degree, int) or degree < 3:
-        raise NotRegular(f"tree degree must be an integer >= 3, got {degree!r}")
+        raise NotRegular(f"tree degree must be an integer >= 3, got {echo(degree)}")
 
 
 def require_star(degree):
@@ -75,10 +76,10 @@ class VertexAddr(Record):
         object.__setattr__(self, "word", w)
         for x, y in zip(w, w[1:]):
             if x == y:
-                raise ValidationError(f"address not reduced: {w!r}")
+                raise ValidationError(f"address not reduced: {echo(w)}")
         for x in w:
             if not isinstance(x, int) or x < 0:
-                raise ValidationError(f"bad edge color {x!r}")
+                raise ValidationError(f"bad edge color {echo(x)}")
 
     # hot: equal and hashed as Record would make them, without a field tuple
     def __eq__(self, other):
@@ -112,7 +113,7 @@ class VertexAddr(Record):
     def parse(text):
         # a JSON number such as 10.20 must not be read as the vertex 10.2
         if isinstance(text, bool) or not isinstance(text, (str, int)):
-            raise ValidationError(f"cannot parse vertex address {text!r}")
+            raise ValidationError(f"cannot parse vertex address {echo(text)}")
         t = str(text).strip()
         # "e" is an ASCII alias for the root, handy on the command line
         if t in ("ε", "e", ""):
@@ -120,7 +121,7 @@ class VertexAddr(Record):
         try:
             word = tuple(int(part) for part in t.split("."))
         except ValueError:
-            raise ValidationError(f"cannot parse vertex address {text!r}") from None
+            raise ValidationError(f"cannot parse vertex address {echo(text)}") from None
         return VertexAddr(word)
 
     def __repr__(self):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from treeclose.cli import main
+from treeclose.cli import COMMON_FIELDS, VERBS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,3 +66,16 @@ def test_benchmark_report_matches_its_golden(name, capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == expected == GOLDEN[name]["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[name]["sha256"]
+
+
+def test_scenarios_and_workloads_give_only_fields_their_verbs_read():
+    # the CLI refuses any other field, so a stray one in a scenario file or a
+    # workload would end its run in exit 2 before the golden check names it
+    bodies = {path.name: json.loads(path.read_text(encoding="utf-8"))
+              for path in sorted((ROOT / "scenarios").glob("*.json"))}
+    bodies.update({name: body for name, (body, _) in NON_CORPUS.items()})
+    bodies["UNBOUNDED"] = WORKLOADS.UNBOUNDED
+    assert len(bodies) == 35 + len(NON_CORPUS) + 1
+    stray = {name: unread for name, body in bodies.items()
+             if (unread := sorted(set(body) - set(VERBS[body["verb"]][2]) - set(COMMON_FIELDS)))}
+    assert not stray, f"fields that their verbs do not read: {stray}"

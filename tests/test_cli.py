@@ -17,6 +17,7 @@ import pytest
 
 from treeclose import cli
 from treeclose.cli import main
+from treeclose.errors import ECHO_CHARS, ValidationError
 from treeclose.kclosure import germ_from_json
 from treeclose.models.padic import PSL2Model
 from treeclose.tree_core import ball_vertices
@@ -668,6 +669,10 @@ MALFORMED = {
                            "k": 1},
     "vertex-negative-color": {"model": _AUT3, "verb": "stab-germs", "vertex": "-1",
                               "k": 1},
+    # null is no vertex, and no fiber map: neither reads as absent
+    "vertex-null": {"model": _AUT3, "verb": "stab-germs", "vertex": None, "k": 1},
+    "commutator-f-null": {"model": _AUT3, "verb": "commutator", "amplitude": 1,
+                          "f": None},
 }
 
 
@@ -709,10 +714,96 @@ def test_malformed_scenario_values_exit_2(name, capsys, tmp_path):
     ("vertex-not-reduced", "address not reduced: (0, 0)"),
     ("vertex-negative-color", "bad edge color -1"),
     ("constant-local-F-bool-entries", "not a permutation of 0..2: [True, False, 2]"),
+    ("vertex-null", "cannot parse vertex address None"),
+    ("commutator-f-null", "scenario needs 'f': {fiber: {vertex: vertex}}"),
 ])
 def test_malformed_value_messages(name, message, capsys, tmp_path):
     _, report = _run_scenario(tmp_path, capsys, MALFORMED[name])
     assert report["error"]["message"] == message
+
+
+# one valid scenario per verb, and fields that its verb does not read. A
+# misspelt field must not run as if absent, at the default
+UNREAD_FIELDS = {
+    "stab-germs": ({"model": _BS23, "verb": "stab-germs", "k": 1},
+                   {"kk": 3, "radious": 9}),
+    "local-action": ({"model": _AUT3, "verb": "local-action"}, {"vertx": "0"}),
+    "legality": ({"model": _CL3, "verb": "legality", "k": 1,
+                  "germ": {"src": "ε", "dst": "ε", "radius": 1,
+                           "pairs": [["ε", "ε"], ["0", "1"], ["1", "0"], ["2", "2"]]}},
+                 {"germs": []}),
+    "discreteness": ({"model": _BS23, "verb": "discreteness", "k": 1}, {"budgett": 5}),
+    "kclosure-compare": ({"model": _CL3, "verb": "kclosure-compare", "other": _CL3,
+                          "k": 1}, {"probe": 3}),
+    "ipk": ({"model": _AUT3, "verb": "ipk", "edge": ["ε", "0"], "k": 1, "R": 1},
+            {"radius": 2}),
+    "pk": ({"model": _AUT3, "verb": "pk", "path": ["ε", "0"], "k": 1, "R": 1},
+           {"edge": ["ε", "0"]}),
+    "plusk-generators": ({"model": _BS23, "verb": "plusk-generators", "k": 1},
+                         {"radious": 3}),
+    "commutator": ({"model": _AUT3, "verb": "commutator", "amplitude": 1}, {"r": 2}),
+    "lattice": ({"model": {"model": "psl2", "p": 2}, "verb": "lattice", "r": 1,
+                 "matrix": [[1, 0], [0, 1]]}, {"R": 1}),
+    "normal-form": ({"model": _BS23, "verb": "normal-form", "word": "a t"},
+                    {"description": "a word"}),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(UNREAD_FIELDS))
+def test_fields_the_verb_does_not_read_are_refused(verb, capsys, tmp_path):
+    # the report names the first field that the verb does not read
+    scenario, unread = UNREAD_FIELDS[verb]
+    code, report = _run_scenario(tmp_path, capsys, {**scenario, **unread})
+    assert code == 2
+    assert report["error"] == {
+        "type": "ValidationError",
+        "message": f"the {verb} verb does not read scenario field {next(iter(unread))!r}",
+    }
+    code, _ = _run_scenario(tmp_path, capsys, scenario)
+    assert code != 2
+    # and so is every field that only other verbs read
+    _, _, fields = cli.VERBS[verb]
+    for _, _, other in cli.VERBS.values():
+        for field in set(other) - set(fields) - set(cli.COMMON_FIELDS):
+            with pytest.raises(ValidationError, match=f"^the {verb} verb does not read"):
+                cli.run_scenario({**scenario, field: 1})
+
+
+_LONG_VERTEX = ".".join(["0", "1"] * 2200)
+# inputs whose error message echoed a value of thousands of characters in
+# full: (scenario, start of the message)
+LONG_ECHOES = {
+    # a 4,400-letter vertex gave 13,221 characters when not reduced
+    "not-reduced": ({"model": _AUT3, "verb": "stab-germs", "vertex": "0.0." + _LONG_VERTEX,
+                     "k": 1}, "address not reduced: (0, 0, 0, 1"),
+    "unparsable": ({"model": _AUT3, "verb": "stab-germs", "vertex": "x" * 4400, "k": 1},
+                   "cannot parse vertex address 'xxx"),
+    "off-the-tree": ({"model": _AUT3, "verb": "stab-germs", "k": 1,
+                      "vertex": _LONG_VERTEX.replace("1", "7")}, "vertex '0.7.0.7"),
+    "path-not-adjacent": ({"model": _AUT3, "verb": "pk", "path": ["ε", _LONG_VERTEX],
+                           "k": 1, "R": 1}, "VertexAddr(ε) and VertexAddr(0.1.0.1"),
+    "bs-m-huge": ({"model": {"model": "bs", "m": "9" * 4000, "n": 0},
+                   "verb": "local-action"}, "need integer m, n >= 1, got 999"),
+    "matrix-entry": ({"model": {"model": "psl2", "p": 2}, "verb": "lattice", "r": 1,
+                      "matrix": [["x" * 5000, 0], [0, 1]]}, "bad matrix entry 'xxx"),
+    "unknown-verb": ({"model": _AUT3, "verb": "v" * 5000}, "unknown verb 'vvv"),
+    "unknown-model": ({"model": {"model": "m" * 5000}, "verb": "local-action"},
+                      "unknown model kind: 'mmm"),
+    "unread-field": ({"model": _AUT3, "verb": "local-action", "f" * 5000: 1},
+                     "the local-action verb does not read scenario field 'fff"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_ECHOES))
+def test_error_messages_echo_a_bounded_prefix_of_the_input(name, capsys, tmp_path):
+    # the fixed text around the echo, the verb list too, is under 200 characters
+    scenario, start = LONG_ECHOES[name]
+    code, report = _run_scenario(tmp_path, capsys, scenario)
+    assert code == 2
+    message = report["error"]["message"]
+    assert message.startswith(start)
+    assert " characters)" in message
+    assert len(message) < ECHO_CHARS + 200
 
 
 def test_degree_two_is_not_a_regular_tree(capsys, tmp_path):
